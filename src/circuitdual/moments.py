@@ -12,13 +12,14 @@ violation among the tested pairs", never membership.  Verdicts carry the
 tested ranges for that reason, and a failing verdict always carries an
 explicit witness.
 
-Two backends: the exact path works in Fractions and decides signs exactly;
-the float path works in doubles against an absolute tolerance.
+Positive semidefiniteness is decided by one symmetric elimination (``_psd``)
+shared by both backends: the exact path works in Fractions and decides signs
+exactly; the float path runs the same steps in doubles and treats values
+within an absolute tolerance of zero as zero.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,9 +94,11 @@ class MomentSeq:
 class MomentVerdict:
     """Outcome of a finite-depth necessary-conditions check.
 
-    ``witness`` is (m, j) for a difference violation and
-    ('hankel', shift, order) for a Hankel violation; ``detail`` is the
-    offending value.  Passing verdicts record the ranges actually tested.
+    ``witness`` is (m, j) for a difference violation, with ``detail`` the
+    negative difference, and ('hankel', shift, order) for a Hankel
+    violation, with ``detail`` a negative principal minor of size ``order``
+    of that Hankel matrix.  Passing verdicts record the ranges actually
+    tested.
     """
 
     status: str                  # "pass" | "fail"
@@ -150,13 +153,15 @@ def hausdorff_test(
 ) -> MomentVerdict:
     """Check all differences with m <= depth, j + m <= min(N, max_index).
 
-    The first violation in lexicographic (m, j) order is reported, so
-    failures are deterministic and citable.  A pass certifies only the
-    tested range.
+    The verdict records the depth actually reached, which is at most the
+    top index tested.  The first violation in lexicographic (m, j) order is
+    reported, so failures are deterministic and citable.  A pass certifies
+    only the tested range.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     cap = seq.top_index if max_index is None else min(seq.top_index, max_index)
+    depth = min(depth, cap)
     floor = 0 if seq.backend == EXACT else -abs(tol)
     for m in range(depth + 1):
         for j in range(cap - m + 1):
@@ -168,56 +173,45 @@ def hausdorff_test(
     return MomentVerdict("pass", "hausdorff", depth, cap)
 
 
-def _det_exact(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            factor = m[r][c] * inv
-            if factor:
-                for cc in range(c, n):
-                    m[r][cc] -= factor * m[c][cc]
-    return det
-
-
 def _hankel(values: Sequence, size: int, shift: int) -> list[list]:
     return [[values[i + j + shift] for j in range(size)] for i in range(size)]
 
 
-def _psd_exact(matrix: list[list[Fraction]]):
-    """Exact PSD decision: leading minors first, full principal sweep on ties.
+def _psd(matrix: list[list], tol: float) -> tuple:
+    """PSD decision by symmetric elimination: (ok, order, value).
 
-    Returns (ok, order, value).  Strictly positive leading minors certify
-    positive definiteness; a strictly negative principal minor certifies
-    failure.  When a leading minor vanishes the leading sequence alone is
-    inconclusive and every principal minor is examined.
+    Pivots run in natural order while the pivot is nonzero; on a zero pivot
+    a negative diagonal entry is taken if one exists, else a nonzero one.
+    Every accepted pivot is positive, so each Schur-complement diagonal
+    entry times the product of the pivots is a principal minor, one size
+    larger than the number of pivots.  A negative one fails; when every
+    remaining diagonal entry is zero, a nonzero off-diagonal entry s_ij
+    fails through the principal minor -det * s_ij^2 two sizes larger.
+    Entries within ``tol`` of zero count as zero.
     """
-    n = len(matrix)
-    tie = False
-    for k in range(1, n + 1):
-        d = _det_exact([row[:k] for row in matrix[:k]])
-        if d < 0:
-            return False, k, d
-        if d == 0:
-            tie = True
-    if not tie:
-        return True, None, None
-    indices = range(n)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(indices, size):
-            sub = [[matrix[r][c] for c in subset] for r in subset]
-            d = _det_exact(sub)
-            if d < 0:
-                return False, size, d
+    a = [row[:] for row in matrix]
+    rest = list(range(len(a)))
+    det = 1
+    while rest:
+        done = len(a) - len(rest)
+        nonzero = [i for i in rest if abs(a[i][i]) > tol]
+        if not nonzero:
+            for i in rest:
+                for j in rest:
+                    if abs(a[i][j]) > tol:
+                        return False, done + 2, -det * a[i][j] ** 2
+            break
+        p = nonzero[0]
+        if p != rest[0]:
+            p = next((i for i in nonzero if a[i][i] < 0), p)
+        if a[p][p] < 0:
+            return False, done + 1, det * a[p][p]
+        det *= a[p][p]
+        rest.remove(p)
+        for i in rest:
+            factor = a[i][p] / a[p][p]
+            for j in rest:
+                a[i][j] -= factor * a[p][j]
     return True, None, None
 
 
@@ -238,27 +232,13 @@ def stieltjes_test(
     if 2 * order > n:
         raise ValueError(f"prefix too short: need index {2 * order}, have {n}")
     shifted_size = order + 1 if 2 * order + 1 <= n else order
-
-    if seq.backend == EXACT:
-        for shift, size in ((0, order + 1), (1, shifted_size)):
-            ok, k, value = _psd_exact(_hankel(seq.values, size, shift))
-            if not ok:
-                return MomentVerdict(
-                    "fail", "stieltjes", order, n,
-                    witness=("hankel", shift, k), detail=value,
-                )
-        return MomentVerdict("pass", "stieltjes", order, n)
-
-    import numpy as np
-
+    zero = 0 if seq.backend == EXACT else abs(tol)
     for shift, size in ((0, order + 1), (1, shifted_size)):
-        h = np.array(_hankel(seq.values, size, shift), dtype=float)
-        eigs = np.linalg.eigvalsh(h)
-        low = float(eigs.min())
-        if low < -abs(tol):
+        ok, k, value = _psd(_hankel(seq.values, size, shift), zero)
+        if not ok:
             return MomentVerdict(
                 "fail", "stieltjes", order, n,
-                witness=("hankel", shift, size), detail=low,
+                witness=("hankel", shift, k), detail=value,
             )
     return MomentVerdict("pass", "stieltjes", order, n)
 

@@ -171,6 +171,13 @@ def test_family_verdict_exit_codes(capsys):
     assert code == 2
     assert "isometry" in err
 
+    # a prefix with top index 3 tests differences up to m = 3 only
+    code, out, _ = run(
+        capsys, "family", "verdict", "--x", "1/10", "--horizon", "3", "--depth", "5",
+    )
+    assert code == 1
+    assert "hausdorff: PASS depth=3 n=3" in out
+
 
 def test_family_figure_csv(tmp_path, capsys):
     out_path = tmp_path / "fig.csv"

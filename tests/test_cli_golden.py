@@ -1,0 +1,59 @@
+"""Golden stdout and exit codes for a fixed list of fast ``cdl`` commands.
+
+Each case runs ``cdl`` in-process on the fixture files below; ``@name`` in
+an argument list stands for the path of fixture ``name``.  A change to any
+expected output is a change of behaviour and belongs in CHANGES.md.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from circuitdual.cli import main
+from circuitdual.rational import format_rat
+
+SEQUENCES = {
+    "uniform": [F(1, n + 1) for n in range(13)],
+    "doubling": [2 ** n for n in range(5)],
+    "factorials": [math.factorial(n) for n in range(9)],
+    "alternating": [1, 0, 1, 0],
+    "bumped": [1, F(3, 2), F(1, 2), F(1, 4), F(1, 8)],
+    # two atoms: the 4x4 Hankel has rank 2, so a leading minor vanishes
+    "two_atoms": [(F(1, 4) ** n + F(3, 4) ** n) / 2 for n in range(8)],
+    # leading minors 0, 0, -1; the principal minor on {1, 2} is -4
+    "zero_lead": [0, 0, 1, 2, 0],
+}
+
+CASES = [
+    ('family taylor --m 5 --order 4', 0, '0 0 0 0 -9\n'),
+    ('family scan --m 5 --xmax 1/100 --steps 12', 0, 'm=5 samples=12 negative=4 negative_prefix=4 first crossing in [131/38400, 7/2048]\nsigns: ----++++++++\nfirst nonnegative sample at x=1/240\n'),
+    ('family verdict --x 1/500', 0, 'x = 1/500\nbounded = true (norm_sq = 501/500, lower_sq = 1)\ncyclic_sufficient = true\ntwo_isometry_residuals = all zero (depth 50)\nmoment_routes_agree = true (n <= 12)\nhausdorff: FAIL m=5 j=0 value=-431289964407713778137/178915288400935483344715481480613\nverdict = counterexample confirmed\n'),
+    ('family verdict --x 1/10 --horizon 3 --depth 5', 1, 'x = 1/10\nbounded = true (norm_sq = 11/10, lower_sq = 1)\ncyclic_sufficient = true\ntwo_isometry_residuals = all zero (depth 50)\nmoment_routes_agree = true (n <= 3)\nhausdorff: PASS depth=3 n=3\nverdict = not confirmed\n'),
+    ('family figure --xmax 1/25 --steps 4 --out - --exact', 0, 'x,D4,D5,D6\n1/100,210525999893/1004912465529900473,3353220491047619/543308939226137280428869,-922806769533682990717/593025510327903424549073515583\n1/50,528777631/174396808395711,679783829677/3175242690460710177,-1281583968722237/156917318519877836237163\n3/100,4296302342379/308329378062014909,2032684656857323578/1350950411578145378036953,119247679487577007994967/1734200182888337862186878159617\n1/25,1046322703/26087319451648,6232264777351/1093371732857470976,865941509825377/1478238582823300759552\n'),
+    ('moments check @uniform --depth 6', 0, 'PASS depth=6 n=12\n'),
+    ('--backend float moments check @doubling --depth 3', 1, 'FAIL m=1 j=0 value=-1.0\n'),
+    ('moments check @factorials --mode stieltjes --order 4', 0, 'PASS order=4 n=8\n'),
+    ('--backend float moments check @factorials --mode stieltjes --order 4', 0, 'PASS order=4 n=8\n'),
+    ('moments check @alternating --mode stieltjes --order 1', 1, 'FAIL hankel=1 order=2 value=-1\n'),
+    ('moments check @bumped --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-7/4\n'),
+    ('--backend float moments check @bumped --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-1.75\n'),
+    ('moments check @two_atoms --mode stieltjes --order 3', 0, 'PASS order=3 n=7\n'),
+    ('--backend float moments check @two_atoms --mode stieltjes --order 3', 0, 'PASS order=3 n=7\n'),
+    ('moments check --from-dual @family --fiber 0 --depth 9', 1, 'FAIL m=9 j=0 value=-23506683651820541/14856604508679741811003\n'),
+    ('moments check --from-dual @family --fiber 1 --mode stieltjes --order 5', 0, 'PASS order=5 n=12\n'),
+    ('wco describe --spec @family', 0, 'norm_sq=11/10\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 10)\n'),
+    ('wco dual --spec @family --count 4', 0, "alpha=10/11\nnorm_sq=1\nlower_sq=10/11\nsq'(0)=50/121\nsq'(1)=60/121\nsq'(2)=12/13\nsq'(3)=13/14\n"),
+    ('moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4\n'),
+    ('--backend float moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4.0\n'),
+]
+
+
+@pytest.mark.parametrize("command, code, stdout", CASES, ids=[c[0] for c in CASES])
+def test_golden_cli(tmp_path, capsys, command, code, stdout):
+    for name, values in SEQUENCES.items():
+        (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
+    (tmp_path / "family").write_text("kind = family\nx = 1/10\n")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in command.split()]
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout

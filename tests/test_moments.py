@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from circuitdual.family import FamilyParam, omega_eval
 from circuitdual.moments import (
+    DEFAULT_FLOAT_TOL,
     MomentSeq,
+    _psd,
     boundedness_check,
     diff_transform,
     hausdorff_test,
@@ -133,6 +136,10 @@ def test_float_backend_agrees_on_clear_cases():
     assert hausdorff_test(geo, 4).passed
     fact = MomentSeq.floats([float(math.factorial(n)) for n in range(9)])
     assert stieltjes_test(fact, 4).passed
+    # a largest eigenvalue near 5e19 leaves eigenvalue roundoff far above an
+    # absolute tolerance; the pivots here are all large and positive
+    big = MomentSeq.floats([float(math.factorial(n)) for n in range(22)])
+    assert stieltjes_test(big, 10).passed
     alternating = MomentSeq.floats([1.0, 0.0, 1.0, 0.0])
     assert not stieltjes_test(alternating, 1).passed
 
@@ -206,3 +213,104 @@ def test_exact_float_agreement_away_from_zero(values, depth):
     assert exact_verdict.passed == float_verdict.passed
     if not exact_verdict.passed:
         assert exact_verdict.witness == float_verdict.witness
+
+
+# Reference PSD decision: every leading minor, then every principal minor
+# whenever a leading minor vanishes.  Exponential, but independent of the
+# elimination in ``_psd``; kept here as its oracle on small matrices.
+
+
+def _det(rows):
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = F(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            factor = m[r][c] / m[c][c]
+            for cc in range(c, n):
+                m[r][cc] -= factor * m[c][cc]
+    return det
+
+
+def _principal(matrix, subset):
+    return [[matrix[r][c] for c in subset] for r in subset]
+
+
+def _reference_psd(matrix):
+    n = len(matrix)
+    leading = [_det(_principal(matrix, range(k))) for k in range(1, n + 1)]
+    for k, d in enumerate(leading, start=1):
+        if d < 0:
+            return False, k, d
+    if all(leading):
+        return True, None, None
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            d = _det(_principal(matrix, subset))
+            if d < 0:
+                return False, size, d
+    return True, None, None
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["any", "gram", "gram_bumped", "zero_lead"]))
+    if kind == "any":
+        a = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(small)
+        return a
+    # B B^T with B of rank below n: PSD and singular
+    rank = draw(st.integers(0, n - 1))
+    b = [[draw(small) for _ in range(rank)] for _ in range(n)]
+    a = [[sum((x * y for x, y in zip(b[i], b[j])), F(0)) for j in range(n)]
+         for i in range(n)]
+    if kind == "gram_bumped":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        delta = draw(small)
+        a[i][j] += delta
+        if i != j:
+            a[j][i] += delta
+    elif kind == "zero_lead":
+        a[0][0] = F(0)
+    return a
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_psd_matches_reference(matrix):
+    ok, order, value = _psd(matrix, 0)
+    want = _reference_psd(matrix)
+    assert ok == want[0]
+    if not ok:
+        assert value < 0
+        minors = {
+            _det(_principal(matrix, subset))
+            for subset in itertools.combinations(range(len(matrix)), order)
+        }
+        assert value in minors
+    n = len(matrix)
+    if all(_det(_principal(matrix, range(k))) for k in range(1, n + 1)):
+        assert (ok, order, value) == want
+
+
+@given(symmetric_matrices())
+@settings(max_examples=100, deadline=None)
+def test_psd_float_agrees_with_eigenvalues(matrix):
+    np = pytest.importorskip("numpy")
+    floats = [[float(v) for v in row] for row in matrix]
+    ok = _psd(floats, DEFAULT_FLOAT_TOL)[0]
+    lowest = float(np.linalg.eigvalsh(np.array(floats)).min())
+    assert ok == _reference_psd(matrix)[0] == (lowest >= -DEFAULT_FLOAT_TOL)
