@@ -8,7 +8,9 @@
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  CDL_BACKEND=exact|float presets the backend for
-moment checks (flag wins over the environment).
+moment checks (flag wins over the environment).  The family commands cap
+their sizes (MAX_M, MAX_ORDER, MAX_STEPS below); a larger request is an
+input error.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ from .moments import (
 from .operators import dual_weights, operator_report
 from .oracle import hsequence
 from .rational import decimal_str, format_rat, parse_rat
+
+MAX_M = 100        # family taylor|scan --m
+MAX_ORDER = 100    # family taylor --order
+MAX_STEPS = 10000  # family scan|figure --steps
+
+
+def _check_cap(flag: str, value: int, cap: int):
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,12 +173,16 @@ def _cmd_moments_check(args, backend: str, tol: float) -> int:
 
 
 def _cmd_family_taylor(args) -> int:
+    _check_cap("--m", args.m, MAX_M)
+    _check_cap("--order", args.order, MAX_ORDER)
     values = d_taylor(args.m, args.order)
     print(" ".join(format_rat(v) for v in values))
     return 0
 
 
 def _cmd_family_scan(args) -> int:
+    _check_cap("--m", args.m, MAX_M)
+    _check_cap("--steps", args.steps, MAX_STEPS)
     report = sign_scan(args.m, parse_rat(args.xmax), args.steps)
     print(report.summary())
     glyphs = {-1: "-", 0: "0", 1: "+"}
@@ -191,6 +206,7 @@ def _cmd_family_verdict(args) -> int:
 
 
 def _cmd_family_figure(args) -> int:
+    _check_cap("--steps", args.steps, MAX_STEPS)
     rows = figure_rows(parse_rat(args.xmax), args.steps)
     render = format_rat if args.exact else decimal_str
     lines = ["x," + ",".join(f"D{m}" for m in FIGURE_MS)]

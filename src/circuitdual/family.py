@@ -25,6 +25,19 @@ a zero of order exactly 4 at x = 0 with D_m^{(4)}(0) = -288/2^m for
 m >= 5, so each such D_m is strictly negative on a punctured right
 neighborhood of 0.  The neighborhoods are small: exact scanning locates
 the first positive zero of D_5 near 0.003418 and of D_6 near 0.023913.
+
+The symbolic layer builds S_n, omega_n and D_m in integer arithmetic over
+the closed-form common denominator
+
+    L_m = 2^m (1+x)^(2m) P_m,   P_m = prod_{j=2}^{m+1} (1 + jx),
+    omega_n L_m = 2^(m-n) (1+x)^(2(m-n))
+                  (P_m + (1+2x)^2 sum_{j<n} 2^j (1+x)^(2j) P_m / (1 + (j+2)x)),
+
+where each P_m / (1 + (j+2)x) is an exact synthetic division.  The
+canonical form (numerator and denominator coprime, denominator monic)
+follows without a polynomial gcd: the numerator is divided by (1+x) up to
+2m times and by each (1+jx), j = 2..m+1, once, each time only while it
+vanishes at -1/j.
 """
 
 from __future__ import annotations
@@ -96,41 +109,109 @@ def omega_eval(n: int, p: FamilyParam) -> Fraction:
 # symbolic layer
 
 
+# Integer polynomials are coefficient lists, lowest degree first.
+
+
+def _mul(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _add(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _div_linear(a, j):
+    """a / (1 + jx) by synthetic division, or None when it is not exact."""
+    q, prev = [], 0
+    for c in a[:-1]:
+        prev = c - j * prev
+        q.append(prev)
+    return q if a[-1] == j * prev else None
+
+
+def _s_times_p(m: int):
+    """P_m and the integer polynomials S_n P_m for n = 0..m."""
+    p = [1]
+    for j in range(2, m + 2):
+        p = _mul(p, (1, j))
+    s, power = [], [1]  # power = 2^n (1+x)^(2n)
+    out = [s]
+    for n in range(m):
+        s = _add(s, _mul(power, _div_linear(p, n + 2)))
+        power = _mul(power, (2, 4, 2))
+        out.append(s)
+    return p, out
+
+
+def _l_factors(m: int) -> list:
+    """(j, e) with L_m = 2^m prod (1 + jx)^e."""
+    return [(1, 2 * m)] + [(j, 1) for j in range(2, m + 2)]
+
+
+def _canonical(num, scale: int, factors) -> RatFn:
+    """num / (scale prod (1 + jx)^e) as a reduced RatFn with monic denominator.
+
+    The denominator's factors are known, so the gcd is divided out one
+    linear factor at a time, for as long as num vanishes at -1/j.
+    """
+    if not num:
+        return RatFn._from_reduced(Poly(), Poly.const(1))
+    den = [scale]
+    for j, e in factors:
+        while e and (q := _div_linear(num, j)) is not None:
+            num, e = q, e - 1
+        for _ in range(e):
+            den = _mul(den, (1, j))
+    lead = den[-1]
+    return RatFn._from_reduced(
+        Poly(Fraction(c, lead) for c in num), Poly(Fraction(c, lead) for c in den)
+    )
+
+
 @lru_cache(maxsize=None)
 def s_ratfn(n: int) -> RatFn:
     """S_n as a reduced rational function (S_0 is the zero function)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return RatFn.const(0)
-    prev = s_ratfn(n - 1)
-    j = n - 1
-    term = RatFn(
-        (Poly((1, 1)) ** (2 * j)).scale(Fraction(2) ** j),
-        Poly((1, j + 2)),
-    )
-    return prev + term
+    _, s = _s_times_p(n)
+    return _canonical(s[n], 1, _l_factors(n)[1:])  # over P_n
 
 
 @lru_cache(maxsize=None)
 def omega_ratfn(n: int) -> RatFn:
     if n < 0:
         raise ValueError("index must be nonnegative")
-    one_plus_2x_sq = RatFn(Poly((1, 2)) ** 2)
-    num = RatFn.const(1) + one_plus_2x_sq * s_ratfn(n)
-    den = RatFn((Poly((1, 1)) ** (2 * n)).scale(Fraction(2) ** n))
-    return num / den
+    p, s = _s_times_p(n)  # omega_n L_n = P_n + (1+2x)^2 S_n P_n
+    return _canonical(_add(p, _mul((1, 4, 4), s[n])), 2**n, _l_factors(n))
 
 
 @lru_cache(maxsize=None)
 def d_ratfn(m: int) -> RatFn:
     if m < 0:
         raise ValueError("index must be nonnegative")
-    total = RatFn.const(0)
+    # D_m L_m = sum_n (-1)^n C(m, n) A^(m-n) (P_m + (1+2x)^2 S_n P_m) with
+    # A = 2 (1+x)^2, summed by Horner in A
+    p, s = _s_times_p(m)
+    total = []
     for n in range(m + 1):
-        coeff = Fraction((-1) ** n * math.comb(m, n))
-        total = total + omega_ratfn(n) * coeff
-    return total
+        coeff = (-1) ** n * math.comb(m, n)
+        term = [coeff * c for c in _add(p, _mul((1, 4, 4), s[n]))]
+        total = _add(_mul(total, (2, 4, 2)), term)
+    return _canonical(total, 2**m, _l_factors(m))
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,14 @@ class RatFn:
         raise AttributeError("RatFn is immutable")
 
     @classmethod
+    def _from_reduced(cls, num: Poly, den: Poly) -> "RatFn":
+        """Wrap a quotient the caller has already put in canonical form."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
+    @classmethod
     def const(cls, value) -> "RatFn":
         return cls(Poly.const(value))
 

@@ -1,6 +1,6 @@
 import pytest
 
-from circuitdual.cli import main
+from circuitdual.cli import MAX_M, MAX_ORDER, MAX_STEPS, main
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
 ALL_ONES = "kind = explicit\nsq = [1, 1]\ntail = ones\n"
@@ -209,3 +209,27 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["family", "taylor"])  # --m is required
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["taylor", "--m", str(MAX_M + 1)], "--m"),
+    (["taylor", "--m", "5", "--order", str(MAX_ORDER + 1)], "--order"),
+    (["scan", "--m", str(MAX_M + 1)], "--m"),
+    (["scan", "--m", "5", "--steps", str(MAX_STEPS + 1)], "--steps"),
+    (["figure", "--steps", str(MAX_STEPS + 1), "--out", "-"], "--steps"),
+])
+def test_family_size_caps_exit_two(capsys, argv, flag):
+    code, out, err = run(capsys, "family", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be at most ")
+    assert "Traceback" not in err
+
+
+def test_family_caps_admit_the_limits(capsys):
+    code, out, _ = run(capsys, "family", "taylor", "--m", str(MAX_M), "--order", "4")
+    assert code == 0
+    assert out.split()[4] == f"-9/{2 ** (MAX_M - 5)}"
+    code, out, _ = run(capsys, "family", "taylor", "--m", "5", "--order", str(MAX_ORDER))
+    assert code == 0
+    assert len(out.split()) == MAX_ORDER + 1

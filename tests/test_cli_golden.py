@@ -46,6 +46,10 @@ CASES = [
     ('wco dual --spec @family --count 4', 0, "alpha=10/11\nnorm_sq=1\nlower_sq=10/11\nsq'(0)=50/121\nsq'(1)=60/121\nsq'(2)=12/13\nsq'(3)=13/14\n"),
     ('moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4\n'),
     ('--backend float moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4.0\n'),
+    ('family taylor --m 11 --order 6', 0, '0 0 0 0 -9/64 -525/32 -33975/32\n'),
+    ('family taylor --m 14 --order 8', 0, '0 0 0 0 -9/512 -165/64 -1665/8 -1682415/128 -28165095/32\n'),
+    ('family scan --m 12 --xmax 3/5 --steps 60', 0, 'm=12 samples=60 negative=20 negative_prefix=20 first crossing in [647/3200, 81/400]\nsigns: --------------------++++++++++++++++++++++++++++++++++++++++\nfirst nonnegative sample at x=21/100\n'),
+    ('family figure --xmax 3/5 --steps 12 --out -', 0, 'x,D4,D5,D6\n0.05,0.0000894520830440,0.0000155152674605,0.00000229942471214\n0.1,0.000946133306803,0.000282714312529,0.0000857564464691\n0.15,0.00333052385241,0.00129721584162,0.000523556502335\n0.2,0.00760207243799,0.00348939997951,0.00166402610896\n0.25,0.0138075428571,0.00710341485714,0.00379136106390\n0.3,0.0218164913061,0.0122168749749,0.00708062471125\n0.35,0.0314141527397,0.0187909803459,0.0116043100367\n0.4,0.0423564739454,0.0267157503663,0.0173555075923\n0.45,0.0544004894851,0.0358433725447,0.0242723846290\n0.5,0.0673198771964,0.0460106981369,0.0322587616903\n0.55,0.0809119163401,0.0570535317191,0.0411997458779\n0.6,0.0949996013601,0.0688151734878,0.0509728917054\n'),
 ]
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -31,6 +32,34 @@ from circuitdual.operators import (
     two_isometry_check,
 )
 from circuitdual.oracle import gram_diagonal
+from circuitdual.rational import Poly, RatFn
+
+
+# The gcd-based route the family builders replaced: sums of generic RatFns,
+# each reduced by poly_gcd.  Kept as the reference on a small range.
+
+
+@lru_cache(maxsize=None)
+def ref_s(n):
+    if n == 0:
+        return RatFn.const(0)
+    j = n - 1
+    term = RatFn((Poly((1, 1)) ** (2 * j)).scale(F(2) ** j), Poly((1, j + 2)))
+    return ref_s(n - 1) + term
+
+
+@lru_cache(maxsize=None)
+def ref_omega(n):
+    num = RatFn.const(1) + RatFn(Poly((1, 2)) ** 2) * ref_s(n)
+    return num / RatFn((Poly((1, 1)) ** (2 * n)).scale(F(2) ** n))
+
+
+@lru_cache(maxsize=None)
+def ref_d(m):
+    total = RatFn.const(0)
+    for n in range(m + 1):
+        total = total + ref_omega(n) * F((-1) ** n * math.comb(m, n))
+    return total
 
 
 def test_family_weights_boundary_is_isometry():
@@ -113,13 +142,25 @@ def test_d_taylor_values():
 
 
 def test_d_derivatives_vanish_to_order_three():
-    for m in range(4, 9):
+    for m in range(4, 31):
         assert d_taylor(m, 3) == (F(0),) * 4
 
 
 def test_d_fourth_derivative_law():
-    for m in range(5, 9):
+    for m in range(5, 31):
         assert d_taylor(m, 4)[4] == F(-288) / 2 ** m
+
+
+def test_builders_match_gcd_route():
+    for n in range(13):
+        assert s_ratfn(n) == ref_s(n)
+        assert omega_ratfn(n) == ref_omega(n)
+        assert d_ratfn(n) == ref_d(n)
+
+
+def test_d_denominator_degree():
+    for m in range(2, 31):
+        assert d_ratfn(m).den.degree == 3 * m - 2
 
 
 def test_s_derivatives_against_closed_forms():
