@@ -8,9 +8,8 @@
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  CDL_BACKEND=exact|float presets the backend for
-moment checks (flag wins over the environment).  The family commands cap
-their sizes (MAX_M, MAX_ORDER, MAX_STEPS below); a larger request is an
-input error.
+moment checks (flag wins over the environment).  Every size flag has a
+cap (the MAX_* constants below); a larger request is an input error.
 """
 
 from __future__ import annotations
@@ -42,9 +41,14 @@ from .operators import dual_weights, operator_report
 from .oracle import hsequence
 from .rational import decimal_str, format_rat, parse_rat
 
-MAX_M = 100        # family taylor|scan --m
-MAX_ORDER = 100    # family taylor --order
-MAX_STEPS = 10000  # family scan|figure --steps
+MAX_M = 100                # family taylor|scan --m
+MAX_ORDER = 100            # family taylor --order
+MAX_STEPS = 10000          # family scan|figure --steps
+MAX_DEPTH = 100            # family verdict --depth, moments check --depth
+MAX_HORIZON = 100          # family verdict --horizon, moments check --horizon
+MAX_HANKEL_ORDER = 50      # moments check --order
+MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth
+MAX_COUNT = 1000           # wco dual --count
 
 
 def _check_cap(flag: str, value: int, cap: int):
@@ -125,6 +129,7 @@ def _resolve_backend(args) -> str:
 
 
 def _cmd_wco_describe(args) -> int:
+    _check_cap("--depth", args.depth, MAX_RESIDUAL_DEPTH)
     w = load_weight_spec(args.spec)
     report = operator_report(w, probe_depth=args.depth)
     print(f"norm_sq={format_rat(report.norm_sq)}")
@@ -143,6 +148,7 @@ def _cmd_wco_describe(args) -> int:
 
 
 def _cmd_wco_dual(args) -> int:
+    _check_cap("--count", args.count, MAX_COUNT)
     w = load_weight_spec(args.spec)
     dual = dual_weights(w)
     report = operator_report(dual, probe_depth=max(args.count, 2))
@@ -155,6 +161,9 @@ def _cmd_wco_dual(args) -> int:
 
 
 def _cmd_moments_check(args, backend: str, tol: float) -> int:
+    _check_cap("--depth", args.depth, MAX_DEPTH)
+    _check_cap("--order", args.order, MAX_HANKEL_ORDER)
+    _check_cap("--horizon", args.horizon, MAX_HORIZON)
     if (args.sequence is None) == (args.from_dual is None):
         raise ValueError("give a sequence file or --from-dual, not both")
     if args.sequence is not None:
@@ -195,6 +204,9 @@ def _cmd_family_scan(args) -> int:
 
 
 def _cmd_family_verdict(args) -> int:
+    _check_cap("--horizon", args.horizon, MAX_HORIZON)
+    _check_cap("--depth", args.depth, MAX_DEPTH)
+    _check_cap("--residual-depth", args.residual_depth, MAX_RESIDUAL_DEPTH)
     verdict = counterexample_verdict(
         FamilyParam(parse_rat(args.x)),
         depth=args.depth,

@@ -7,6 +7,13 @@ denominator.  Equality of values and of functions is therefore decidable,
 which is what the rest of the package relies on: every identity it checks
 is checked exactly, never to a tolerance.
 
+A rational function also keeps an integer form of itself, computed once
+when it is built: its numerator and denominator coefficients scaled by the
+lcm of all their denominators.  Evaluation at p/q runs homogenised Horner
+passes over these plain integers and normalises the quotient with a single
+gcd, where a Fraction Horner pass would reduce a growing fraction at every
+coefficient.  The values returned are the same Fractions either way.
+
 Values are immutable after construction and all operations are pure, so
 everything here can be shared freely across threads.
 """
@@ -249,15 +256,41 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(f).monic()
 
 
+def _integer_form(num: Poly, den: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """num and den coefficients times the lcm of all their denominators."""
+    lcm = 1
+    for c in num.coeffs + den.coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    return (
+        tuple(c.numerator * (lcm // c.denominator) for c in num.coeffs),
+        tuple(c.numerator * (lcm // c.denominator) for c in den.coeffs),
+    )
+
+
+def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^d c(p/q) for the degree-d integer polynomial c, by Horner in Z."""
+    acc = 0
+    qpow = 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
 class RatFn:
     """Reduced quotient of two polynomials with a monic denominator.
 
     The canonical form (gcd divided out, denominator monic) makes equality
     structural: two RatFn compare equal exactly when they agree as functions
     wherever both are defined.
+
+    Construction also stores the integer form of the quotient (see the
+    module docstring), which ``eval`` uses so that a value costs one gcd
+    instead of one per coefficient.  Equality and hashing ignore it, and
+    like ``num`` and ``den`` it never changes after construction.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
@@ -279,8 +312,12 @@ class RatFn:
             if lead != 1:
                 num = num.scale(1 / lead)
                 den = den.scale(1 / lead)
+        self._store(num, den)
+
+    def _store(self, num: Poly, den: Poly):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_ints", _integer_form(num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFn is immutable")
@@ -289,8 +326,7 @@ class RatFn:
     def _from_reduced(cls, num: Poly, den: Poly) -> "RatFn":
         """Wrap a quotient the caller has already put in canonical form."""
         f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
+        f._store(num, den)
         return f
 
     @classmethod
@@ -348,10 +384,15 @@ class RatFn:
 
     def eval(self, point) -> Fraction:
         point = _as_fraction(point)
-        d = self.den(point)
-        if d == 0:
+        p, q = point.numerator, point.denominator
+        a, b = self._ints
+        b_h = _homogeneous(b, p, q)
+        if b_h == 0:
             raise PoleError(f"pole at x = {format_rat(point)}")
-        return self.num(point) / d
+        # num/den at p/q is (A_h / q^deg A) / (B_h / q^deg B)
+        shift = len(b) - len(a)
+        a_h = _homogeneous(a, p, q)
+        return Fraction(a_h * q ** max(shift, 0), b_h * q ** max(-shift, 0))
 
     __call__ = eval
 

@@ -1,6 +1,16 @@
 import pytest
 
-from circuitdual.cli import MAX_M, MAX_ORDER, MAX_STEPS, main
+from circuitdual.cli import (
+    MAX_COUNT,
+    MAX_DEPTH,
+    MAX_HANKEL_ORDER,
+    MAX_HORIZON,
+    MAX_M,
+    MAX_ORDER,
+    MAX_RESIDUAL_DEPTH,
+    MAX_STEPS,
+    main,
+)
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
 ALL_ONES = "kind = explicit\nsq = [1, 1]\ntail = ones\n"
@@ -233,3 +243,44 @@ def test_family_caps_admit_the_limits(capsys):
     code, out, _ = run(capsys, "family", "taylor", "--m", "5", "--order", str(MAX_ORDER))
     assert code == 0
     assert len(out.split()) == MAX_ORDER + 1
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (["family", "verdict", "--x", "1/10", "--horizon"], "--horizon", MAX_HORIZON),
+    (["family", "verdict", "--x", "1/10", "--depth"], "--depth", MAX_DEPTH),
+    (["family", "verdict", "--x", "1/10", "--residual-depth"], "--residual-depth",
+     MAX_RESIDUAL_DEPTH),
+    (["moments", "check", "@seq", "--depth"], "--depth", MAX_DEPTH),
+    (["moments", "check", "@seq", "--mode", "stieltjes", "--order"], "--order",
+     MAX_HANKEL_ORDER),
+    (["moments", "check", "--from-dual", "@spec", "--horizon"], "--horizon", MAX_HORIZON),
+    (["wco", "describe", "--spec", "@spec", "--depth"], "--depth", MAX_RESIDUAL_DEPTH),
+    (["wco", "dual", "--spec", "@spec", "--count"], "--count", MAX_COUNT),
+])
+def test_size_caps_exit_two(tmp_path, capsys, argv, flag, cap):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n" * 8)
+    files = {"@seq": str(seq), "@spec": spec_file(tmp_path, FAMILY_HALF)}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv], str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
+
+
+def test_caps_admit_the_limits(tmp_path, capsys):
+    path = spec_file(tmp_path, FAMILY_HALF)
+    code, out, _ = run(capsys, "wco", "dual", "--spec", path, "--count", str(MAX_COUNT))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"sq'({MAX_COUNT - 1})=")
+    code, out, _ = run(capsys, "wco", "describe", "--spec", path,
+                       "--depth", str(MAX_RESIDUAL_DEPTH))
+    assert code == 0
+    assert f"residuals: all zero (depth {MAX_RESIDUAL_DEPTH})" in out
+    seq = tmp_path / "ones.txt"
+    seq.write_text("1\n" * 8)
+    code, out, _ = run(capsys, "moments", "check", str(seq), "--depth", str(MAX_DEPTH))
+    assert (code, out) == (0, "PASS depth=7 n=7\n")
+    code, _, err = run(capsys, "moments", "check", str(seq), "--mode", "stieltjes",
+                       "--order", str(MAX_HANKEL_ORDER))
+    assert code == 2
+    assert err.startswith("error: prefix too short")

@@ -50,6 +50,8 @@ CASES = [
     ('family taylor --m 14 --order 8', 0, '0 0 0 0 -9/512 -165/64 -1665/8 -1682415/128 -28165095/32\n'),
     ('family scan --m 12 --xmax 3/5 --steps 60', 0, 'm=12 samples=60 negative=20 negative_prefix=20 first crossing in [647/3200, 81/400]\nsigns: --------------------++++++++++++++++++++++++++++++++++++++++\nfirst nonnegative sample at x=21/100\n'),
     ('family figure --xmax 3/5 --steps 12 --out -', 0, 'x,D4,D5,D6\n0.05,0.0000894520830440,0.0000155152674605,0.00000229942471214\n0.1,0.000946133306803,0.000282714312529,0.0000857564464691\n0.15,0.00333052385241,0.00129721584162,0.000523556502335\n0.2,0.00760207243799,0.00348939997951,0.00166402610896\n0.25,0.0138075428571,0.00710341485714,0.00379136106390\n0.3,0.0218164913061,0.0122168749749,0.00708062471125\n0.35,0.0314141527397,0.0187909803459,0.0116043100367\n0.4,0.0423564739454,0.0267157503663,0.0173555075923\n0.45,0.0544004894851,0.0358433725447,0.0242723846290\n0.5,0.0673198771964,0.0460106981369,0.0322587616903\n0.55,0.0809119163401,0.0570535317191,0.0411997458779\n0.6,0.0949996013601,0.0688151734878,0.0509728917054\n'),
+    ('family scan --m 40 --xmax 3/5 --steps 50', 0, 'm=40 samples=50 negative=50 negative_prefix=50\nsigns: --------------------------------------------------\nno nonnegative sample\n'),
+    ('family figure --xmax 1/7 --steps 6 --out - --exact', 0, 'x,D4,D5,D6\n1/42,8620050391/1469179593033335,4076733129052/8149539202555909245,-15729035324459/35159828632893711119345\n1/21,1950137957/25941322035200,2824038410563/226000797570662400,125860187332687/72922924016133734400\n1/14,17094029/55187578125,895191683/12417205078125,45345593741/2793871142578125\n2/21,7417147084/9182814230559,37376220882262/160304388022868463,174753806833219/2569727917093861119\n5/42,32912276995625/19992868202831369,73395394766916875/132492737580163482363,205568607571562176875/1073147010153464152646179\n1/7,2656261/922746880,1671015439/1535450808320,83691837601/196537703464960\n'),
 ]
 
 

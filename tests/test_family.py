@@ -294,3 +294,16 @@ def test_figure_rows_shape_and_determinism():
     assert rows[-1][0] == F(1, 5)
     assert all(len(values) == 3 for _, values in rows)
     assert rows == figure_rows(F(1, 5), 10)
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_eval_matches_fraction_horner(m):
+    # the Fraction Horner pass of Poly.__call__ is the reference for RatFn.eval
+    lo = domain_min(m)
+    xs = [lo / 2, lo / 7, F(-1, 10 ** 9), F(0), F(1, 10 ** 9), F(1, 500), F(3, 5),
+          F(7, 2), F(10 ** 30 + 1, 10 ** 31), lo * F(10 ** 30 - 1, 10 ** 30)]
+    for f in (d_ratfn(m), omega_ratfn(m), s_ratfn(m)):
+        for x in xs:
+            assert f.eval(x) == f.num(x) / f.den(x)
+        fresh = RatFn(f.num, f.den)  # built by __init__, not _from_reduced
+        assert f == fresh and hash(f) == hash(fresh)

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitdual.rational import (
@@ -118,6 +118,38 @@ def test_eval_examples_and_pole():
         RatFn(Poly((1,)), Poly((1, 1))).eval(-1)
     with pytest.raises(TypeError):
         RatFn.const(1).eval(0.5)
+
+
+def test_eval_edge_cases_of_the_integer_form():
+    f = RatFn(Poly((F(1, 3), 2)), Poly((1, 2)) * Poly((1, F(-1, 5))))
+    with pytest.raises(PoleError, match=r"pole at x = -1/2"):
+        f.eval(F(-1, 2))
+    with pytest.raises(PoleError, match=r"pole at x = 5"):
+        f(5)
+    with pytest.raises(TypeError):
+        f.eval(0.25)
+    assert f.eval(F(7, 3)) == f.num(F(7, 3)) / f.den(F(7, 3))
+    # evaluation leaves the function as built: equal, same hash, immutable
+    fresh = RatFn(Poly((F(1, 3), 2)), Poly((1, 2)) * Poly((1, F(-1, 5))))
+    assert f == fresh and hash(f) == hash(fresh)
+    with pytest.raises(AttributeError):
+        f._ints = ((1,), (1,))
+
+
+@given(polys, polys, points)
+@example(Poly(()), Poly((2, 1)), F(1, 3))  # zero numerator
+@example(Poly((F(-5, 7),)), Poly((F(3, 4),)), F(-2, 5))  # constants
+@example(Poly((1, 1)), Poly((F(1, 6),)), F(10 ** 30 + 1, 10 ** 31))
+@settings(max_examples=200)
+def test_eval_matches_fraction_horner(pn, pd, x0):
+    if pd.is_zero():
+        return
+    f = RatFn(pn, pd)
+    if f.den(x0) == 0:
+        with pytest.raises(PoleError):
+            f.eval(x0)
+    else:
+        assert f.eval(x0) == f.num(x0) / f.den(x0)
 
 
 def test_taylor_geometric_series():
