@@ -10,13 +10,11 @@ rational arithmetic.
 from .rational import (
     Poly,
     PoleError,
-    Rat,
     RatFn,
     decimal_str,
     format_rat,
     parse_rat,
     poly_gcd,
-    taylor_at_zero,
 )
 from .moments import (
     MomentSeq,
@@ -43,13 +41,11 @@ from .operators import (
     two_isometry_check,
     xi_sq,
 )
-from .oracle import BandedOp, ExactVector, apply, gram_diagonal, hsequence
+from .oracle import BandedOp, gram_diagonal, hsequence
 from .family import (
     CounterexampleVerdict,
     FamilyParam,
-    FamilySymbolics,
     SignScanReport,
-    build_symbolics,
     counterexample_verdict,
     d_ratfn,
     d_taylor,

@@ -49,6 +49,7 @@ MAX_HORIZON = 100          # family verdict --horizon, moments check --horizon
 MAX_HANKEL_ORDER = 50      # moments check --order
 MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth
 MAX_COUNT = 1000           # wco dual --count
+MAX_FIBER = 1000           # moments check --fiber
 
 
 def _check_cap(flag: str, value: int, cap: int):
@@ -149,6 +150,8 @@ def _cmd_wco_describe(args) -> int:
 
 def _cmd_wco_dual(args) -> int:
     _check_cap("--count", args.count, MAX_COUNT)
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     w = load_weight_spec(args.spec)
     dual = dual_weights(w)
     report = operator_report(dual, probe_depth=max(args.count, 2))
@@ -164,6 +167,7 @@ def _cmd_moments_check(args, backend: str, tol: float) -> int:
     _check_cap("--depth", args.depth, MAX_DEPTH)
     _check_cap("--order", args.order, MAX_HANKEL_ORDER)
     _check_cap("--horizon", args.horizon, MAX_HORIZON)
+    _check_cap("--fiber", args.fiber, MAX_FIBER)
     if (args.sequence is None) == (args.from_dual is None):
         raise ValueError("give a sequence file or --from-dual, not both")
     if args.sequence is not None:

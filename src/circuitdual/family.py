@@ -214,23 +214,6 @@ def d_ratfn(m: int) -> RatFn:
     return _canonical(total, 2**m, _l_factors(m))
 
 
-@dataclass(frozen=True)
-class FamilySymbolics:
-    omega: tuple  # omega_0..omega_{n_max}
-    s: tuple      # S_0..S_{n_max}
-    d: tuple      # D_0..D_{m_max}
-
-
-def build_symbolics(n_max: int, m_max: int) -> FamilySymbolics:
-    if m_max > n_max:
-        raise ValueError("m_max must not exceed n_max")
-    return FamilySymbolics(
-        omega=tuple(omega_ratfn(n) for n in range(n_max + 1)),
-        s=tuple(s_ratfn(n) for n in range(n_max + 1)),
-        d=tuple(d_ratfn(m) for m in range(m_max + 1)),
-    )
-
-
 def evaluate_d(m: int, x) -> Fraction:
     x = Fraction(x)
     _check_domain(m, x)

@@ -4,170 +4,66 @@ Nothing here uses a closed form: the operator is applied step by step to
 basis vectors and squared norms are read off, which is what the rest of the
 package is checked against.
 
-Weights are square roots of rationals, so amplitudes live in a quadratic
-extension.  Each entry is stored as a pair (coef, radicand) meaning
-coef * sqrt(radicand) with both parts rational; applying the operator only
-multiplies entries by single weights and never merges two sources into one
-index (the circuit feeds e_0 and e_1 from e_0 alone, the shift feeds
-e_{n+1} from e_n alone), so this representation is closed under the action
-and every squared norm is an exact rational.
+The action never merges two sources into one index: the circuit feeds e_0
+and e_1 from e_0 alone, and the shift feeds e_{n+1} from e_n alone.  So
+each entry of an image is one entry of the source times one weight, and
+its squared modulus is the source's squared modulus times one squared
+weight.  A vector is therefore stored as the tuple of the squared moduli of
+its entries, all exact rationals; no square root and no sign convention is
+ever needed, and every squared norm is an exact sum of these entries.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .moments import MomentSeq
 from .operators import SquaredWeights
 
-NONNEGATIVE = "nonnegative"
-ALTERNATING = "alternating"
-
-
-def _sqrt_exact(value: Fraction):
-    """sqrt of a nonnegative rational when it is rational, else None."""
-    p, q = value.numerator, value.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
-
-
-@dataclass(frozen=True)
-class ExactVector:
-    """Vector with entries coef * sqrt(radicand), coef and radicand rational."""
-
-    entries: tuple  # of (Fraction, Fraction) pairs
-
-    def __post_init__(self):
-        for coef, rad in self.entries:
-            if rad < 0:
-                raise ValueError("radicands must be nonnegative")
-
-    @classmethod
-    def basis(cls, size: int, k: int) -> "ExactVector":
-        if not 0 <= k < size:
-            raise ValueError(f"basis index {k} outside 0..{size - 1}")
-        entries = [(Fraction(0), Fraction(1))] * size
-        entries[k] = (Fraction(1), Fraction(1))
-        return cls(tuple(entries))
-
-    @classmethod
-    def from_rationals(cls, values) -> "ExactVector":
-        return cls(tuple((Fraction(v), Fraction(1)) for v in values))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def support(self) -> tuple:
-        return tuple(
-            i for i, (coef, rad) in enumerate(self.entries) if coef != 0 and rad != 0
-        )
-
-    def entry_value_sq(self, i: int) -> Fraction:
-        coef, rad = self.entries[i]
-        return coef * coef * rad
-
-    def entry_sign(self, i: int) -> int:
-        coef, rad = self.entries[i]
-        if coef == 0 or rad == 0:
-            return 0
-        return 1 if coef > 0 else -1
-
-    def norm_sq(self) -> Fraction:
-        return sum((c * c * r for c, r in self.entries), Fraction(0))
-
-    def same_values(self, other: "ExactVector") -> bool:
-        if self.size != other.size:
-            return False
-        return all(
-            self.entry_sign(i) == other.entry_sign(i)
-            and self.entry_value_sq(i) == other.entry_value_sq(i)
-            for i in range(self.size)
-        )
-
-    def __add__(self, other: "ExactVector") -> "ExactVector":
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        out = []
-        for (c1, r1), (c2, r2) in zip(self.entries, other.entries):
-            if c1 == 0 or r1 == 0:
-                out.append((c2, r2))
-            elif c2 == 0 or r2 == 0:
-                out.append((c1, r1))
-            elif r1 == r2:
-                out.append((c1 + c2, r1))
-            else:
-                ratio = _sqrt_exact(r2 / r1)
-                if ratio is None:
-                    raise ValueError(
-                        "cannot add entries with incommensurable radicands"
-                    )
-                out.append((c1 + c2 * ratio, r1))
-        return ExactVector(tuple(out))
-
-    def scale(self, scalar) -> "ExactVector":
-        s = Fraction(scalar)
-        return ExactVector(tuple((s * c, r) for c, r in self.entries))
-
 
 @dataclass(frozen=True)
 class BandedOp:
-    """Truncated action on span{e_0..e_{size-1}} with a fixed phase choice.
-
-    The phase fixes the sign of each weight w(j) = sign(j) sqrt(sq(j)).
-    Squared norms never see it, which the tests assert.
-    """
+    """Truncated action on span{e_0..e_{size-1}}, on squared moduli."""
 
     weights: SquaredWeights
     size: int
-    phase: str = NONNEGATIVE
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("need at least span{e_0, e_1}")
-        if self.phase not in (NONNEGATIVE, ALTERNATING):
-            raise ValueError(f"unknown phase convention {self.phase!r}")
+        object.__setattr__(self, "_sq", self.weights.prefix(self.size))
 
-    def _sign(self, j: int) -> int:
-        return -1 if (self.phase == ALTERNATING and j % 2 == 1) else 1
-
-    def apply(self, v: ExactVector) -> ExactVector:
+    def apply(self, v: tuple) -> tuple:
         """One application of the operator; support may grow by one index."""
-        if v.size != self.size:
+        if len(v) != self.size:
             raise ValueError("vector size does not match the operator block")
-        support = v.support()
-        if support and support[-1] >= self.size - 1:
+        if v[-1] != 0:
             raise ValueError(
-                f"support reaches index {support[-1]}; the image would "
+                f"support reaches index {self.size - 1}; the image would "
                 f"overflow the block of size {self.size}"
             )
-        sq = self.weights.sq
-        out = [(Fraction(0), Fraction(1))] * self.size
-        c0, r0 = v.entries[0]
-        if c0 != 0:
-            out[0] = (self._sign(0) * c0, r0 * sq(0))
-            out[1] = (self._sign(1) * c0, r0 * sq(1))
-        for i in range(1, self.size - 1):
-            ci, ri = v.entries[i]
-            if ci != 0:
-                out[i + 1] = (self._sign(i + 1) * ci, ri * sq(i + 1))
-        return ExactVector(tuple(out))
+        sq = self._sq
+        return (v[0] * sq[0], v[0] * sq[1]) + tuple(
+            a * b if a else a for a, b in zip(v[1:-1], sq[2:])
+        )
 
 
-def apply(op: BandedOp, v: ExactVector) -> ExactVector:
-    return op.apply(v)
+def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
+    """|C^j e_k|^2 for j = 0..n on a block of the given size."""
+    if not 0 <= k < size:
+        raise ValueError(f"basis index {k} outside 0..{size - 1}")
+    op = BandedOp(w, size)
+    v = tuple(Fraction(int(i == k)) for i in range(size))
+    values = [Fraction(1)]
+    for _ in range(n):
+        v = op.apply(v)
+        values.append(sum(v))
+    return values
 
 
 def gram_diagonal(
-    w: SquaredWeights,
-    k: int,
-    n: int,
-    phase: str = NONNEGATIVE,
-    size: int | None = None,
+    w: SquaredWeights, k: int, n: int, size: int | None = None
 ) -> Fraction:
     """|C^n e_k|^2 by direct application; exact, no truncation error.
 
@@ -181,27 +77,11 @@ def gram_diagonal(
         size = max(needed, 2)
     elif size < needed:
         raise ValueError(f"block of size {size} cannot hold C^{n} e_{k}")
-    op = BandedOp(w, size, phase)
-    v = ExactVector.basis(size, k)
-    for _ in range(n):
-        v = op.apply(v)
-    return v.norm_sq()
+    return _powers(w, k, n, size)[-1]
 
 
-def hsequence(
-    w: SquaredWeights,
-    k: int,
-    n_max: int = 12,
-    phase: str = NONNEGATIVE,
-) -> MomentSeq:
+def hsequence(w: SquaredWeights, k: int, n_max: int = 12) -> MomentSeq:
     """Moment prefix {|C^n e_k|^2} for n = 0..n_max, ready for testing."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
-    size = max(k + n_max + 1, 2)
-    op = BandedOp(w, size, phase)
-    v = ExactVector.basis(size, k)
-    values = [v.norm_sq()]
-    for _ in range(n_max):
-        v = op.apply(v)
-        values.append(v.norm_sq())
-    return MomentSeq.exact(values)
+    return MomentSeq.exact(_powers(w, k, n_max, max(k + n_max + 1, 2)))

@@ -25,8 +25,6 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
@@ -91,10 +89,6 @@ class Poly:
     @classmethod
     def const(cls, value) -> "Poly":
         return cls((value,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -333,10 +327,6 @@ class RatFn:
     def const(cls, value) -> "RatFn":
         return cls(Poly.const(value))
 
-    @classmethod
-    def x(cls) -> "RatFn":
-        return cls(Poly.x())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -412,7 +402,3 @@ class RatFn:
                 acc -= b[i] * out[k - i]
             out.append(acc / b0)
         return tuple(out)
-
-
-def taylor_at_zero(f: RatFn, order: int) -> tuple[Fraction, ...]:
-    return f.taylor_at_zero(order)

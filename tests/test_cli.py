@@ -3,6 +3,7 @@ import pytest
 from circuitdual.cli import (
     MAX_COUNT,
     MAX_DEPTH,
+    MAX_FIBER,
     MAX_HANKEL_ORDER,
     MAX_HORIZON,
     MAX_M,
@@ -256,6 +257,7 @@ def test_family_caps_admit_the_limits(capsys):
     (["moments", "check", "--from-dual", "@spec", "--horizon"], "--horizon", MAX_HORIZON),
     (["wco", "describe", "--spec", "@spec", "--depth"], "--depth", MAX_RESIDUAL_DEPTH),
     (["wco", "dual", "--spec", "@spec", "--count"], "--count", MAX_COUNT),
+    (["moments", "check", "--from-dual", "@spec", "--fiber"], "--fiber", MAX_FIBER),
 ])
 def test_size_caps_exit_two(tmp_path, capsys, argv, flag, cap):
     seq = tmp_path / "seq.txt"
@@ -272,6 +274,16 @@ def test_caps_admit_the_limits(tmp_path, capsys):
     code, out, _ = run(capsys, "wco", "dual", "--spec", path, "--count", str(MAX_COUNT))
     assert code == 0
     assert out.splitlines()[-1].startswith(f"sq'({MAX_COUNT - 1})=")
+    code, out, _ = run(capsys, "wco", "dual", "--spec", path, "--count", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "sq'(0)=2/9"
+    for count in ("0", "-1"):
+        code, out, err = run(capsys, "wco", "dual", "--spec", path, "--count", count)
+        assert (code, out) == (2, "")
+        assert err == f"error: --count must be at least 1, got {count}\n"
+    code, out, _ = run(capsys, "moments", "check", "--from-dual", path,
+                       "--fiber", str(MAX_FIBER))
+    assert (code, out) == (0, "PASS depth=6 n=12\n")
     code, out, _ = run(capsys, "wco", "describe", "--spec", path,
                        "--depth", str(MAX_RESIDUAL_DEPTH))
     assert code == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from circuitdual.cli import (
     MAX_COUNT,
     MAX_DEPTH,
+    MAX_FIBER,
     MAX_HANKEL_ORDER,
     MAX_HORIZON,
     MAX_M,
@@ -35,6 +36,7 @@ OVER_CAP = {
     "--horizon": MAX_HORIZON,
     "--residual-depth": MAX_RESIDUAL_DEPTH,
     "--count": MAX_COUNT,
+    "--fiber": MAX_FIBER,
 }
 RATIONALS = (["1/10", "1/500", "3/5", "1/7", "2"], ["0", "-1/20", "-1", "1e-3", "abc", "1/0", ""])
 TOLERANCES = (["1e-10", "0.5"], ["0", "-1", "nan", "inf", "abc"])

@@ -8,7 +8,6 @@ import pytest
 
 from circuitdual.family import (
     FamilyParam,
-    build_symbolics,
     counterexample_verdict,
     d_ratfn,
     d_taylor,
@@ -98,15 +97,12 @@ def test_omega_eval_small_indices():
 
 
 def test_symbolics_conventions_and_table():
-    sym = build_symbolics(6, 6)
-    assert sym.s[0].is_zero()
-    assert sym.omega[0].eval(F(1, 3)) == 1
-    assert [f.eval(0) for f in sym.s] == [0, 1, 3, 7, 15, 31, 63]
-    assert sym.d[0].eval(F(2, 5)) == 1
+    assert s_ratfn(0).is_zero()
+    assert omega_ratfn(0).eval(F(1, 3)) == 1
+    assert [s_ratfn(n).eval(0) for n in range(7)] == [0, 1, 3, 7, 15, 31, 63]
+    assert d_ratfn(0).eval(F(2, 5)) == 1
     for m in range(1, 7):
-        assert sym.d[m].eval(0) == 0
-    with pytest.raises(ValueError):
-        build_symbolics(3, 5)
+        assert d_ratfn(m).eval(0) == 0
 
 
 def test_symbolic_d_matches_direct_evaluation():

@@ -12,7 +12,6 @@ from circuitdual.rational import (
     format_rat,
     parse_rat,
     poly_gcd,
-    taylor_at_zero,
 )
 
 rats = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -153,8 +152,8 @@ def test_eval_matches_fraction_horner(pn, pd, x0):
 
 
 def test_taylor_geometric_series():
-    assert taylor_at_zero(RatFn(Poly((1,)), Poly((1, -1))), 3) == (F(1),) * 4
-    assert taylor_at_zero(RatFn(Poly((1,)), Poly((1, 2))), 2) == (F(1), F(-2), F(4))
+    assert RatFn(Poly((1,)), Poly((1, -1))).taylor_at_zero(3) == (F(1),) * 4
+    assert RatFn(Poly((1,)), Poly((1, 2))).taylor_at_zero(2) == (F(1), F(-2), F(4))
     with pytest.raises(PoleError):
         RatFn(Poly((1,)), Poly((0, 1))).taylor_at_zero(2)
 
