@@ -32,6 +32,7 @@ from .operators import (
     XiTail,
     construct_2isometry,
     dual_moment_fiber0,
+    dual_moments_fiber0,
     dual_moment_fiberk,
     dual_weights,
     h_of,
@@ -54,6 +55,7 @@ from .family import (
     family_weights,
     figure_rows,
     omega_eval,
+    omega_prefix,
     omega_ratfn,
     s_closed_form,
     s_derivatives_at_zero,

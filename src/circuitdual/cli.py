@@ -8,8 +8,9 @@
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  CDL_BACKEND=exact|float presets the backend for
-moment checks (flag wins over the environment).  Every size flag has a
-cap (the MAX_* constants below); a larger request is an input error.
+moment checks (flag wins over the environment).  Every size flag, and the
+length of the --x/--xmax literals, has a cap (the MAX_* constants below); a
+larger request is an input error.
 """
 
 from __future__ import annotations
@@ -50,11 +51,34 @@ MAX_HANKEL_ORDER = 50      # moments check --order
 MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth
 MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
+MAX_LITERAL = 21           # characters of --x, --xmax: as typed and as p/q
 
 
 def _check_cap(flag: str, value: int, cap: int):
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
+def _check_floor(flag: str, value: int, floor: int):
+    if value < floor:
+        raise ValueError(f"{flag} must be at least {floor}, got {value}")
+
+
+def _parse_literal(flag: str, text: str):
+    """A rational flag value.  The cost of the exact work grows with its
+    size, so both the literal and its p/q form are capped: '1e99' is short
+    but has 100 digits."""
+    if len(text) > MAX_LITERAL:
+        raise ValueError(
+            f"{flag} must be at most {MAX_LITERAL} characters, got {len(text)}"
+        )
+    value = parse_rat(text)
+    written = len(format_rat(value))
+    if written > MAX_LITERAL:
+        raise ValueError(
+            f"{flag} must be at most {MAX_LITERAL} characters as p/q, got {written}"
+        )
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,8 +174,7 @@ def _cmd_wco_describe(args) -> int:
 
 def _cmd_wco_dual(args) -> int:
     _check_cap("--count", args.count, MAX_COUNT)
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    _check_floor("--count", args.count, 1)
     w = load_weight_spec(args.spec)
     dual = dual_weights(w)
     report = operator_report(dual, probe_depth=max(args.count, 2))
@@ -168,6 +191,7 @@ def _cmd_moments_check(args, backend: str, tol: float) -> int:
     _check_cap("--order", args.order, MAX_HANKEL_ORDER)
     _check_cap("--horizon", args.horizon, MAX_HORIZON)
     _check_cap("--fiber", args.fiber, MAX_FIBER)
+    _check_floor("--fiber", args.fiber, 0)
     if (args.sequence is None) == (args.from_dual is None):
         raise ValueError("give a sequence file or --from-dual, not both")
     if args.sequence is not None:
@@ -196,7 +220,7 @@ def _cmd_family_taylor(args) -> int:
 def _cmd_family_scan(args) -> int:
     _check_cap("--m", args.m, MAX_M)
     _check_cap("--steps", args.steps, MAX_STEPS)
-    report = sign_scan(args.m, parse_rat(args.xmax), args.steps)
+    report = sign_scan(args.m, _parse_literal("--xmax", args.xmax), args.steps)
     print(report.summary())
     glyphs = {-1: "-", 0: "0", 1: "+"}
     print("signs: " + "".join(glyphs[s] for s in report.signs))
@@ -212,7 +236,7 @@ def _cmd_family_verdict(args) -> int:
     _check_cap("--depth", args.depth, MAX_DEPTH)
     _check_cap("--residual-depth", args.residual_depth, MAX_RESIDUAL_DEPTH)
     verdict = counterexample_verdict(
-        FamilyParam(parse_rat(args.x)),
+        FamilyParam(_parse_literal("--x", args.x)),
         depth=args.depth,
         horizon=args.horizon,
         residual_depth=args.residual_depth,
@@ -223,7 +247,7 @@ def _cmd_family_verdict(args) -> int:
 
 def _cmd_family_figure(args) -> int:
     _check_cap("--steps", args.steps, MAX_STEPS)
-    rows = figure_rows(parse_rat(args.xmax), args.steps)
+    rows = figure_rows(_parse_literal("--xmax", args.xmax), args.steps)
     render = format_rat if args.exact else decimal_str
     lines = ["x," + ",".join(f"D{m}" for m in FIGURE_MS)]
     for x, values in rows:

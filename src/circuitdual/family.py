@@ -54,7 +54,7 @@ from .operators import (
     OperatorReport,
     SquaredWeights,
     XiTail,
-    dual_moment_fiber0,
+    dual_moments_fiber0,
     dual_weights,
     operator_report,
 )
@@ -93,16 +93,28 @@ def family_weights(p: FamilyParam) -> SquaredWeights:
     return SquaredWeights((Fraction(1, 2), Fraction(1, 2) + x, sq2), XiTail(sq2))
 
 
-def omega_eval(n: int, p: FamilyParam) -> Fraction:
-    """Direct rational evaluation of omega_n, the fiber-0 dual moment."""
-    if n < 0:
+def omega_prefix(horizon: int, p: FamilyParam) -> tuple:
+    """omega_0..omega_horizon, the fiber-0 dual moments, in one pass.
+
+    S_n and the power 2^n (1+x)^(2n) are running quantities, so each
+    further index costs one addition and two multiplications.
+    """
+    if horizon < 0:
         raise ValueError("index must be nonnegative")
     x = p.x
-    _check_domain(n, x)
-    total = Fraction(0)
-    for j in range(n):
-        total += Fraction(2) ** j * (1 + x) ** (2 * j) / (1 + (j + 2) * x)
-    return (1 + (1 + 2 * x) ** 2 * total) / (Fraction(2) ** n * (1 + x) ** (2 * n))
+    _check_domain(horizon, x)
+    base, lift = 2 * (1 + x) ** 2, (1 + 2 * x) ** 2
+    out, s, power = [Fraction(1)], Fraction(0), Fraction(1)  # power = base^j
+    for j in range(horizon):
+        s += power / (1 + (j + 2) * x)
+        power *= base
+        out.append((1 + lift * s) / power)
+    return tuple(out)
+
+
+def omega_eval(n: int, p: FamilyParam) -> Fraction:
+    """Direct rational evaluation of omega_n, the fiber-0 dual moment."""
+    return omega_prefix(n, p)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +501,8 @@ def counterexample_verdict(
     w = family_weights(p)
     report = operator_report(w, probe_depth=residual_depth)
 
-    moments = tuple(omega_eval(n, p) for n in range(horizon + 1))
-    closed = tuple(dual_moment_fiber0(w, n) for n in range(horizon + 1))
+    moments = omega_prefix(horizon, p)
+    closed = dual_moments_fiber0(w, horizon)
     brute = hsequence(dual_weights(w), 0, horizon).values
     agrees = moments == closed == brute
 

@@ -186,10 +186,9 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    sq = w.sq
-    out = [1 - 2 * w.alpha + (sq(0) ** 2 + sq(0) * sq(1) + sq(1) * sq(2))]
-    for n in range(1, depth + 1):
-        out.append(1 - 2 * sq(n + 1) + sq(n + 1) * sq(n + 2))
+    sq = w.prefix(depth + 3)
+    out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
+    out.extend(1 - 2 * sq[n + 1] + sq[n + 1] * sq[n + 2] for n in range(1, depth + 1))
     return tuple(out)
 
 
@@ -295,37 +294,42 @@ def dual_weights(w: SquaredWeights) -> SquaredWeights:
     return SquaredWeights(tuple(head), new_tail)
 
 
-def dual_moment_fiber0(w: SquaredWeights, n: int) -> Fraction:
-    """Closed form for |C'^n e_0|^2 when the operator is 2-isometric.
+def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
+    """Closed form for |C'^n e_0|^2, n = 0..horizon, when the operator is
+    2-isometric.
 
-    The value is
+    The value at n is
 
         sq(0)^n / alpha^(2n)
         + sum_{j=0}^{n-1} sq(0)^(n-j-1) sq(1)
-            / (alpha^(2(n-j)) (1 + j (sq(2) - 1)))
+            / (alpha^(2(n-j)) (1 + j (sq(2) - 1))),
 
-    with the empty sum equal to 0, so n = 0 gives 1.  The derivation uses
-    2-isometricity (partial tail products telescope to 1 + j (sq(2) - 1)),
-    hence the residual precondition.
+    so T_0 = 1 and T_n = (sq(0)/alpha^2) T_{n-1}
+    + sq(1) / (alpha^2 (1 + (n-1)(sq(2) - 1))): one pass over the horizon.
+    The derivation uses 2-isometricity (partial tail products telescope to
+    1 + j (sq(2) - 1)), hence the residual precondition on the points
+    0..horizon.
     """
-    if n < 0:
+    if horizon < 0:
         raise ValueError("power must be nonnegative")
-    if n >= 1 and any(r != 0 for r in two_isometry_check(w, max(n, 1))):
+    if horizon == 0:
+        return (Fraction(1),)
+    if any(r != 0 for r in two_isometry_check(w, horizon)):
         raise ValueError(
             "the fiber-0 closed form requires 2-isometry residuals to "
-            f"vanish to depth {n}"
+            f"vanish to depth {horizon}"
         )
-    if n == 0:
-        return Fraction(1)
-    alpha = w.alpha
-    sq0, sq1, sq2 = w.sq(0), w.sq(1), w.sq(2)
-    total = sq0 ** n / alpha ** (2 * n)
-    for j in range(n):
-        total += (
-            sq0 ** (n - j - 1) * sq1
-            / (alpha ** (2 * (n - j)) * (1 + j * (sq2 - 1)))
-        )
-    return total
+    alpha_sq = w.alpha ** 2
+    ratio, sq1, step = w.sq(0) / alpha_sq, w.sq(1) / alpha_sq, w.sq(2) - 1
+    out = [Fraction(1)]
+    for j in range(horizon):
+        out.append(ratio * out[-1] + sq1 / (1 + j * step))
+    return tuple(out)
+
+
+def dual_moment_fiber0(w: SquaredWeights, n: int) -> Fraction:
+    """|C'^n e_0|^2 by the closed form of ``dual_moments_fiber0``."""
+    return dual_moments_fiber0(w, n)[n]
 
 
 def dual_moment_fiberk(w: SquaredWeights, k: int, n: int) -> Fraction:

@@ -21,6 +21,8 @@ everything here can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,11 +32,22 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+MAX_EXPONENT = 4300  # the default limit of int() on a digit string
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse a rational from 'p/q', an integer, or a decimal literal.
 
-    Unreduced inputs such as '-288/32' are accepted and canonicalized.
+    Unreduced inputs such as '-288/32' are accepted and canonicalized.  A
+    decimal exponent beyond MAX_EXPONENT is refused before its power of ten
+    is built: '1e999999999' would otherwise allocate a billion digits.
     """
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -42,11 +55,23 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(value: Fraction) -> str:
-    """Render as 'p/q', omitting the denominator when it is 1."""
+    """Render as 'p/q', omitting the denominator when it is 1.
+
+    A computed value may have more digits than the interpreter's limit on
+    int-to-str conversion; the limit (process-wide, 0 when absent) is lifted
+    for this conversion only, and parsing keeps it.
+    """
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def decimal_str(value: Fraction, digits: int = 12) -> str:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from circuitdual.cli import (
@@ -6,6 +8,7 @@ from circuitdual.cli import (
     MAX_FIBER,
     MAX_HANKEL_ORDER,
     MAX_HORIZON,
+    MAX_LITERAL,
     MAX_M,
     MAX_ORDER,
     MAX_RESIDUAL_DEPTH,
@@ -284,6 +287,11 @@ def test_caps_admit_the_limits(tmp_path, capsys):
     code, out, _ = run(capsys, "moments", "check", "--from-dual", path,
                        "--fiber", str(MAX_FIBER))
     assert (code, out) == (0, "PASS depth=6 n=12\n")
+    code, out, _ = run(capsys, "moments", "check", "--from-dual", path, "--fiber", "0")
+    assert (code, out) == (0, "PASS depth=6 n=12\n")
+    code, out, err = run(capsys, "moments", "check", "--from-dual", path, "--fiber", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --fiber must be at least 0, got -1\n"
     code, out, _ = run(capsys, "wco", "describe", "--spec", path,
                        "--depth", str(MAX_RESIDUAL_DEPTH))
     assert code == 0
@@ -296,3 +304,61 @@ def test_caps_admit_the_limits(tmp_path, capsys):
                        "--order", str(MAX_HANKEL_ORDER))
     assert code == 2
     assert err.startswith("error: prefix too short")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["family", "verdict", "--x"], "--x"),
+    (["family", "scan", "--m", "5", "--xmax"], "--xmax"),
+    (["family", "figure", "--out", "-", "--xmax"], "--xmax"),
+])
+def test_literal_cap_exit_two(capsys, argv, flag):
+    over = "1/" + "9" * (MAX_LITERAL - 1)
+    code, out, err = run(capsys, *argv, over)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at most {MAX_LITERAL} characters, got {len(over)}\n"
+    # short exponent and decimal forms are held to the same length as p/q
+    for short, written in ((f"1e{MAX_LITERAL}", MAX_LITERAL + 1),
+                           ("0." + "9" * (MAX_LITERAL - 3), 2 * MAX_LITERAL - 4)):
+        code, out, err = run(capsys, *argv, short)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {flag} must be at most {MAX_LITERAL} characters "
+                       f"as p/q, got {written}\n")
+    code, out, err = run(capsys, *argv, "1e999999999")
+    assert (code, out) == (2, "")
+    assert err == "error: exponent beyond 4300 in '1e999999999'\n"
+
+
+def test_literal_cap_admits_the_limit(capsys):
+    # 1/9999999999999999997 is the slowest literal the cap admits: about 2 s
+    # at horizon and depth 100, where the brute-force route dominates
+    limit = "1/" + "9" * (MAX_LITERAL - 3) + "7"
+    assert len(limit) == MAX_LITERAL
+    code, out, _ = run(capsys, "family", "verdict", "--x", limit)
+    assert code == 0
+    assert out.startswith(f"x = {limit}\n")
+    code, out, _ = run(capsys, "family", "verdict", "--x", f"1e{MAX_LITERAL - 1}",
+                       "--horizon", "3")
+    assert code == 1
+    assert out.startswith(f"x = 1{'0' * (MAX_LITERAL - 1)}\n")
+    code, out, _ = run(capsys, "family", "scan", "--m", "5", "--xmax", limit,
+                       "--steps", "2")
+    assert code == 0
+    assert out.startswith("m=5 samples=2 negative=2 ")
+
+
+def test_witness_beyond_the_int_digit_limit_prints(tmp_path, capsys):
+    # the file's integers are within the parser's 4300-digit limit; the
+    # witness's denominator 3^6000 2^9000 (5,573 digits) is not
+    seq = tmp_path / "big.txt"
+    seq.write_text(f"1/{3 ** 6000}\n1/{2 ** 9000}\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "moments", "check", str(seq), "--depth", "1")
+        assert (code, err) == (1, "")
+        assert sys.get_int_max_str_digits() == 4300  # restored after output
+        sys.set_int_max_str_digits(0)
+        expected = f"-{3 ** 6000 - 2 ** 9000}/{3 ** 6000 * 2 ** 9000}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == f"FAIL m=1 j=0 value={expected}\n"

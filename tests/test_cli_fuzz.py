@@ -1,8 +1,9 @@
 """Random ``cdl`` argument lists drawn from the parser's own grammar.
 
 Whatever the input, ``main`` returns (or argparse exits with) 0, 1 or 2,
-and no traceback reaches stderr.  Sizes are drawn small (at most 20) or
-beyond every cap of their flag, so each example stays cheap.
+and no traceback reaches stderr.  Sizes are drawn small (at most 20),
+nonpositive (down to -2, below the floor of --count and --fiber) or beyond
+every cap of their flag, so each example stays cheap.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from circuitdual.cli import (
     MAX_FIBER,
     MAX_HANKEL_ORDER,
     MAX_HORIZON,
+    MAX_LITERAL,
     MAX_M,
     MAX_ORDER,
     MAX_RESIDUAL_DEPTH,
@@ -38,7 +40,12 @@ OVER_CAP = {
     "--count": MAX_COUNT,
     "--fiber": MAX_FIBER,
 }
-RATIONALS = (["1/10", "1/500", "3/5", "1/7", "2"], ["0", "-1/20", "-1", "1e-3", "abc", "1/0", ""])
+# invalid literals include ones beyond MAX_LITERAL as typed or as p/q
+RATIONALS = (
+    ["1/10", "1/500", "3/5", "1/7", "2"],
+    ["0", "-1/20", "-1", "1e-3", "abc", "1/0", "", "1/" + "9" * MAX_LITERAL, "1e99",
+     "1e999999999"],
+)
 TOLERANCES = (["1e-10", "0.5"], ["0", "-1", "nan", "inf", "abc"])
 
 

@@ -18,6 +18,7 @@ from circuitdual.family import (
     omega_bracket_at_zero,
     omega_deriv_leibniz,
     omega_eval,
+    omega_prefix,
     omega_ratfn,
     s_closed_form,
     s_derivatives_at_zero,
@@ -94,6 +95,26 @@ def test_omega_eval_small_indices():
     assert omega_eval(0, p) == 1
     assert omega_eval(1, p) == 1 / (1 + p.x)
     assert all(omega_eval(n, FamilyParam(F(0))) == 1 for n in range(10))
+
+
+def _omega_per_n_sum(n, x):
+    # omega_n with S_n summed afresh, the route the running sums replaced;
+    # kept as their oracle
+    total = F(0)
+    for j in range(n):
+        total += F(2) ** j * (1 + x) ** (2 * j) / (1 + (j + 2) * x)
+    return (1 + (1 + 2 * x) ** 2 * total) / (F(2) ** n * (1 + x) ** (2 * n))
+
+
+@pytest.mark.parametrize("x", [F(0), F(1, 500), F(37, 101), F(1), F(10 ** 6)])
+def test_omega_prefix_matches_per_n_sum(x):
+    p = FamilyParam(x)
+    prefix = omega_prefix(40, p)
+    assert prefix == tuple(_omega_per_n_sum(n, x) for n in range(41))
+    assert all(omega_eval(n, p) == prefix[n] for n in (0, 1, 17, 40))
+    assert omega_prefix(0, p) == (1,)
+    with pytest.raises(ValueError, match="nonnegative"):
+        omega_prefix(-1, p)
 
 
 def test_symbolics_conventions_and_table():

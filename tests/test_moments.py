@@ -1,15 +1,17 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circuitdual.family import FamilyParam, omega_eval
+from circuitdual.family import FamilyParam, omega_eval, omega_prefix
 from circuitdual.moments import (
     DEFAULT_FLOAT_TOL,
     MomentSeq,
+    _common_denominator,
     _psd,
     boundedness_check,
     diff_transform,
@@ -314,3 +316,71 @@ def test_psd_float_agrees_with_eigenvalues(matrix):
     ok = _psd(floats, DEFAULT_FLOAT_TOL)[0]
     lowest = float(np.linalg.eigvalsh(np.array(floats)).min())
     assert ok == _reference_psd(matrix)[0] == (lowest >= -DEFAULT_FLOAT_TOL)
+
+
+# Reference Hausdorff scan: one binomial sum per (m, j) in lexicographic
+# order, the route the difference table replaced on the exact backend.
+
+
+def _reference_hausdorff(seq, depth, max_index=None):
+    cap = seq.top_index if max_index is None else min(seq.top_index, max_index)
+    depth = min(depth, cap)
+    for m in range(depth + 1):
+        for j in range(cap - m + 1):
+            value = diff_transform(seq, m, j)
+            if value < 0:
+                return "fail", (m, j), value, depth, cap
+    return "pass", None, None, depth, cap
+
+
+signed_rats = st.fractions(min_value=-2, max_value=2, max_denominator=50)
+# 12-14 unrelated 300-bit denominators: the common denominator outgrows its
+# bound and the table runs in Fractions; sorted, so row 1 passes
+wide_prefixes = st.lists(
+    st.builds(F, st.integers(0, 2 ** 300), st.integers(2 ** 299, 2 ** 300)),
+    min_size=12, max_size=14,
+).map(lambda values: sorted(values, reverse=True))
+
+
+@given(
+    st.one_of(
+        st.lists(st.one_of(rats01, signed_rats, st.just(F(0))), min_size=1, max_size=14),
+        wide_prefixes,
+    ),
+    st.integers(1, 15),
+    st.one_of(st.none(), st.integers(-1, 15)),
+)
+@settings(max_examples=50, deadline=None)
+def test_difference_table_matches_binomial_sums(values, depth, max_index):
+    exact = MomentSeq.exact(values)
+    verdict = hausdorff_test(exact, depth, max_index=max_index)
+    got = (verdict.status, verdict.witness, verdict.detail, verdict.depth,
+           verdict.top_index)
+    assert got == _reference_hausdorff(exact, depth, max_index)
+
+
+def test_difference_table_zero_runs_and_caps():
+    # zeros keep every difference at zero until the bump enters the window
+    values = [F(0)] * 6 + [F(1, 3), F(0), F(0)]
+    for depth in range(1, 9):
+        for max_index in (None, 3, 5, 6, 7):
+            exact = MomentSeq.exact(values)
+            verdict = hausdorff_test(exact, depth, max_index=max_index)
+            assert (verdict.status, verdict.witness, verdict.detail, verdict.depth,
+                    verdict.top_index) == _reference_hausdorff(exact, depth, max_index)
+    assert hausdorff_test(MomentSeq.exact(values), 1).witness == (1, 5)
+    assert hausdorff_test(MomentSeq.exact(values), 1, max_index=5).passed
+
+
+def test_common_denominator_only_when_small():
+    rng = random.Random(7)
+    wide = sorted((F(rng.getrandbits(300), rng.getrandbits(300) | 1) for _ in range(14)),
+                  reverse=True)
+    assert _common_denominator(wide) is None
+    verdict = hausdorff_test(MomentSeq.exact(wide), 13)
+    assert (verdict.status, verdict.witness, verdict.detail) == \
+        _reference_hausdorff(MomentSeq.exact(wide), 13)[:3]
+    assert _common_denominator([F(1, 6), F(5, 4), F(7)]) == 12
+    family = omega_prefix(40, FamilyParam(F(37, 101)))
+    assert _common_denominator(family).bit_length() == max(
+        v.denominator.bit_length() for v in family)

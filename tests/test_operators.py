@@ -13,6 +13,7 @@ from circuitdual.operators import (
     XiTail,
     construct_2isometry,
     dual_moment_fiber0,
+    dual_moments_fiber0,
     dual_moment_fiberk,
     dual_weights,
     h_of,
@@ -157,6 +158,59 @@ def test_dual_moment_fiber0_requires_two_isometry():
     crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
     with pytest.raises(ValueError):
         dual_moment_fiber0(crooked, 3)
+
+
+def _fiber0_per_j_sum(w, n):
+    # the closed form summed term by term, the route the prefix recurrence
+    # replaced; kept as its oracle
+    if n == 0:
+        return F(1)
+    alpha = w.alpha
+    sq0, sq1, sq2 = w.sq(0), w.sq(1), w.sq(2)
+    total = sq0 ** n / alpha ** (2 * n)
+    for j in range(n):
+        total += sq0 ** (n - j - 1) * sq1 / (alpha ** (2 * (n - j)) * (1 + j * (sq2 - 1)))
+    return total
+
+
+@pytest.mark.parametrize("w", [
+    family_weights(FamilyParam(F(1, 500))),
+    family_weights(FamilyParam(F(37, 101))),
+    family_weights(FamilyParam(F(3))),
+    construct_2isometry(1, F(1, 4)),
+    construct_2isometry(1, F(4)),
+    construct_2isometry(F(1, 2), 1),
+    isometry_weights(),
+], ids=["family-1/500", "family-37/101", "family-3", "flat-1/4", "flat-4",
+        "xi-1/2-1", "isometry"])
+def test_closed_form_prefix_matches_per_j_sum(w):
+    prefix = dual_moments_fiber0(w, 40)
+    assert prefix == tuple(_fiber0_per_j_sum(w, n) for n in range(41))
+    assert all(dual_moment_fiber0(w, n) == prefix[n] for n in (0, 1, 17, 40))
+
+
+def test_closed_form_prefix_guard_and_messages():
+    crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
+    assert dual_moments_fiber0(crooked, 0) == (1,)
+    assert dual_moment_fiber0(SquaredWeights((F(0), F(0)), ConstantTail(1)), 0) == 1
+    for n in (1, 3):
+        with pytest.raises(ValueError, match=f"vanish to depth {n}$"):
+            dual_moment_fiber0(crooked, n)
+    # residuals vanish to depth 2 only: the guard looks at exactly 0..H
+    late = SquaredWeights((F(1), F(0), F(1), F(1), F(1), F(2)), ConstantTail(1))
+    assert dual_moments_fiber0(late, 2) == (1, 1, 1)
+    with pytest.raises(ValueError, match="vanish to depth 3$"):
+        dual_moments_fiber0(late, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dual_moment_fiber0(crooked, -1)
+
+
+def test_two_isometry_check_reads_the_residual_formula():
+    w = SquaredWeights((F(1, 3), F(2), F(5, 4), F(7)), ConstantTail(F(1, 2)))
+    sq = w.sq
+    expected = [1 - 2 * w.alpha + sq(0) ** 2 + sq(0) * sq(1) + sq(1) * sq(2)]
+    expected += [1 - 2 * sq(n + 1) + sq(n + 1) * sq(n + 2) for n in range(1, 9)]
+    assert two_isometry_check(w, 8) == tuple(expected)
 
 
 def test_dual_moment_fiberk_examples():

@@ -29,6 +29,14 @@ def test_parse_accepts_unreduced_and_decimal():
         parse_rat("x+1")
 
 
+def test_parse_bounds_the_exponent():
+    assert parse_rat("1e4300") == 10 ** 4300
+    assert parse_rat(" 25E-0_0_2 ") == F(1, 4)
+    for text in ("1e4301", "1.5E-4301", "1e99999999999", "1e1_0000_0000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent beyond 4300"):
+            parse_rat(text)
+
+
 def test_format_omits_unit_denominator():
     assert format_rat(F(-9)) == "-9"
     assert format_rat(F(5, 4)) == "5/4"
