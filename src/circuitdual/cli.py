@@ -9,8 +9,8 @@ Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  CDL_BACKEND=exact|float presets the backend for
 moment checks (flag wins over the environment).  Every size flag, and the
-length of the --x/--xmax literals, has a cap (the MAX_* constants below); a
-larger request is an input error.
+length of the --x/--xmax values written as p/q, has a cap (the MAX_*
+constants below); a larger request is an input error.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ MAX_HANKEL_ORDER = 50      # moments check --order
 MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth
 MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
-MAX_LITERAL = 21           # characters of --x, --xmax: as typed and as p/q
+MAX_LITERAL = 21           # characters of --x, --xmax, written as p/q
 
 
 def _check_cap(flag: str, value: int, cap: int):
@@ -66,17 +66,12 @@ def _check_floor(flag: str, value: int, floor: int):
 
 def _parse_literal(flag: str, text: str):
     """A rational flag value.  The cost of the exact work grows with its
-    size, so both the literal and its p/q form are capped: '1e99' is short
-    but has 100 digits."""
-    if len(text) > MAX_LITERAL:
-        raise ValueError(
-            f"{flag} must be at most {MAX_LITERAL} characters, got {len(text)}"
-        )
+    size, so its p/q form is capped: '1e99' is short but has 100 digits."""
     value = parse_rat(text)
     written = len(format_rat(value))
     if written > MAX_LITERAL:
         raise ValueError(
-            f"{flag} must be at most {MAX_LITERAL} characters as p/q, got {written}"
+            f"{flag} must be at most {MAX_LITERAL} characters, got {written}"
         )
     return value
 

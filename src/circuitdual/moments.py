@@ -14,8 +14,7 @@ explicit witness.
 
 On the exact backend the differences come from the difference table,
 Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1): one
-subtraction per tested pair instead of a binomial sum, in integers over the
-prefix's common denominator when that stays small.
+subtraction per tested pair instead of a binomial sum.
 
 Positive semidefiniteness is decided by one symmetric elimination (``_psd``)
 shared by both backends: the exact path works in Fractions and decides signs
@@ -150,38 +149,15 @@ def diff_transform(seq: MomentSeq, m: int, j: int):
     return total
 
 
-COMMON_DEN_GROWTH = 8  # bound on the common denominator, see _common_denominator
-
-
-def _common_denominator(values) -> Optional[int]:
-    """The lcm of the values' denominators, or None once it outgrows
-    COMMON_DEN_GROWTH times the widest denominator (plus 512 bits).
-
-    Moment prefixes with structure (closed forms, atomic measures) share
-    most of their denominator and the lcm stays near the widest one.  For
-    unrelated denominators it grows with every value, and building it costs
-    time quadratic in the prefix length (seconds for 101 values of 4,000
-    digits), more than the whole table in Fractions.
-    """
-    den = widest = 1
-    for v in values:
-        widest = max(widest, v.denominator.bit_length())
-        den = math.lcm(den, v.denominator)
-        if den.bit_length() > COMMON_DEN_GROWTH * widest + 512:
-            return None
-    return den
-
-
 def _first_violation(seq: MomentSeq, depth: int, cap: int, tol: float):
     """First (m, j, difference) below zero, m <= depth and j + m <= cap, in
     lexicographic order; None when there is none.
 
     The exact backend runs the difference table in place, row by row,
     Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1), one
-    subtraction per tested pair, in integers over the common denominator
-    when there is a small one, else in Fractions.  The float backend keeps
-    the binomial sums of ``diff_transform``, which round differently from
-    the table, and counts a difference as negative only below -tol.
+    subtraction per tested pair.  The float backend keeps the binomial sums
+    of ``diff_transform``, which round differently from the table, and
+    counts a difference as negative only below -tol.
     """
     if seq.backend == FLOAT:
         floor = -abs(tol)
@@ -192,15 +168,12 @@ def _first_violation(seq: MomentSeq, depth: int, cap: int, tol: float):
                     return m, j, value
         return None
     row = list(seq.values[: cap + 1])
-    den = _common_denominator(row)
-    if den is not None:
-        row = [v.numerator * (den // v.denominator) for v in row]
     for m in range(depth + 1):
         for j in range(cap - m + 1):
             if m:
                 row[j] -= row[j + 1]  # row[j + 1] still holds row m - 1
             if row[j] < 0:
-                return m, j, row[j] if den is None else Fraction(row[j], den)
+                return m, j, row[j]
     return None
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,24 +53,24 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # beyond the interpreter's int-to-str digit limit
+        return str(Decimal(n))  # an exact conversion the limit does not cover
+
+
 def format_rat(value: Fraction) -> str:
     """Render as 'p/q', omitting the denominator when it is 1.
 
-    A computed value may have more digits than the interpreter's limit on
-    int-to-str conversion; the limit (process-wide, 0 when absent) is lifted
-    for this conversion only, and parsing keeps it.
+    A computed value may have more digits than the interpreter allows an
+    int-to-str conversion; such a value still prints, and parsing keeps
+    the limit.
     """
     value = Fraction(value)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    if value.denominator == 1:
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def decimal_str(value: Fraction, digits: int = 12) -> str:

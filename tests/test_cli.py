@@ -312,25 +312,23 @@ def test_caps_admit_the_limits(tmp_path, capsys):
     (["family", "figure", "--out", "-", "--xmax"], "--xmax"),
 ])
 def test_literal_cap_exit_two(capsys, argv, flag):
+    # the cap is on the value written as p/q: short exponent and decimal
+    # forms are held to the same length
     over = "1/" + "9" * (MAX_LITERAL - 1)
-    code, out, err = run(capsys, *argv, over)
-    assert (code, out) == (2, "")
-    assert err == f"error: {flag} must be at most {MAX_LITERAL} characters, got {len(over)}\n"
-    # short exponent and decimal forms are held to the same length as p/q
-    for short, written in ((f"1e{MAX_LITERAL}", MAX_LITERAL + 1),
-                           ("0." + "9" * (MAX_LITERAL - 3), 2 * MAX_LITERAL - 4)):
-        code, out, err = run(capsys, *argv, short)
+    for literal, written in ((over, MAX_LITERAL + 1),
+                             (f"1e{MAX_LITERAL}", MAX_LITERAL + 1),
+                             ("0." + "9" * (MAX_LITERAL - 3), 2 * MAX_LITERAL - 4)):
+        code, out, err = run(capsys, *argv, literal)
         assert (code, out) == (2, "")
-        assert err == (f"error: {flag} must be at most {MAX_LITERAL} characters "
-                       f"as p/q, got {written}\n")
+        assert err == (f"error: {flag} must be at most {MAX_LITERAL} characters, "
+                       f"got {written}\n")
     code, out, err = run(capsys, *argv, "1e999999999")
     assert (code, out) == (2, "")
     assert err == "error: exponent beyond 4300 in '1e999999999'\n"
 
 
 def test_literal_cap_admits_the_limit(capsys):
-    # 1/9999999999999999997 is the slowest literal the cap admits: about 2 s
-    # at horizon and depth 100, where the brute-force route dominates
+    # a value of exactly MAX_LITERAL characters as p/q passes, however typed
     limit = "1/" + "9" * (MAX_LITERAL - 3) + "7"
     assert len(limit) == MAX_LITERAL
     code, out, _ = run(capsys, "family", "verdict", "--x", limit)
@@ -356,7 +354,7 @@ def test_witness_beyond_the_int_digit_limit_prints(tmp_path, capsys):
     try:
         code, out, err = run(capsys, "moments", "check", str(seq), "--depth", "1")
         assert (code, err) == (1, "")
-        assert sys.get_int_max_str_digits() == 4300  # restored after output
+        assert sys.get_int_max_str_digits() == 4300  # printing left the limit alone
         sys.set_int_max_str_digits(0)
         expected = f"-{3 ** 6000 - 2 ** 9000}/{3 ** 6000 * 2 ** 9000}"
     finally:

@@ -40,7 +40,7 @@ OVER_CAP = {
     "--count": MAX_COUNT,
     "--fiber": MAX_FIBER,
 }
-# invalid literals include ones beyond MAX_LITERAL as typed or as p/q
+# invalid literals include ones whose p/q form is beyond MAX_LITERAL
 RATIONALS = (
     ["1/10", "1/500", "3/5", "1/7", "2"],
     ["0", "-1/20", "-1", "1e-3", "abc", "1/0", "", "1/" + "9" * MAX_LITERAL, "1e99",

@@ -1,17 +1,15 @@
 import itertools
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circuitdual.family import FamilyParam, omega_eval, omega_prefix
+from circuitdual.family import FamilyParam, omega_eval
 from circuitdual.moments import (
     DEFAULT_FLOAT_TOL,
     MomentSeq,
-    _common_denominator,
     _psd,
     boundedness_check,
     diff_transform,
@@ -334,8 +332,7 @@ def _reference_hausdorff(seq, depth, max_index=None):
 
 
 signed_rats = st.fractions(min_value=-2, max_value=2, max_denominator=50)
-# 12-14 unrelated 300-bit denominators: the common denominator outgrows its
-# bound and the table runs in Fractions; sorted, so row 1 passes
+# 12-14 unrelated 300-bit denominators, sorted so that row 1 passes
 wide_prefixes = st.lists(
     st.builds(F, st.integers(0, 2 ** 300), st.integers(2 ** 299, 2 ** 300)),
     min_size=12, max_size=14,
@@ -370,17 +367,3 @@ def test_difference_table_zero_runs_and_caps():
                     verdict.top_index) == _reference_hausdorff(exact, depth, max_index)
     assert hausdorff_test(MomentSeq.exact(values), 1).witness == (1, 5)
     assert hausdorff_test(MomentSeq.exact(values), 1, max_index=5).passed
-
-
-def test_common_denominator_only_when_small():
-    rng = random.Random(7)
-    wide = sorted((F(rng.getrandbits(300), rng.getrandbits(300) | 1) for _ in range(14)),
-                  reverse=True)
-    assert _common_denominator(wide) is None
-    verdict = hausdorff_test(MomentSeq.exact(wide), 13)
-    assert (verdict.status, verdict.witness, verdict.detail) == \
-        _reference_hausdorff(MomentSeq.exact(wide), 13)[:3]
-    assert _common_denominator([F(1, 6), F(5, 4), F(7)]) == 12
-    family = omega_prefix(40, FamilyParam(F(37, 101)))
-    assert _common_denominator(family).bit_length() == max(
-        v.denominator.bit_length() for v in family)

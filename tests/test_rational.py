@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,20 @@ def test_parse_bounds_the_exponent():
     for text in ("1e4301", "1.5E-4301", "1e99999999999", "1e1_0000_0000", "1e" + "9" * 5000):
         with pytest.raises(ValueError, match="exponent beyond 4300"):
             parse_rat(text)
+
+
+def test_format_beyond_the_int_digit_limit():
+    # 3^10000 has 4,772 digits and 2^16000 has 4,817, beyond the default 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        got = format_rat(F(-(3 ** 10000))), format_rat(F(7, 2 ** 16000))
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        want = str(-(3 ** 10000)), f"7/{2 ** 16000}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_format_omits_unit_denominator():
