@@ -19,7 +19,6 @@ from .rational import (
 from .moments import (
     MomentSeq,
     MomentVerdict,
-    boundedness_check,
     diff_transform,
     hausdorff_test,
     stieltjes_test,

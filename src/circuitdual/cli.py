@@ -16,6 +16,7 @@ constants below); a larger request is an input error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -92,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_FLOAT_TOL,
-        help="absolute tolerance on the float backend (ignored on exact)",
+        help="absolute tolerance on the float backend, positive and finite "
+        "(ignored on exact)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -190,12 +192,12 @@ def _cmd_moments_check(args, backend: str, tol: float) -> int:
     if (args.sequence is None) == (args.from_dual is None):
         raise ValueError("give a sequence file or --from-dual, not both")
     if args.sequence is not None:
-        seq = MomentSeq.from_file(args.sequence, backend)
+        seq = MomentSeq.from_file(args.sequence)
     else:
         w = load_weight_spec(args.from_dual)
         seq = hsequence(dual_weights(w), args.fiber, args.horizon)
-        if backend == FLOAT:
-            seq = seq.to_floats()
+    if backend == FLOAT:
+        seq = seq.to_floats()
     if args.mode == "hausdorff":
         verdict = hausdorff_test(seq, args.depth, tol=tol)
     else:
@@ -261,8 +263,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         backend = _resolve_backend(args)
-        if args.tol <= 0 and backend == FLOAT:
-            raise ValueError("float tolerance must be positive")
+        if backend == FLOAT and not 0 < args.tol < math.inf:
+            raise ValueError(
+                f"--tol must be positive and finite, got {args.tol!r}"
+            )
         if args.command == "wco":
             if args.subcommand == "describe":
                 return _cmd_wco_describe(args)

@@ -375,18 +375,8 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
     values = tuple(f.eval(x) for x in xs)
     signs = tuple(-1 if v < 0 else (0 if v == 0 else 1) for v in values)
 
-    prefix = 0
-    for s in signs:
-        if s < 0:
-            prefix += 1
-        else:
-            break
-
-    first_nonneg = None
-    for x, s in zip(xs, signs):
-        if s >= 0:
-            first_nonneg = x
-            break
+    prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
+    first_nonneg = xs[prefix] if prefix < steps else None
 
     bracket = None
     if 1 <= prefix < steps:

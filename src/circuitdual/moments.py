@@ -12,14 +12,13 @@ violation among the tested pairs", never membership.  Verdicts carry the
 tested ranges for that reason, and a failing verdict always carries an
 explicit witness.
 
-On the exact backend the differences come from the difference table,
-Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1): one
-subtraction per tested pair instead of a binomial sum.
-
-Positive semidefiniteness is decided by one symmetric elimination (``_psd``)
-shared by both backends: the exact path works in Fractions and decides signs
-exactly; the float path runs the same steps in doubles and treats values
-within an absolute tolerance of zero as zero.
+Both tests run one routine for both backends.  The differences come from
+one difference table, Delta^m gamma_j = Delta^(m-1) gamma_j -
+Delta^(m-1) gamma_(j+1): one subtraction per tested pair instead of a
+binomial sum.  Positive semidefiniteness is decided by one symmetric
+elimination (``_psd``).  The exact backend works in Fractions and decides
+signs exactly; the float backend runs the same steps in doubles and treats
+values within an absolute tolerance of zero as zero (``_zero``).
 """
 
 from __future__ import annotations
@@ -62,14 +61,20 @@ class MomentSeq:
 
     @classmethod
     def floats(cls, values) -> "MomentSeq":
-        return cls(tuple(float(v) for v in values), FLOAT)
+        converted = []
+        for n, v in enumerate(values):
+            try:
+                converted.append(float(v))
+            except OverflowError:
+                raise ValueError(f"entry {n} is beyond the float range") from None
+        return cls(tuple(converted), FLOAT)
 
     @classmethod
-    def from_file(cls, path, backend: str = EXACT) -> "MomentSeq":
+    def from_file(cls, path) -> "MomentSeq":
         """Load one value per line; '#' starts a comment.
 
-        Entries may be 'p/q' strings, integers, or decimal literals.  On the
-        exact backend decimal literals convert exactly.
+        Entries may be 'p/q' strings, integers, or decimal literals, and
+        convert exactly: the prefix is always on the exact backend.
         """
         entries = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,17 +85,13 @@ class MomentSeq:
                 entries.append(parse_rat(line))
         if not entries:
             raise ValueError(f"no values in sequence file {path}")
-        if backend == EXACT:
-            return cls.exact(entries)
-        return cls.floats(entries)
+        return cls.exact(entries)
 
     @property
     def top_index(self) -> int:
         return len(self.values) - 1
 
     def to_floats(self) -> "MomentSeq":
-        if self.backend == FLOAT:
-            return self
         return MomentSeq.floats(self.values)
 
 
@@ -149,58 +150,39 @@ def diff_transform(seq: MomentSeq, m: int, j: int):
     return total
 
 
-def _first_violation(seq: MomentSeq, depth: int, cap: int, tol: float):
-    """First (m, j, difference) below zero, m <= depth and j + m <= cap, in
-    lexicographic order; None when there is none.
+def _zero(seq: MomentSeq, tol: float):
+    """Values within this of zero count as zero: 0 on the exact backend,
+    abs(tol) on the float one."""
+    return 0 if seq.backend == EXACT else abs(tol)
 
-    The exact backend runs the difference table in place, row by row,
-    Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1), one
-    subtraction per tested pair.  The float backend keeps the binomial sums
-    of ``diff_transform``, which round differently from the table, and
-    counts a difference as negative only below -tol.
+
+def hausdorff_test(
+    seq: MomentSeq, depth: int, *, tol: float = DEFAULT_FLOAT_TOL
+) -> MomentVerdict:
+    """Check all differences with m <= depth and j + m <= N.
+
+    The difference table runs in place, row by row, one subtraction per
+    tested pair, up to the first difference below -zero.  The verdict
+    records the depth actually reached, which is at most the top index
+    tested.  The first violation in lexicographic (m, j) order is reported,
+    so failures are deterministic and citable.  A pass certifies only the
+    tested range; to test a shorter range, pass a shorter prefix.
     """
-    if seq.backend == FLOAT:
-        floor = -abs(tol)
-        for m in range(depth + 1):
-            for j in range(cap - m + 1):
-                value = diff_transform(seq, m, j)
-                if value < floor:
-                    return m, j, value
-        return None
-    row = list(seq.values[: cap + 1])
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    cap = seq.top_index
+    depth = min(depth, cap)
+    floor = -_zero(seq, tol)
+    row = list(seq.values)
     for m in range(depth + 1):
         for j in range(cap - m + 1):
             if m:
                 row[j] -= row[j + 1]  # row[j + 1] still holds row m - 1
-            if row[j] < 0:
-                return m, j, row[j]
-    return None
-
-
-def hausdorff_test(
-    seq: MomentSeq,
-    depth: int,
-    max_index: Optional[int] = None,
-    tol: float = DEFAULT_FLOAT_TOL,
-) -> MomentVerdict:
-    """Check all differences with m <= depth, j + m <= min(N, max_index).
-
-    The verdict records the depth actually reached, which is at most the
-    top index tested.  The first violation in lexicographic (m, j) order is
-    reported, so failures are deterministic and citable.  A pass certifies
-    only the tested range.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    cap = seq.top_index if max_index is None else min(seq.top_index, max_index)
-    depth = min(depth, cap)
-    violation = _first_violation(seq, depth, cap, tol)
-    if violation is None:
-        return MomentVerdict("pass", "hausdorff", depth, cap)
-    m, j, value = violation
-    return MomentVerdict(
-        "fail", "hausdorff", depth, cap, witness=(m, j), detail=value
-    )
+            if row[j] < floor:
+                return MomentVerdict(
+                    "fail", "hausdorff", depth, cap, witness=(m, j), detail=row[j]
+                )
+    return MomentVerdict("pass", "hausdorff", depth, cap)
 
 
 def _hankel(values: Sequence, size: int, shift: int) -> list[list]:
@@ -262,7 +244,7 @@ def stieltjes_test(
     if 2 * order > n:
         raise ValueError(f"prefix too short: need index {2 * order}, have {n}")
     shifted_size = order + 1 if 2 * order + 1 <= n else order
-    zero = 0 if seq.backend == EXACT else abs(tol)
+    zero = _zero(seq, tol)
     for shift, size in ((0, order + 1), (1, shifted_size)):
         ok, k, value = _psd(_hankel(seq.values, size, shift), zero)
         if not ok:
@@ -271,17 +253,3 @@ def stieltjes_test(
                 witness=("hankel", shift, k), detail=value,
             )
     return MomentVerdict("pass", "stieltjes", order, n)
-
-
-def boundedness_check(seq: MomentSeq, bound) -> bool:
-    """True when every entry is at most the bound.
-
-    A bounded Stieltjes moment sequence is automatically a Hausdorff moment
-    sequence, so this justifies following a Stieltjes pass with the
-    difference test after rescaling by the bound.
-    """
-    if seq.backend == EXACT:
-        bound = Fraction(bound)
-    else:
-        bound = float(bound)
-    return all(v <= bound for v in seq.values)

@@ -151,6 +151,52 @@ def test_moments_float_backend(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+# its first difference, 1 - 3/2, is negative
+NEGATIVE_STEP = "1\n3/2\n1/2\n1/4\n1/8\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("mode", ["hausdorff", "stieltjes"])
+def test_float_tolerance_must_be_positive_and_finite(tmp_path, capsys, tol, mode):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(NEGATIVE_STEP)
+    code, out, err = run(
+        capsys, "--backend", "float", f"--tol={tol}", "moments", "check",
+        str(seq), "--mode", mode, "--order", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol must be positive and finite, got {float(tol)!r}\n"
+
+
+def test_float_tolerance_sets_the_threshold(tmp_path, capsys):
+    # first difference -1/2**21: within a tolerance of 2**-20, beyond 2**-22
+    seq = tmp_path / "seq.txt"
+    seq.write_text(f"1\n{2 ** 21 + 1}/{2 ** 21}\n")
+    for tol, want in ((2 ** -20, (0, "PASS depth=1 n=1\n")),
+                      (2 ** -22, (1, f"FAIL m=1 j=0 value={-2 ** -21!r}\n"))):
+        code, out, _ = run(capsys, "--backend", "float", "--tol", repr(tol),
+                           "moments", "check", str(seq), "--depth", "1")
+        assert (code, out) == want
+    code, out, _ = run(capsys, "--tol", repr(2 ** -20), "moments", "check",
+                       str(seq), "--depth", "1")
+    assert (code, out) == (1, "FAIL m=1 j=0 value=-1/2097152\n")
+
+
+def test_float_overflow_is_an_input_error(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1e400\n1\n")
+    code, out, err = run(capsys, "--backend", "float", "moments", "check",
+                         str(seq), "--depth", "1")
+    assert (code, out, err) == (2, "", "error: entry 0 is beyond the float range\n")
+    # the dual inverts the weight 1e-400 into sq'(2) = 1e400
+    spec = spec_file(tmp_path, "kind = explicit\nsq = [1, 1, 1e-400]\ntail = ones\n")
+    code, out, err = run(capsys, "--backend", "float", "moments", "check",
+                         "--from-dual", spec, "--depth", "3")
+    assert (code, out, err) == (2, "", "error: entry 2 is beyond the float range\n")
+    code, out, _ = run(capsys, "moments", "check", "--from-dual", spec, "--depth", "3")
+    assert code == 1 and out.startswith("FAIL m=1 j=1 ")
+
+
 def test_family_taylor_output(capsys):
     code, out, _ = run(capsys, "family", "taylor", "--m", "5", "--order", "4")
     assert code == 0

@@ -1,9 +1,10 @@
 """Random ``cdl`` argument lists drawn from the parser's own grammar.
 
 Whatever the input, ``main`` returns (or argparse exits with) 0, 1 or 2,
-and no traceback reaches stderr.  Sizes are drawn small (at most 20),
-nonpositive (down to -2, below the floor of --count and --fiber) or beyond
-every cap of their flag, so each example stays cheap.
+and no traceback reaches stderr; an invalid tolerance on the float backend
+always exits 2.  Sizes are drawn small (at most 20), nonpositive (down to
+-2, below the floor of --count and --fiber) or beyond every cap of their
+flag, so each example stays cheap.
 """
 
 import argparse
@@ -46,7 +47,7 @@ RATIONALS = (
     ["0", "-1/20", "-1", "1e-3", "abc", "1/0", "", "1/" + "9" * MAX_LITERAL, "1e99",
      "1e999999999"],
 )
-TOLERANCES = (["1e-10", "0.5"], ["0", "-1", "nan", "inf", "abc"])
+TOLERANCES = (["1e-10", "0.5"], ["0", "-1", "nan", "inf", "-inf", "abc"])
 
 
 @pytest.fixture(scope="module")
@@ -128,4 +129,7 @@ def test_cli_never_escapes_its_exit_codes(files, data):
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
+    options = dict(zip(argv, argv[1:]))
+    if options.get("--backend") == "float" and options.get("--tol") in TOLERANCES[1]:
+        assert code == 2, argv
     assert "Traceback" not in err.getvalue(), argv

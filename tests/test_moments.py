@@ -11,7 +11,6 @@ from circuitdual.moments import (
     DEFAULT_FLOAT_TOL,
     MomentSeq,
     _psd,
-    boundedness_check,
     diff_transform,
     hausdorff_test,
     stieltjes_test,
@@ -74,6 +73,11 @@ def test_hausdorff_family_sequence_outside_window():
     deep = hausdorff_test(vals, 9)
     assert not deep.passed
     assert deep.witness == (9, 0)
+    # no violation at m = 1 keeps the whole prefix at most omega_0 = 1
+    for x in (F(0), F(1, 10), F(1, 2)):
+        vals = [omega_eval(n, FamilyParam(x)) for n in range(12)]
+        assert vals[0] == 1
+        assert hausdorff_test(MomentSeq.exact(vals), 1).passed
 
 
 def test_stieltjes_factorials_pass():
@@ -111,21 +115,36 @@ def test_stieltjes_zero_sequence_passes():
     assert stieltjes_test(seq(0, 0, 0), 1).passed
 
 
-def test_hausdorff_max_index_cap():
-    values = MomentSeq.exact([F(1, n + 1) for n in range(10)] + [F(-1)])
-    assert not hausdorff_test(values, 2).passed
-    capped = hausdorff_test(values, 2, max_index=9)
+def test_hausdorff_shorter_prefix_caps_the_index():
+    values = [F(1, n + 1) for n in range(10)] + [F(-1)]
+    assert not hausdorff_test(MomentSeq.exact(values), 2).passed
+    capped = hausdorff_test(MomentSeq.exact(values[:10]), 2)
     assert capped.passed
     assert capped.top_index == 9
 
 
-def test_boundedness_check():
-    assert boundedness_check(seq(*([1] * 5)), 1)
-    assert not boundedness_check(MomentSeq.exact([2 ** n for n in range(5)]), 1)
-    for x in (F(0), F(1, 10), F(1, 2)):
-        p = FamilyParam(x)
-        vals = MomentSeq.exact([omega_eval(n, p) for n in range(12)])
-        assert boundedness_check(vals, 1)
+def test_float_threshold_is_the_tolerance():
+    # a difference or a Hankel pivot of -eps: within tol of zero on float
+    # when eps < tol, negative on float when eps > tol, negative on exact
+    tol = 2.0 ** -20
+    for eps, float_passes in ((F(1, 2 ** 21), True), (F(1, 2 ** 19), False)):
+        step = MomentSeq.exact([1, 1 + eps])
+        assert hausdorff_test(step, 1, tol=tol).witness == (1, 0)
+        verdict = hausdorff_test(step.to_floats(), 1, tol=tol)
+        assert verdict.passed == float_passes
+        if not float_passes:
+            assert (verdict.witness, verdict.detail) == ((1, 0), float(-eps))
+        pivot = MomentSeq.exact([0, 0, -eps])
+        assert stieltjes_test(pivot, 1, tol=tol).witness == ("hankel", 0, 1)
+        verdict = stieltjes_test(pivot.to_floats(), 1, tol=tol)
+        assert verdict.passed == float_passes
+        if not float_passes:
+            assert (verdict.witness, verdict.detail) == (("hankel", 0, 1), float(-eps))
+
+
+def test_float_conversion_overflow_names_the_entry():
+    with pytest.raises(ValueError, match="entry 1 is beyond the float range"):
+        MomentSeq.exact([1, F(10) ** 400]).to_floats()
 
 
 def test_float_backend_agrees_on_clear_cases():
@@ -158,8 +177,7 @@ def test_sequence_file_roundtrip(tmp_path):
     path.write_text("# comment\n1\n1/2\n0.25  # inline\n\n")
     loaded = MomentSeq.from_file(path)
     assert loaded.values == (F(1), F(1, 2), F(1, 4))
-    as_floats = MomentSeq.from_file(path, backend="float")
-    assert as_floats.values == (1.0, 0.5, 0.25)
+    assert loaded.to_floats().values == (1.0, 0.5, 0.25)
 
 
 @given(st.lists(rats01, min_size=1, max_size=7), st.integers(0, 2))
@@ -317,11 +335,11 @@ def test_psd_float_agrees_with_eigenvalues(matrix):
 
 
 # Reference Hausdorff scan: one binomial sum per (m, j) in lexicographic
-# order, the route the difference table replaced on the exact backend.
+# order, the route the difference table replaced on both backends.
 
 
-def _reference_hausdorff(seq, depth, max_index=None):
-    cap = seq.top_index if max_index is None else min(seq.top_index, max_index)
+def _reference_hausdorff(seq, depth):
+    cap = seq.top_index
     depth = min(depth, cap)
     for m in range(depth + 1):
         for j in range(cap - m + 1):
@@ -329,6 +347,11 @@ def _reference_hausdorff(seq, depth, max_index=None):
             if value < 0:
                 return "fail", (m, j), value, depth, cap
     return "pass", None, None, depth, cap
+
+
+def _outcome(verdict):
+    return (verdict.status, verdict.witness, verdict.detail, verdict.depth,
+            verdict.top_index)
 
 
 signed_rats = st.fractions(min_value=-2, max_value=2, max_denominator=50)
@@ -345,25 +368,35 @@ wide_prefixes = st.lists(
         wide_prefixes,
     ),
     st.integers(1, 15),
-    st.one_of(st.none(), st.integers(-1, 15)),
+    st.integers(0, 15),
 )
 @settings(max_examples=50, deadline=None)
-def test_difference_table_matches_binomial_sums(values, depth, max_index):
-    exact = MomentSeq.exact(values)
-    verdict = hausdorff_test(exact, depth, max_index=max_index)
-    got = (verdict.status, verdict.witness, verdict.detail, verdict.depth,
-           verdict.top_index)
-    assert got == _reference_hausdorff(exact, depth, max_index)
+def test_difference_table_matches_binomial_sums(values, depth, top):
+    exact = MomentSeq.exact(values[: top + 1])
+    assert _outcome(hausdorff_test(exact, depth)) == _reference_hausdorff(exact, depth)
+
+
+# small integers over 2**k, k <= 20: every entry of a depth-15 table fits in
+# 41 bits, so double arithmetic is exact, and a negative entry is at most
+# -2**-20, far below -DEFAULT_FLOAT_TOL
+dyadic = st.builds(lambda n, k: F(n, 2 ** k), st.integers(-64, 64), st.integers(0, 20))
+
+
+@given(st.lists(dyadic, min_size=1, max_size=14), st.integers(1, 15), st.integers(0, 15))
+@settings(max_examples=50, deadline=None)
+def test_float_difference_table_matches_binomial_sums(values, depth, top):
+    exact = MomentSeq.exact(values[: top + 1])
+    status, witness, detail, reached, cap = _reference_hausdorff(exact, depth)
+    want = (status, witness, None if detail is None else float(detail), reached, cap)
+    assert _outcome(hausdorff_test(exact.to_floats(), depth)) == want
 
 
 def test_difference_table_zero_runs_and_caps():
     # zeros keep every difference at zero until the bump enters the window
     values = [F(0)] * 6 + [F(1, 3), F(0), F(0)]
     for depth in range(1, 9):
-        for max_index in (None, 3, 5, 6, 7):
-            exact = MomentSeq.exact(values)
-            verdict = hausdorff_test(exact, depth, max_index=max_index)
-            assert (verdict.status, verdict.witness, verdict.detail, verdict.depth,
-                    verdict.top_index) == _reference_hausdorff(exact, depth, max_index)
+        for top in (8, 3, 5, 6, 7):
+            exact = MomentSeq.exact(values[: top + 1])
+            assert _outcome(hausdorff_test(exact, depth)) == _reference_hausdorff(exact, depth)
     assert hausdorff_test(MomentSeq.exact(values), 1).witness == (1, 5)
-    assert hausdorff_test(MomentSeq.exact(values), 1, max_index=5).passed
+    assert hausdorff_test(MomentSeq.exact(values[:6]), 1).passed
