@@ -7,17 +7,16 @@
 
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
-unless --exact is given.  CDL_BACKEND=exact|float presets the backend for
-moment checks (flag wins over the environment).  Every size flag, and the
-length of the --x/--xmax values written as p/q, has a cap (the MAX_*
-constants below); a larger request is an input error.
+unless --exact is given.  Every size flag has a cap (the MAX_* constants
+below), and so has the length of every input rational written as p/q, in
+--x/--xmax and in weight-spec files (MAX_LITERAL); a larger request is an
+input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .family import (
@@ -41,7 +40,7 @@ from .moments import (
 )
 from .operators import dual_weights, operator_report
 from .oracle import hsequence
-from .rational import decimal_str, format_rat, parse_rat
+from .rational import MAX_LITERAL, decimal_str, format_rat, parse_literal
 
 MAX_M = 100                # family taylor|scan --m
 MAX_ORDER = 100            # family taylor --order
@@ -52,7 +51,6 @@ MAX_HANKEL_ORDER = 50      # moments check --order
 MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth
 MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
-MAX_LITERAL = 21           # characters of --x, --xmax, written as p/q
 
 
 def _check_cap(flag: str, value: int, cap: int):
@@ -65,18 +63,6 @@ def _check_floor(flag: str, value: int, floor: int):
         raise ValueError(f"{flag} must be at least {floor}, got {value}")
 
 
-def _parse_literal(flag: str, text: str):
-    """A rational flag value.  The cost of the exact work grows with its
-    size, so its p/q form is capped: '1e99' is short but has 100 digits."""
-    value = parse_rat(text)
-    written = len(format_rat(value))
-    if written > MAX_LITERAL:
-        raise ValueError(
-            f"{flag} must be at most {MAX_LITERAL} characters, got {written}"
-        )
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdl",
@@ -86,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         choices=(EXACT, FLOAT),
-        default=None,
-        help="numeric backend for moment checks (default: CDL_BACKEND or exact)",
+        default=EXACT,
+        help="numeric backend for moment checks (default: exact)",
     )
     parser.add_argument(
         "--tol",
@@ -103,9 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     describe = wco_sub.add_parser("describe", help="norms, cyclicity, residuals")
     describe.add_argument("--spec", required=True, help="weight-spec file")
     describe.add_argument("--depth", type=int, default=10)
+    describe.set_defaults(run=_cmd_wco_describe)
     dual = wco_sub.add_parser("dual", help="Cauchy dual weights")
     dual.add_argument("--spec", required=True, help="weight-spec file")
     dual.add_argument("--count", type=int, default=10, help="entries to print")
+    dual.set_defaults(run=_cmd_wco_dual)
 
     moments = sub.add_parser("moments", help="moment-sequence testing")
     moments_sub = moments.add_subparsers(dest="subcommand", required=True)
@@ -118,36 +106,32 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--depth", type=int, default=6, help="max difference order (hausdorff)")
     check.add_argument("--order", type=int, default=4, help="Hankel order (stieltjes)")
     check.add_argument("--horizon", type=int, default=12, help="prefix length for --from-dual")
+    check.set_defaults(run=_cmd_moments_check)
 
     family = sub.add_parser("family", help="the parametric counterexample family")
     family_sub = family.add_subparsers(dest="subcommand", required=True)
     taylor = family_sub.add_parser("taylor", help="derivatives of D_m at 0")
     taylor.add_argument("--m", type=int, required=True)
     taylor.add_argument("--order", type=int, default=4)
+    taylor.set_defaults(run=_cmd_family_taylor)
     scan = family_sub.add_parser("scan", help="exact sign scan of D_m")
     scan.add_argument("--m", type=int, required=True)
     scan.add_argument("--xmax", default=str(FIGURE_X_MAX))
     scan.add_argument("--steps", type=int, default=FIGURE_STEPS)
+    scan.set_defaults(run=_cmd_family_scan)
     verdict = family_sub.add_parser("verdict", help="full counterexample pipeline")
     verdict.add_argument("--x", required=True)
     verdict.add_argument("--depth", type=int, default=5)
     verdict.add_argument("--horizon", type=int, default=12)
     verdict.add_argument("--residual-depth", type=int, default=50)
+    verdict.set_defaults(run=_cmd_family_verdict)
     figure = family_sub.add_parser("figure", help="CSV of D_4, D_5, D_6 samples")
     figure.add_argument("--xmax", default=str(FIGURE_X_MAX))
     figure.add_argument("--steps", type=int, default=FIGURE_STEPS)
     figure.add_argument("--out", required=True, help="output path, or - for stdout")
     figure.add_argument("--exact", action="store_true", help="write p/q instead of decimals")
+    figure.set_defaults(run=_cmd_family_figure)
     return parser
-
-
-def _resolve_backend(args) -> str:
-    if args.backend is not None:
-        return args.backend
-    env = os.environ.get("CDL_BACKEND", EXACT)
-    if env not in (EXACT, FLOAT):
-        raise ValueError(f"CDL_BACKEND must be 'exact' or 'float', got {env!r}")
-    return env
 
 
 def _cmd_wco_describe(args) -> int:
@@ -174,7 +158,7 @@ def _cmd_wco_dual(args) -> int:
     _check_floor("--count", args.count, 1)
     w = load_weight_spec(args.spec)
     dual = dual_weights(w)
-    report = operator_report(dual, probe_depth=max(args.count, 2))
+    report = operator_report(dual, probe_depth=2)  # the norms ignore the depth
     print(f"alpha={format_rat(dual.alpha)}")
     print(f"norm_sq={format_rat(report.norm_sq)}")
     print(f"lower_sq={format_rat(report.lower_bound_sq)}")
@@ -183,7 +167,7 @@ def _cmd_wco_dual(args) -> int:
     return 0
 
 
-def _cmd_moments_check(args, backend: str, tol: float) -> int:
+def _cmd_moments_check(args) -> int:
     _check_cap("--depth", args.depth, MAX_DEPTH)
     _check_cap("--order", args.order, MAX_HANKEL_ORDER)
     _check_cap("--horizon", args.horizon, MAX_HORIZON)
@@ -196,12 +180,12 @@ def _cmd_moments_check(args, backend: str, tol: float) -> int:
     else:
         w = load_weight_spec(args.from_dual)
         seq = hsequence(dual_weights(w), args.fiber, args.horizon)
-    if backend == FLOAT:
+    if args.backend == FLOAT:
         seq = seq.to_floats()
     if args.mode == "hausdorff":
-        verdict = hausdorff_test(seq, args.depth, tol=tol)
+        verdict = hausdorff_test(seq, args.depth, tol=args.tol)
     else:
-        verdict = stieltjes_test(seq, args.order, tol=tol)
+        verdict = stieltjes_test(seq, args.order, tol=args.tol)
     print(verdict.render())
     return 0 if verdict.passed else 1
 
@@ -217,7 +201,7 @@ def _cmd_family_taylor(args) -> int:
 def _cmd_family_scan(args) -> int:
     _check_cap("--m", args.m, MAX_M)
     _check_cap("--steps", args.steps, MAX_STEPS)
-    report = sign_scan(args.m, _parse_literal("--xmax", args.xmax), args.steps)
+    report = sign_scan(args.m, parse_literal("--xmax", args.xmax), args.steps)
     print(report.summary())
     glyphs = {-1: "-", 0: "0", 1: "+"}
     print("signs: " + "".join(glyphs[s] for s in report.signs))
@@ -233,7 +217,7 @@ def _cmd_family_verdict(args) -> int:
     _check_cap("--depth", args.depth, MAX_DEPTH)
     _check_cap("--residual-depth", args.residual_depth, MAX_RESIDUAL_DEPTH)
     verdict = counterexample_verdict(
-        FamilyParam(_parse_literal("--x", args.x)),
+        FamilyParam(parse_literal("--x", args.x)),
         depth=args.depth,
         horizon=args.horizon,
         residual_depth=args.residual_depth,
@@ -244,7 +228,7 @@ def _cmd_family_verdict(args) -> int:
 
 def _cmd_family_figure(args) -> int:
     _check_cap("--steps", args.steps, MAX_STEPS)
-    rows = figure_rows(_parse_literal("--xmax", args.xmax), args.steps)
+    rows = figure_rows(parse_literal("--xmax", args.xmax), args.steps)
     render = format_rat if args.exact else decimal_str
     lines = ["x," + ",".join(f"D{m}" for m in FIGURE_MS)]
     for x, values in rows:
@@ -259,27 +243,13 @@ def _cmd_family_figure(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        backend = _resolve_backend(args)
-        if backend == FLOAT and not 0 < args.tol < math.inf:
+        if args.backend == FLOAT and not 0 < args.tol < math.inf:
             raise ValueError(
                 f"--tol must be positive and finite, got {args.tol!r}"
             )
-        if args.command == "wco":
-            if args.subcommand == "describe":
-                return _cmd_wco_describe(args)
-            return _cmd_wco_dual(args)
-        if args.command == "moments":
-            return _cmd_moments_check(args, backend, args.tol)
-        if args.subcommand == "taylor":
-            return _cmd_family_taylor(args)
-        if args.subcommand == "scan":
-            return _cmd_family_scan(args)
-        if args.subcommand == "verdict":
-            return _cmd_family_verdict(args)
-        return _cmd_family_figure(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

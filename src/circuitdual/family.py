@@ -407,12 +407,13 @@ FIGURE_X_MAX = Fraction(3, 5)
 FIGURE_STEPS = 120
 
 
-def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS, ms=FIGURE_MS):
-    """Exact (x, D_m values) rows for the sign-landscape table."""
+def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
+    """Exact (x, D_m values for m in FIGURE_MS) rows for the sign-landscape
+    table."""
     x_max = Fraction(x_max)
     if steps < 1 or x_max <= 0:
         raise ValueError("need steps >= 1 and x_max > 0")
-    fns = [d_ratfn(m) for m in ms]
+    fns = [d_ratfn(m) for m in FIGURE_MS]
     rows = []
     for k in range(1, steps + 1):
         x = x_max * k / steps

@@ -10,7 +10,8 @@ Two kinds:
     x = 1/10
 
 Rationals use the 'p/q' syntax everywhere; '#' starts a comment.  The tail
-defaults to ones when omitted.
+defaults to ones when omitted.  Every rational is capped at MAX_LITERAL
+characters written as p/q, as the CLI's --x is.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 
 from .family import FamilyParam, family_weights
 from .operators import ConstantTail, SquaredWeights, XiTail
-from .rational import parse_rat
+from .rational import parse_literal
 
 _XI_RE = re.compile(r"^xi\(\s*w2sq\s*=\s*([^)]+)\)$")
 
@@ -42,7 +43,7 @@ def parse_weight_spec(text: str) -> SquaredWeights:
     if kind == "family":
         if set(pairs) != {"x"}:
             raise ValueError("family specs take exactly one key: x")
-        return family_weights(FamilyParam(parse_rat(pairs["x"])))
+        return family_weights(FamilyParam(parse_literal("x", pairs["x"])))
     if kind != "explicit":
         raise ValueError(f"kind must be 'explicit' or 'family', got {kind!r}")
 
@@ -52,7 +53,8 @@ def parse_weight_spec(text: str) -> SquaredWeights:
     if not (sq_text.startswith("[") and sq_text.endswith("]")):
         raise ValueError("sq must be a bracketed list, e.g. sq = [1/2, 1]")
     body = sq_text[1:-1].strip()
-    head = tuple(parse_rat(tok) for tok in body.split(",")) if body else ()
+    tokens = body.split(",") if body else ()
+    head = tuple(parse_literal(f"sq[{n}]", t) for n, t in enumerate(tokens))
     if not head:
         raise ValueError("sq needs at least one entry")
 
@@ -65,7 +67,7 @@ def parse_weight_spec(text: str) -> SquaredWeights:
         match = _XI_RE.match(tail_text)
         if not match:
             raise ValueError(f"tail must be 'ones' or 'xi(w2sq=p/q)', got {tail_text!r}")
-        tail = XiTail(parse_rat(match.group(1)))
+        tail = XiTail(parse_literal("w2sq", match.group(1)))
     return SquaredWeights(head, tail)
 
 

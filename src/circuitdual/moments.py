@@ -38,26 +38,26 @@ FLOAT = "float"
 
 @dataclass(frozen=True)
 class MomentSeq:
-    """Finite prefix gamma_0..gamma_N under moment testing."""
+    """Finite prefix gamma_0..gamma_N under moment testing.  The entries
+    give the backend: all Fraction is exact, all float is float."""
 
     values: tuple
-    backend: str
 
     def __post_init__(self):
-        if self.backend not in (EXACT, FLOAT):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if len(self.values) == 0:
             raise ValueError("a moment prefix needs at least one entry")
-        if self.backend == EXACT:
-            if not all(isinstance(v, Fraction) for v in self.values):
-                raise TypeError("exact backend requires Fraction entries")
-        else:
-            if not all(isinstance(v, float) for v in self.values):
-                raise TypeError("float backend requires float entries")
+        self.backend  # raises TypeError on any other mix of entries
+
+    @property
+    def backend(self) -> str:
+        for kind, backend in ((Fraction, EXACT), (float, FLOAT)):
+            if all(isinstance(v, kind) for v in self.values):
+                return backend
+        raise TypeError("moment entries must be all Fraction or all float")
 
     @classmethod
     def exact(cls, values) -> "MomentSeq":
-        return cls(tuple(Fraction(v) for v in values), EXACT)
+        return cls(tuple(Fraction(v) for v in values))
 
     @classmethod
     def floats(cls, values) -> "MomentSeq":
@@ -67,7 +67,7 @@ class MomentSeq:
                 converted.append(float(v))
             except OverflowError:
                 raise ValueError(f"entry {n} is beyond the float range") from None
-        return cls(tuple(converted), FLOAT)
+        return cls(tuple(converted))
 
     @classmethod
     def from_file(cls, path) -> "MomentSeq":
@@ -199,7 +199,8 @@ def _psd(matrix: list[list], tol: float) -> tuple:
     larger than the number of pivots.  A negative one fails; when every
     remaining diagonal entry is zero, a nonzero off-diagonal entry s_ij
     fails through the principal minor -det * s_ij^2 two sizes larger.
-    Entries within ``tol`` of zero count as zero.
+    Entries within ``tol`` of zero count as zero.  The square is a product,
+    so on floats it overflows to inf like every other product here.
     """
     a = [row[:] for row in matrix]
     rest = list(range(len(a)))
@@ -211,7 +212,7 @@ def _psd(matrix: list[list], tol: float) -> tuple:
             for i in rest:
                 for j in rest:
                     if abs(a[i][j]) > tol:
-                        return False, done + 2, -det * a[i][j] ** 2
+                        return False, done + 2, -det * (a[i][j] * a[i][j])
             break
         p = nonzero[0]
         if p != rest[0]:
@@ -228,9 +229,7 @@ def _psd(matrix: list[list], tol: float) -> tuple:
 
 
 def stieltjes_test(
-    seq: MomentSeq,
-    order: int,
-    tol: float = DEFAULT_FLOAT_TOL,
+    seq: MomentSeq, order: int, *, tol: float = DEFAULT_FLOAT_TOL
 ) -> MomentVerdict:
     """Necessary Stieltjes conditions via the Hankel matrix and its shift.
 

@@ -192,10 +192,9 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
     return tuple(out)
 
 
-def is_two_isometric(w: SquaredWeights, head_depth: int | None = None) -> bool:
+def is_two_isometric(w: SquaredWeights) -> bool:
     """Exact head check plus a symbolic certificate for the tail rule."""
-    depth = max(len(w.head) + 1, 2) if head_depth is None else head_depth
-    if any(r != 0 for r in two_isometry_check(w, depth)):
+    if any(r != 0 for r in two_isometry_check(w, max(len(w.head) + 1, 2))):
         return False
     tail = w.tail
     if isinstance(tail, XiTail):

@@ -33,6 +33,7 @@ class PoleError(ZeroDivisionError):
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 MAX_EXPONENT = 4300  # the default limit of int() on a digit string
+MAX_LITERAL = 21  # characters of an input x, xmax or weight, written as p/q
 
 
 def parse_rat(text: str) -> Fraction:
@@ -51,6 +52,19 @@ def parse_rat(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
+
+
+def parse_literal(name: str, text: str) -> Fraction:
+    """An input rational named ``name`` (a flag or a spec key).  The cost of
+    the exact work grows with its size, so its p/q form is capped: '1e99'
+    is short but has 100 digits."""
+    value = parse_rat(text)
+    written = len(format_rat(value))
+    if written > MAX_LITERAL:
+        raise ValueError(
+            f"{name} must be at most {MAX_LITERAL} characters, got {written}"
+        )
+    return value
 
 
 def _digits(n: int) -> str:

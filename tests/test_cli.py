@@ -135,7 +135,7 @@ def test_moments_requires_exactly_one_source(tmp_path, capsys):
     assert code == 2
 
 
-def test_moments_float_backend(tmp_path, capsys, monkeypatch):
+def test_moments_float_backend(tmp_path, capsys):
     seq = tmp_path / "geo.txt"
     seq.write_text("".join(f"{0.5 ** n}\n" for n in range(9)))
     code, out, _ = run(
@@ -143,12 +143,6 @@ def test_moments_float_backend(tmp_path, capsys, monkeypatch):
         "--depth", "4",
     )
     assert code == 0
-    monkeypatch.setenv("CDL_BACKEND", "float")
-    code, out, _ = run(capsys, "moments", "check", str(seq), "--depth", "4")
-    assert code == 0
-    monkeypatch.setenv("CDL_BACKEND", "nonsense")
-    code, _, err = run(capsys, "moments", "check", str(seq))
-    assert code == 2
 
 
 # its first difference, 1 - 3/2, is negative
@@ -188,13 +182,28 @@ def test_float_overflow_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "--backend", "float", "moments", "check",
                          str(seq), "--depth", "1")
     assert (code, out, err) == (2, "", "error: entry 0 is beyond the float range\n")
-    # the dual inverts the weight 1e-400 into sq'(2) = 1e400
-    spec = spec_file(tmp_path, "kind = explicit\nsq = [1, 1, 1e-400]\ntail = ones\n")
+    # twenty weights of about 1e-17 make the dual moments grow past 1e308
+    tiny = ", ".join(["1/99999999999999999"] * 20)
+    spec = spec_file(tmp_path, f"kind = explicit\nsq = [1, 1, {tiny}]\ntail = ones\n")
     code, out, err = run(capsys, "--backend", "float", "moments", "check",
-                         "--from-dual", spec, "--depth", "3")
-    assert (code, out, err) == (2, "", "error: entry 2 is beyond the float range\n")
-    code, out, _ = run(capsys, "moments", "check", "--from-dual", spec, "--depth", "3")
-    assert code == 1 and out.startswith("FAIL m=1 j=1 ")
+                         "--from-dual", spec, "--fiber", "1", "--horizon", "20")
+    assert (code, out, err) == (2, "", "error: entry 19 is beyond the float range\n")
+    code, out, _ = run(capsys, "moments", "check", "--from-dual", spec,
+                       "--fiber", "1", "--horizon", "20")
+    assert code == 1 and out.startswith("FAIL m=1 j=0 ")
+
+
+def test_float_hankel_square_overflows_to_inf(tmp_path, capsys):
+    # the zero diagonal forces the off-diagonal test, whose square 1e400 is
+    # beyond a double
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0\n1e200\n0\n")
+    code, out, err = run(capsys, "--backend", "float", "moments", "check",
+                         str(seq), "--mode", "stieltjes", "--order", "1")
+    assert (code, out, err) == (1, "FAIL hankel=0 order=2 value=-inf\n", "")
+    code, out, err = run(capsys, "moments", "check", str(seq), "--mode",
+                         "stieltjes", "--order", "1")
+    assert (code, out, err) == (1, f"FAIL hankel=0 order=2 value=-{10 ** 400}\n", "")
 
 
 def test_family_taylor_output(capsys):
@@ -388,6 +397,23 @@ def test_literal_cap_admits_the_limit(capsys):
                        "--steps", "2")
     assert code == 0
     assert out.startswith("m=5 samples=2 negative=2 ")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind = family\nx = 1/{}\n", "x"),
+    ("kind = explicit\nsq = [1, 1, 1/{}]\n", "sq[2]"),
+    ("kind = explicit\nsq = [1, 1]\ntail = xi(w2sq=1/{})\n", "w2sq"),
+])
+def test_spec_literal_cap_exit_two(tmp_path, capsys, text, key):
+    # a spec file's rationals share the flags' cap; 4,000 digits once ran
+    # without bound through the exact pipeline
+    spec = spec_file(tmp_path, text.format("9" * 4000))
+    for argv in (["moments", "check", "--from-dual", spec, "--horizon", "30",
+                  "--depth", "30"],
+                 ["wco", "describe", "--spec", spec]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {key} must be at most {MAX_LITERAL} characters, got 4002\n"
 
 
 def test_witness_beyond_the_int_digit_limit_prints(tmp_path, capsys):

@@ -57,15 +57,21 @@ def files(tmp_path_factory):
         "family.cdl": "kind = family\nx = 1/10\n",
         "explicit.cdl": "kind = explicit\nsq = [1/2, 1, 5/4]\ntail = ones\n",
         "seq.txt": "".join(f"1/{n + 1}\n" for n in range(13)),
+        # a zero Hankel diagonal at every order: the float test squares 1e200
+        "overflow.txt": "0\n1e200\n" + "0\n" * 39,
         "bad.cdl": "kind = banana\n",
+        "long.cdl": "kind = family\nx = 1/" + "9" * 4000 + "\n",  # beyond MAX_LITERAL
         "bad.txt": "1\nabc\n",
     }
     for name, text in texts.items():
         (root / name).write_text(text)
-    paths = [str(root / name) for name in texts]
+    path = {name: str(root / name) for name in texts}
+    specs = [path["family.cdl"], path["explicit.cdl"]]
+    sequences = [path["seq.txt"], path["overflow.txt"]]
+    broken = [path["bad.cdl"], path["long.cdl"], path["bad.txt"], str(root / "missing")]
     return {
-        "spec": (paths[:2], paths[2:] + [str(root / "missing")]),
-        "sequence": (paths[2:3], paths[:2] + paths[3:] + [str(root / "missing")]),
+        "spec": (specs, sequences + broken),
+        "sequence": (sequences, specs + broken),
         "out": (["-", str(root / "fig.csv")], [str(root / "missing" / "fig.csv")]),
         "x": RATIONALS,
     }

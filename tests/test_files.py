@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from circuitdual.files import load_weight_spec, parse_weight_spec
 from circuitdual.operators import ConstantTail, XiTail
+from circuitdual.rational import MAX_LITERAL
 
 
 def test_parse_explicit_with_ones_tail():
@@ -49,6 +51,19 @@ def test_parse_family_delegates():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_weight_spec(text)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("kind = family\nx = {}\n", "x"),
+    ("kind = explicit\nsq = [1, {}]\n", "sq[1]"),
+    ("kind = explicit\nsq = [1, 1]\ntail = xi(w2sq={})\n", "w2sq"),
+])
+def test_parse_caps_literals(text, name):
+    # MAX_LITERAL characters as p/q are accepted, one more is refused
+    parse_weight_spec(text.format(10 ** (MAX_LITERAL - 1)))
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be at most "
+                       rf"{MAX_LITERAL} characters, got {MAX_LITERAL + 1}$"):
+        parse_weight_spec(text.format(10 ** MAX_LITERAL))
 
 
 def test_load_from_disk(tmp_path):

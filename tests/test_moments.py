@@ -165,11 +165,35 @@ def test_float_backend_agrees_on_clear_cases():
 
 def test_backend_mixing_rejected():
     with pytest.raises(TypeError):
-        MomentSeq((F(1), 0.5), "exact")
+        MomentSeq((F(1), 0.5))
     with pytest.raises(TypeError):
-        MomentSeq((F(1),), "float")
+        MomentSeq((F(1), 1))
     with pytest.raises(ValueError):
-        MomentSeq((), "exact")
+        MomentSeq(())
+
+
+def test_backend_follows_the_entries():
+    assert MomentSeq((F(1), F(1, 2))).backend == "exact"
+    assert MomentSeq((1.0, 0.5)).backend == "float"
+    assert seq(1, 2).to_floats().backend == "float"
+
+
+def test_float_hankel_square_overflows_to_inf():
+    # a zero diagonal leaves the off-diagonal test, whose square is beyond
+    # a double: -inf on float, the exact square on exact
+    values = MomentSeq.exact([0, F(10) ** 200, 0])
+    verdict = stieltjes_test(values.to_floats(), 1)
+    assert (verdict.witness, verdict.detail) == (("hankel", 0, 2), -math.inf)
+    verdict = stieltjes_test(values, 1)
+    assert (verdict.witness, verdict.detail) == (("hankel", 0, 2), -F(10) ** 400)
+
+
+def test_tolerance_is_keyword_only():
+    values = seq(1, 1, 1)
+    with pytest.raises(TypeError):
+        stieltjes_test(values, 1, 0.5)
+    with pytest.raises(TypeError):
+        hausdorff_test(values, 1, 0.5)
 
 
 def test_sequence_file_roundtrip(tmp_path):
