@@ -10,7 +10,8 @@ error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  Every size flag has a cap (the MAX_* constants
 below), and so has the length of every input rational written as p/q, in
 --x/--xmax and in weight-spec files (MAX_LITERAL); a larger request is an
-input error.
+input error.  So is a size flag below its floor where the command uses it;
+both messages name the flag.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_wco_describe(args) -> int:
     _check_cap("--depth", args.depth, MAX_RESIDUAL_DEPTH)
+    _check_floor("--depth", args.depth, 2)
     w = load_weight_spec(args.spec)
     report = operator_report(w, probe_depth=args.depth)
     print(f"norm_sq={format_rat(report.norm_sq)}")
@@ -179,12 +181,15 @@ def _cmd_moments_check(args) -> int:
         seq = MomentSeq.from_file(args.sequence)
     else:
         w = load_weight_spec(args.from_dual)
+        _check_floor("--horizon", args.horizon, 0)
         seq = hsequence(dual_weights(w), args.fiber, args.horizon)
     if args.backend == FLOAT:
         seq = seq.to_floats()
     if args.mode == "hausdorff":
+        _check_floor("--depth", args.depth, 1)
         verdict = hausdorff_test(seq, args.depth, tol=args.tol)
     else:
+        _check_floor("--order", args.order, 1)
         verdict = stieltjes_test(seq, args.order, tol=args.tol)
     print(verdict.render())
     return 0 if verdict.passed else 1
@@ -193,6 +198,8 @@ def _cmd_moments_check(args) -> int:
 def _cmd_family_taylor(args) -> int:
     _check_cap("--m", args.m, MAX_M)
     _check_cap("--order", args.order, MAX_ORDER)
+    _check_floor("--m", args.m, 0)
+    _check_floor("--order", args.order, 0)
     values = d_taylor(args.m, args.order)
     print(" ".join(format_rat(v) for v in values))
     return 0
@@ -201,6 +208,8 @@ def _cmd_family_taylor(args) -> int:
 def _cmd_family_scan(args) -> int:
     _check_cap("--m", args.m, MAX_M)
     _check_cap("--steps", args.steps, MAX_STEPS)
+    _check_floor("--m", args.m, 0)
+    _check_floor("--steps", args.steps, 1)
     report = sign_scan(args.m, parse_literal("--xmax", args.xmax), args.steps)
     print(report.summary())
     glyphs = {-1: "-", 0: "0", 1: "+"}
@@ -216,6 +225,9 @@ def _cmd_family_verdict(args) -> int:
     _check_cap("--horizon", args.horizon, MAX_HORIZON)
     _check_cap("--depth", args.depth, MAX_DEPTH)
     _check_cap("--residual-depth", args.residual_depth, MAX_RESIDUAL_DEPTH)
+    _check_floor("--horizon", args.horizon, 0)
+    _check_floor("--depth", args.depth, 1)
+    _check_floor("--residual-depth", args.residual_depth, 2)
     verdict = counterexample_verdict(
         FamilyParam(parse_literal("--x", args.x)),
         depth=args.depth,
@@ -228,6 +240,7 @@ def _cmd_family_verdict(args) -> int:
 
 def _cmd_family_figure(args) -> int:
     _check_cap("--steps", args.steps, MAX_STEPS)
+    _check_floor("--steps", args.steps, 1)
     rows = figure_rows(parse_literal("--xmax", args.xmax), args.steps)
     render = format_rat if args.exact else decimal_str
     lines = ["x," + ",".join(f"D{m}" for m in FIGURE_MS)]

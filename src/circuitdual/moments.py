@@ -16,9 +16,12 @@ Both tests run one routine for both backends.  The differences come from
 one difference table, Delta^m gamma_j = Delta^(m-1) gamma_j -
 Delta^(m-1) gamma_(j+1): one subtraction per tested pair instead of a
 binomial sum.  Positive semidefiniteness is decided by one symmetric
-elimination (``_psd``).  The exact backend works in Fractions and decides
-signs exactly; the float backend runs the same steps in doubles and treats
-values within an absolute tolerance of zero as zero (``_zero``).
+elimination (``_psd``).  The exact backend decides signs exactly: its
+difference table runs in integers, the prefix scaled once to numerators
+over the lcm of its denominators, so no entry is ever reduced and only a
+witness becomes a Fraction again; the elimination runs in Fractions.  The
+float backend runs the same steps in doubles and treats values within an
+absolute tolerance of zero as zero (``_zero``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rational import format_rat, parse_rat
+from .rational import format_rat, over_common_denominator, parse_rat
 
 DEFAULT_FLOAT_TOL = 1e-10
 
@@ -162,25 +165,31 @@ def hausdorff_test(
     """Check all differences with m <= depth and j + m <= N.
 
     The difference table runs in place, row by row, one subtraction per
-    tested pair, up to the first difference below -zero.  The verdict
-    records the depth actually reached, which is at most the top index
-    tested.  The first violation in lexicographic (m, j) order is reported,
-    so failures are deterministic and citable.  A pass certifies only the
-    tested range; to test a shorter range, pass a shorter prefix.
+    tested pair, up to the first difference below -zero; an exact prefix
+    runs as integer numerators over the lcm of its denominators.  The
+    verdict records the depth actually reached, which is at most the top
+    index tested.  The first violation in lexicographic (m, j) order is
+    reported, so failures are deterministic and citable.  A pass certifies
+    only the tested range; to test a shorter range, pass a shorter prefix.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     cap = seq.top_index
     depth = min(depth, cap)
     floor = -_zero(seq, tol)
-    row = list(seq.values)
+    exact = seq.backend == EXACT
+    if exact:
+        row, lcm = over_common_denominator(seq.values)
+    else:
+        row = list(seq.values)
     for m in range(depth + 1):
         for j in range(cap - m + 1):
             if m:
                 row[j] -= row[j + 1]  # row[j + 1] still holds row m - 1
             if row[j] < floor:
+                value = Fraction(row[j], lcm) if exact else row[j]
                 return MomentVerdict(
-                    "fail", "hausdorff", depth, cap, witness=(m, j), detail=row[j]
+                    "fail", "hausdorff", depth, cap, witness=(m, j), detail=value
                 )
     return MomentVerdict("pass", "hausdorff", depth, cap)
 

@@ -33,15 +33,17 @@ def xi_sq(n: int, w2sq: Fraction) -> Fraction:
 
     This is the unique squared-weight tail making the shift part of the
     operator 2-isometric once sq(2) = s >= 1 is fixed; the partial products
-    telescope to 1 + n(s-1).
+    telescope to 1 + n(s-1).  With s - 1 = a/b in lowest terms it is the
+    integer ratio (b + (n+1)a) / (b + na), built as one Fraction.
     """
     if n < 0:
         raise ValueError("tail index must be nonnegative")
     w2sq = Fraction(w2sq)
-    if w2sq < 1:
+    b = w2sq.denominator
+    a = w2sq.numerator - b
+    if a < 0:
         raise ValueError("xi tails require sq(2) >= 1")
-    delta = w2sq - 1
-    return (1 + (n + 1) * delta) / (1 + n * delta)
+    return Fraction(b + (n + 1) * a, b + n * a)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ each entry of an image is one entry of the source times one weight, and
 its squared modulus is the source's squared modulus times one squared
 weight.  A vector is therefore stored as the tuple of the squared moduli of
 its entries, all exact rationals; no square root and no sign convention is
-ever needed, and every squared norm is an exact sum of these entries.
+ever needed, and every squared norm is an exact sum of these entries, read
+as one sum of integer numerators over the lcm of the entries' denominators
+and reduced once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from .moments import MomentSeq
 from .operators import SquaredWeights
+from .rational import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
     values = [Fraction(1)]
     for _ in range(n):
         v = op.apply(v)
-        values.append(sum(v))
+        numerators, lcm = over_common_denominator(v)
+        values.append(Fraction(sum(numerators), lcm))
     return values
 
 

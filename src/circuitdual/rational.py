@@ -273,13 +273,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return a.monic()
 
-    def clear(p: Poly) -> list[int]:
-        lcm = 1
-        for c in p.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        return _int_primitive([int(c * lcm) for c in p.coeffs])
-
-    f, g = clear(a), clear(b)
+    f, g = (_int_primitive(over_common_denominator(p.coeffs)[0]) for p in (a, b))
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -288,15 +282,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(f).monic()
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values over the lcm of their denominators,
+    and that lcm: value i is Fraction(numerators[i], lcm)."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
 def _integer_form(num: Poly, den: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """num and den coefficients times the lcm of all their denominators."""
-    lcm = 1
-    for c in num.coeffs + den.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return (
-        tuple(c.numerator * (lcm // c.denominator) for c in num.coeffs),
-        tuple(c.numerator * (lcm // c.denominator) for c in den.coeffs),
-    )
+    scaled, _ = over_common_denominator(num.coeffs + den.coeffs)
+    return tuple(scaled[:len(num.coeffs)]), tuple(scaled[len(num.coeffs):])
 
 
 def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:

@@ -327,6 +327,43 @@ def test_size_caps_exit_two(tmp_path, capsys, argv, flag, cap):
     assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
 
 
+@pytest.mark.parametrize("argv, flag, floor", [
+    (["family", "taylor", "--m"], "--m", 0),
+    (["family", "scan", "--m"], "--m", 0),
+    (["family", "taylor", "--m", "5", "--order"], "--order", 0),
+    (["moments", "check", "@seq", "--mode", "stieltjes", "--order"], "--order", 1),
+    (["family", "verdict", "--x", "1/10", "--depth"], "--depth", 1),
+    (["moments", "check", "@seq", "--depth"], "--depth", 1),
+    (["wco", "describe", "--spec", "@spec", "--depth"], "--depth", 2),
+    (["family", "verdict", "--x", "1/10", "--residual-depth"], "--residual-depth", 2),
+    (["family", "verdict", "--x", "1/10", "--horizon"], "--horizon", 0),
+    (["moments", "check", "--from-dual", "@spec", "--horizon"], "--horizon", 0),
+    (["family", "scan", "--m", "5", "--steps"], "--steps", 1),
+    (["family", "figure", "--out", "-", "--steps"], "--steps", 1),
+])
+def test_size_floors_name_the_flag(tmp_path, capsys, argv, flag, floor):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n" * 8)
+    files = {"@seq": str(seq), "@spec": spec_file(tmp_path, FAMILY_HALF)}
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, str(floor - 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be at least {floor}, got {floor - 1}\n"
+    code, out, err = run(capsys, *argv, str(floor))
+    assert code in (0, 1) and out and err == ""
+
+
+def test_floors_skip_unused_flags(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n" * 8)
+    code, out, _ = run(capsys, "moments", "check", str(seq), "--order", "0",
+                       "--horizon", "-1")
+    assert (code, out) == (0, "PASS depth=6 n=7\n")
+    code, out, _ = run(capsys, "moments", "check", str(seq), "--mode", "stieltjes",
+                       "--order", "3", "--depth", "0", "--horizon", "-1")
+    assert (code, out) == (0, "PASS order=3 n=7\n")
+
+
 def test_caps_admit_the_limits(tmp_path, capsys):
     path = spec_file(tmp_path, FAMILY_HALF)
     code, out, _ = run(capsys, "wco", "dual", "--spec", path, "--count", str(MAX_COUNT))

@@ -400,6 +400,40 @@ def test_difference_table_matches_binomial_sums(values, depth, top):
     assert _outcome(hausdorff_test(exact, depth)) == _reference_hausdorff(exact, depth)
 
 
+def _fraction_table(seq, depth):
+    """The in-place difference table in Fractions, one reduction per entry:
+    the route the integer table over the lcm replaced."""
+    cap = seq.top_index
+    depth = min(depth, cap)
+    row = list(seq.values)
+    for m in range(depth + 1):
+        for j in range(cap - m + 1):
+            if m:
+                row[j] -= row[j + 1]
+            if row[j] < 0:
+                return "fail", (m, j), row[j], depth, cap
+    return "pass", None, None, depth, cap
+
+
+@st.composite
+def coprime_prefixes(draw):
+    """12-14 values in [0, 1] over the 296- to 300-bit denominators 1 + i t,
+    i = 1..14, with t a multiple of 14!.  They are pairwise coprime: a prime
+    dividing two of them divides (i - i') t, hence t, hence 1.  Sorted so
+    that row 1 passes."""
+    t = math.factorial(14) * draw(st.integers(2 ** 259, 2 ** 260))
+    dens = [1 + i * t for i in range(1, draw(st.integers(12, 14)) + 1)]
+    return sorted((F(draw(st.integers(0, d)), d) for d in dens), reverse=True)
+
+
+@given(coprime_prefixes(), st.integers(1, 15))
+@settings(max_examples=30, deadline=None)
+def test_integer_table_matches_the_fraction_table(values, depth):
+    verdict = hausdorff_test(MomentSeq.exact(values), depth)
+    assert _outcome(verdict) == _fraction_table(MomentSeq.exact(values), depth)
+    assert verdict.passed or type(verdict.detail) is F
+
+
 # small integers over 2**k, k <= 20: every entry of a depth-15 table fits in
 # 41 bits, so double arithmetic is exact, and a negative entry is at most
 # -2**-20, far below -DEFAULT_FLOAT_TOL

@@ -270,6 +270,30 @@ def test_constructed_2isometries_are_expansive():
         assert (w.alpha - 1) * (1 - w.sq(0)) >= 0
 
 
+def _xi_sq_fraction_route(n, s):
+    """The Fraction expression that xi_sq's integer ratio replaced."""
+    delta = s - 1
+    return (1 + (n + 1) * delta) / (1 + n * delta)
+
+
+w2sqs = st.one_of(
+    st.just(F(1)),
+    st.integers(1, 10 ** 6).map(F),
+    # 1 + p/q with p and q up to 60 digits
+    st.builds(lambda p, q: 1 + F(p, q), st.integers(0, 10 ** 60), st.integers(1, 10 ** 60)),
+)
+
+
+@given(w2sqs, st.integers(0, 1000))
+@settings(max_examples=60)
+def test_xi_sq_matches_the_fraction_route(s, n):
+    expected = _xi_sq_fraction_route(n, s)
+    value = xi_sq(n, s)
+    assert (type(value), value) == (F, expected)
+    assert SquaredWeights((F(1), F(1)), XiTail(s)).sq(n + 2) == expected
+    assert SquaredWeights((F(1), F(1)), ReciprocalXiTail(s)).sq(n + 2) == 1 / expected
+
+
 @given(st.fractions(min_value=1, max_value=9, max_denominator=12),
        st.integers(1, 50))
 @settings(max_examples=60)

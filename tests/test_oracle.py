@@ -9,7 +9,9 @@ from circuitdual.family import FamilyParam, family_weights
 from circuitdual.moments import hausdorff_test
 from circuitdual.operators import (
     ConstantTail,
+    ReciprocalXiTail,
     SquaredWeights,
+    XiTail,
     construct_2isometry,
     dual_moment_fiber0,
     dual_moment_fiberk,
@@ -172,3 +174,37 @@ def test_fiber_zero_matches_path_sum(w):
         assert values[n] == expected
         if n <= 7:
             assert gram_diagonal(w, 0, n) == expected
+
+
+def _fraction_sum_route(w, k, n, size):
+    """|C^j e_k|^2 for j = 0..n, each power summed one Fraction addition at a
+    time: the route the sum over the common denominator replaced."""
+    op = BandedOp(w, size)
+    v = basis(size, k)
+    values = [F(1)]
+    for _ in range(n):
+        v = op.apply(v)
+        values.append(sum(v))
+    return values
+
+
+@st.composite
+def tailed_weights(draw):
+    """Random heads with a constant, xi or reciprocal-xi tail."""
+    tail = draw(st.sampled_from([ConstantTail, XiTail, ReciprocalXiTail]))
+    if tail is ConstantTail:
+        head = draw(st.lists(nonnegative, min_size=2, max_size=6))
+        return SquaredWeights(tuple(head), ConstantTail(draw(nonnegative)))
+    head = draw(st.lists(nonnegative, min_size=2, max_size=2))
+    w2sq = draw(st.fractions(min_value=1, max_value=5, max_denominator=10 ** 6))
+    return SquaredWeights(tuple(head), tail(w2sq))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tailed_weights(), st.integers(0, 3), st.integers(0, 12))
+def test_common_denominator_sums_match_the_fraction_sums(w, k, n):
+    size = max(k + n + 1, 2)
+    expected = _fraction_sum_route(w, k, n, size)
+    assert hsequence(w, k, n).values == tuple(expected)
+    assert gram_diagonal(w, k, n) == expected[-1]
+    assert gram_diagonal(w, k, n, size + 3) == expected[-1]
