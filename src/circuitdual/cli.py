@@ -8,10 +8,11 @@
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  Every size flag has a cap (the MAX_* constants
-below), and so has the length of every input rational written as p/q, in
---x/--xmax and in weight-spec files (MAX_LITERAL); a larger request is an
-input error.  So is a size flag below its floor where the command uses it;
-both messages name the flag.
+below), and so has a sequence file (MAX_HORIZON + 1 values) and every
+input rational written as p/q, in --x/--xmax and in weight-spec files
+(MAX_LITERAL characters); a larger request is an input error.  So is a
+size flag below its floor where the command uses it; both messages name
+the flag.
 """
 
 from __future__ import annotations
@@ -179,6 +180,9 @@ def _cmd_moments_check(args) -> int:
         raise ValueError("give a sequence file or --from-dual, not both")
     if args.sequence is not None:
         seq = MomentSeq.from_file(args.sequence)
+        if len(seq.values) > MAX_HORIZON + 1:  # the longest --from-dual prefix
+            raise ValueError(f"a sequence file must hold at most {MAX_HORIZON + 1} "
+                             f"values, got {len(seq.values)}")
     else:
         w = load_weight_spec(args.from_dual)
         _check_floor("--horizon", args.horizon, 0)

@@ -280,49 +280,6 @@ def s_closed_form(n: int, l: int) -> Fraction:
     )
 
 
-def _rising(a: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= a + i
-    return out
-
-
-def inverse_power_deriv_at_zero(p: int, j: int) -> Fraction:
-    """j-th derivative of (1+x)^(-p) at 0: (-1)^j p (p+1) ... (p+j-1)."""
-    return Fraction((-1) ** j * _rising(p, j))
-
-
-def omega_bracket_at_zero(i: int, n: int) -> Fraction:
-    """i-th derivative at 0 of (1 + (1+2x)^2 S_n(x)) / 2^n.
-
-    Expanding ((1+2x)^2 S_n)^{(i)} by the product rule leaves three terms;
-    at 0 they combine the tabulated S_n derivatives with small binomials.
-    For i <= 3 these brackets are polynomials in n of degree i, which is
-    what makes the first four derivatives of every D_m (m >= 4) vanish.
-    """
-    value = Fraction(1) if i == 0 else Fraction(0)
-    if i >= 2:
-        value += 8 * math.comb(i, 2) * s_derivatives_at_zero(n, i - 2)
-    if i >= 1:
-        value += 4 * i * s_derivatives_at_zero(n, i - 1)
-    value += s_derivatives_at_zero(n, i)
-    return value / Fraction(2) ** n
-
-
-def omega_deriv_leibniz(n: int, l: int) -> Fraction:
-    """omega_n^{(l)}(0) assembled by the product rule, independent of the
-    symbolic differentiation path."""
-    return sum(
-        (
-            math.comb(l, i)
-            * inverse_power_deriv_at_zero(2 * n, l - i)
-            * omega_bracket_at_zero(i, n)
-            for i in range(l + 1)
-        ),
-        Fraction(0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # sign scanning
 

@@ -7,6 +7,11 @@ denominator.  Equality of values and of functions is therefore decidable,
 which is what the rest of the package relies on: every identity it checks
 is checked exactly, never to a tolerance.
 
+Polynomials and rational functions are values here: the package builds
+them from integer coefficient lists, then evaluates them and expands them
+at 0.  Their sums, products, quotients and derivatives, the general route
+the family builders replaced, are a test reference in tests/ref_rational.py.
+
 A rational function also keeps an integer form of itself, computed once
 when it is built: its numerator and denominator coefficients scaled by the
 lcm of all their denominators.  Evaluation at p/q runs homogenised Horner
@@ -151,49 +156,9 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[format_rat(c) for c in self.coeffs]})"
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
     def scale(self, scalar) -> "Poly":
         s = _as_fraction(scalar)
         return Poly(tuple(s * c for c in self.coeffs))
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __call__(self, point) -> Fraction:
         point = _as_fraction(point)
@@ -201,9 +166,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -357,10 +319,6 @@ class RatFn:
         f._store(num, den)
         return f
 
-    @classmethod
-    def const(cls, value) -> "RatFn":
-        return cls(Poly.const(value))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -374,37 +332,6 @@ class RatFn:
 
     def __repr__(self) -> str:
         return f"RatFn({self.num!r}, {self.den!r})"
-
-    def __add__(self, other: "RatFn") -> "RatFn":
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFn":
-        return RatFn(-self.num, self.den)
-
-    def __sub__(self, other: "RatFn") -> "RatFn":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RatFn":
-        if not isinstance(other, RatFn):
-            return RatFn(self.num.scale(other), self.den)
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFn") -> "RatFn":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def derivative(self, order: int = 1) -> "RatFn":
-        """Exact derivative of the given order (order 0 is the identity)."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        f = self
-        for _ in range(order):
-            f = RatFn(
-                f.num.derivative() * f.den - f.num * f.den.derivative(),
-                f.den * f.den,
-            )
-        return f
 
     def eval(self, point) -> Fraction:
         point = _as_fraction(point)

@@ -398,6 +398,21 @@ def test_caps_admit_the_limits(tmp_path, capsys):
     assert err.startswith("error: prefix too short")
 
 
+def test_sequence_file_length_cap(tmp_path, capsys):
+    # a file may be as long as the longest --from-dual prefix; a longer one
+    # once ran the difference table at a cost that grew without bound
+    seq = tmp_path / "seq.txt"
+    seq.write_text("# comments are not values\n" + "".join(f"1/{k + 1}\n" for k in range(MAX_HORIZON + 1)))
+    code, out, _ = run(capsys, "moments", "check", str(seq), "--depth", str(MAX_DEPTH))
+    assert (code, out) == (0, f"PASS depth={MAX_DEPTH} n={MAX_HORIZON}\n")
+    seq.write_text("".join(f"1/{k + 1}\n" for k in range(MAX_HORIZON + 2)))
+    for mode in ("hausdorff", "stieltjes"):
+        code, out, err = run(capsys, "moments", "check", str(seq), "--mode", mode)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a sequence file must hold at most {MAX_HORIZON + 1} "
+                       f"values, got {MAX_HORIZON + 2}\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["family", "verdict", "--x"], "--x"),
     (["family", "scan", "--m", "5", "--xmax"], "--xmax"),

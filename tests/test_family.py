@@ -2,7 +2,6 @@ import math
 import random
 import warnings
 from fractions import Fraction as F
-from functools import lru_cache
 
 import pytest
 
@@ -15,8 +14,6 @@ from circuitdual.family import (
     evaluate_d,
     family_weights,
     figure_rows,
-    omega_bracket_at_zero,
-    omega_deriv_leibniz,
     omega_eval,
     omega_prefix,
     omega_ratfn,
@@ -32,34 +29,15 @@ from circuitdual.operators import (
     two_isometry_check,
 )
 from circuitdual.oracle import gram_diagonal
-from circuitdual.rational import Poly, RatFn
-
-
-# The gcd-based route the family builders replaced: sums of generic RatFns,
-# each reduced by poly_gcd.  Kept as the reference on a small range.
-
-
-@lru_cache(maxsize=None)
-def ref_s(n):
-    if n == 0:
-        return RatFn.const(0)
-    j = n - 1
-    term = RatFn((Poly((1, 1)) ** (2 * j)).scale(F(2) ** j), Poly((1, j + 2)))
-    return ref_s(n - 1) + term
-
-
-@lru_cache(maxsize=None)
-def ref_omega(n):
-    num = RatFn.const(1) + RatFn(Poly((1, 2)) ** 2) * ref_s(n)
-    return num / RatFn((Poly((1, 1)) ** (2 * n)).scale(F(2) ** n))
-
-
-@lru_cache(maxsize=None)
-def ref_d(m):
-    total = RatFn.const(0)
-    for n in range(m + 1):
-        total = total + ref_omega(n) * F((-1) ** n * math.comb(m, n))
-    return total
+from circuitdual.rational import RatFn
+from ref_rational import (
+    lift,
+    omega_bracket_at_zero,
+    omega_deriv_leibniz,
+    ref_d,
+    ref_omega,
+    ref_s,
+)
 
 
 def test_family_weights_boundary_is_isometry():
@@ -194,7 +172,7 @@ def test_s_derivatives_beyond_table_warns():
         warnings.simplefilter("always")
         value = s_derivatives_at_zero(2, 5)
     assert any("beyond" in str(w.message) for w in caught)
-    assert value == s_ratfn(2).derivative(5).eval(0)
+    assert value == lift(s_ratfn(2)).derivative(5).eval(0)
     with pytest.raises(ValueError):
         s_closed_form(2, 5)
 
