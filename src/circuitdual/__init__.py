@@ -55,10 +55,8 @@ from .family import (
     figure_rows,
     omega_eval,
     omega_prefix,
-    omega_ratfn,
     s_closed_form,
     s_derivatives_at_zero,
-    s_ratfn,
     sign_scan,
 )
 from .files import load_weight_spec, parse_weight_spec

@@ -26,8 +26,8 @@ m >= 5, so each such D_m is strictly negative on a punctured right
 neighborhood of 0.  The neighborhoods are small: exact scanning locates
 the first positive zero of D_5 near 0.003418 and of D_6 near 0.023913.
 
-The symbolic layer builds S_n, omega_n and D_m in integer arithmetic over
-the closed-form common denominator
+The symbolic layer builds D_m in integer arithmetic over the closed-form
+common denominator
 
     L_m = 2^m (1+x)^(2m) P_m,   P_m = prod_{j=2}^{m+1} (1 + jx),
     omega_n L_m = 2^(m-n) (1+x)^(2(m-n))
@@ -38,6 +38,17 @@ canonical form (numerator and denominator coprime, denominator monic)
 follows without a polynomial gcd: the numerator is divided by (1+x) up to
 2m times and by each (1+jx), j = 2..m+1, once, each time only while it
 vanishes at -1/j.
+
+Derivatives at 0 need no rational function.  With E = (1+x)^(-2) and
+u_n = 1 + (1+2x)^2 S_n,
+
+    2^m D_m = sum_{n=0}^{m} (-1)^n C(m, n) 2^(m-n) u_n E^n,
+
+summed by Horner in E, on integer power series truncated after the
+requested order.  Multiplying by E is two synthetic divisions by (1+x);
+S_n is the running sum of omega_prefix, each term one truncated division
+by (1 + (j+2)x).  The only division of integers is the final one by 2^m,
+so D_m^{(l)}(0) for l <= order costs O(m * order) operations on integers.
 """
 
 from __future__ import annotations
@@ -146,13 +157,19 @@ def _add(a, b) -> list:
     return out
 
 
-def _div_linear(a, j):
-    """a / (1 + jx) by synthetic division, or None when it is not exact."""
+def _series_div(a, j) -> list:
+    """a / (1 + jx) as a power series at 0, truncated to len(a) terms."""
     q, prev = [], 0
-    for c in a[:-1]:
+    for c in a:
         prev = c - j * prev
         q.append(prev)
-    return q if a[-1] == j * prev else None
+    return q
+
+
+def _div_linear(a, j):
+    """a / (1 + jx) by synthetic division, or None when it is not exact."""
+    q = _series_div(a, j)
+    return q[:-1] if q[-1] == 0 else None
 
 
 def _s_times_p(m: int):
@@ -195,23 +212,6 @@ def _canonical(num, scale: int, factors) -> RatFn:
 
 
 @lru_cache(maxsize=None)
-def s_ratfn(n: int) -> RatFn:
-    """S_n as a reduced rational function (S_0 is the zero function)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    _, s = _s_times_p(n)
-    return _canonical(s[n], 1, _l_factors(n)[1:])  # over P_n
-
-
-@lru_cache(maxsize=None)
-def omega_ratfn(n: int) -> RatFn:
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    p, s = _s_times_p(n)  # omega_n L_n = P_n + (1+2x)^2 S_n P_n
-    return _canonical(_add(p, _mul((1, 4, 4), s[n])), 2**n, _l_factors(n))
-
-
-@lru_cache(maxsize=None)
 def d_ratfn(m: int) -> RatFn:
     if m < 0:
         raise ValueError("index must be nonnegative")
@@ -232,17 +232,40 @@ def evaluate_d(m: int, x) -> Fraction:
     return d_ratfn(m).eval(x)
 
 
+def _s_series(m: int, terms: int) -> list:
+    """S_0..S_m as integer power series at 0, truncated to `terms` coefficients."""
+    s, power = [0] * terms, [1] + [0] * (terms - 1)  # power = 2^j (1+x)^(2j)
+    out = [s]
+    for j in range(m):
+        s = [a + b for a, b in zip(s, _series_div(power, j + 2))]
+        power = _mul(power, (2, 4, 2))[:terms]
+        out.append(s)
+    return out
+
+
 def d_taylor(m: int, order: int) -> tuple:
     """Derivatives D_m^{(l)}(0) for l = 0..order (derivatives, not coefficients)."""
-    coeffs = d_ratfn(m).taylor_at_zero(order)
-    return tuple(c * math.factorial(l) for l, c in enumerate(coeffs))
+    if m < 0:
+        raise ValueError("index must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    # 2^m D_m by Horner in E = (1+x)^(-2) (see the module docstring)
+    terms = order + 1
+    total = [0] * terms
+    for n, s in reversed(list(enumerate(_s_series(m, terms)))):
+        total = _series_div(_series_div(total, 1), 1)
+        u = _mul((1, 4, 4), s)[:terms]
+        u[0] += 1
+        coeff = (-1) ** n * math.comb(m, n) * 2 ** (m - n)
+        total = [t + coeff * c for t, c in zip(total, u)]
+    return tuple(Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(total))
 
 
 TABLE_MAX_ORDER = 4
 
 
 def s_derivatives_at_zero(n: int, l: int) -> Fraction:
-    """S_n^{(l)}(0) from the symbolic layer.
+    """S_n^{(l)}(0) from the truncated power series of S_n.
 
     The closed-form cross-check table covers l <= 4 only; higher orders are
     still computed but flagged.
@@ -254,7 +277,7 @@ def s_derivatives_at_zero(n: int, l: int) -> Fraction:
             f"order {l} is beyond the tabulated closed forms (l <= 4)",
             stacklevel=2,
         )
-    return s_ratfn(n).taylor_at_zero(l)[l] * math.factorial(l)
+    return Fraction(_s_series(n, l + 1)[n][l] * math.factorial(l))
 
 
 def s_closed_form(n: int, l: int) -> Fraction:

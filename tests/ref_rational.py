@@ -11,6 +11,11 @@ a small range:
   divides out the ``poly_gcd`` of numerator and denominator.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
+- ``s_ratfn`` and ``omega_ratfn`` build S_n and omega_n with the
+  package's integer builders, as ``d_ratfn`` builds D_m.  The commands
+  take Taylor coefficients from truncated power series instead; these
+  whole rational functions, expanded by ``RatFn.taylor_at_zero``, are
+  that route's oracle.
 - ``omega_deriv_leibniz`` assembles omega_n^{(l)}(0) by the product rule
   from the tabulated S_n derivatives, independently of series division.
 """
@@ -22,7 +27,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from circuitdual import rational
-from circuitdual.family import s_derivatives_at_zero
+from circuitdual.family import (
+    _add,
+    _canonical,
+    _l_factors,
+    _mul,
+    _s_times_p,
+    s_derivatives_at_zero,
+)
 
 
 def _lift(p: rational.Poly) -> "Poly":
@@ -128,6 +140,26 @@ class RatFn(rational.RatFn):
 def lift(f: rational.RatFn) -> RatFn:
     """A package rational function as a reference one, with its algebra."""
     return RatFn(f.num, f.den)
+
+
+# S_n and omega_n over their known denominators, by the builders of d_ratfn
+
+
+@lru_cache(maxsize=None)
+def s_ratfn(n: int) -> rational.RatFn:
+    """S_n as a reduced rational function (S_0 is the zero function)."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    _, s = _s_times_p(n)
+    return _canonical(s[n], 1, _l_factors(n)[1:])  # over P_n
+
+
+@lru_cache(maxsize=None)
+def omega_ratfn(n: int) -> rational.RatFn:
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    p, s = _s_times_p(n)  # omega_n L_n = P_n + (1+2x)^2 S_n P_n
+    return _canonical(_add(p, _mul((1, 4, 4), s[n])), 2**n, _l_factors(n))
 
 
 # The gcd-based route the family builders replaced: sums of generic RatFns,

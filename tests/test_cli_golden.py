@@ -7,14 +7,14 @@ case runs with ``rational.poly_gcd`` patched to raise, which pins that the
 commands run no polynomial gcd.
 """
 
+import hashlib
 import math
 from fractions import Fraction as F
 
 import pytest
 
-from circuitdual import rational
+from circuitdual import family, rational
 from circuitdual.cli import main
-from circuitdual.family import d_ratfn, omega_ratfn, s_ratfn
 from circuitdual.rational import format_rat
 
 SEQUENCES = {
@@ -66,17 +66,36 @@ def refuse_gcd(*args):
     raise AssertionError("a command ran a polynomial gcd")
 
 
+def refuse_rational_route(*args):
+    raise AssertionError("family taylor built a rational function")
+
+
 @pytest.mark.parametrize("command, code, stdout", CASES, ids=[c[0] for c in CASES])
 def test_golden_cli(tmp_path, capsys, monkeypatch, command, code, stdout):
-    # the family builders put S_n, omega_n and D_m in canonical form over
-    # their known denominator, so no command may reach the gcd route; the
-    # caches are cleared so that each case builds what it uses
+    # the family builder puts D_m in canonical form over its known
+    # denominator, so no command may reach the gcd route; the cache is
+    # cleared so that each case builds what it uses
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
-    for build in (s_ratfn, omega_ratfn, d_ratfn):
-        build.cache_clear()
+    family.d_ratfn.cache_clear()
     for name, values in SEQUENCES.items():
         (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
     (tmp_path / "family").write_text("kind = family\nx = 1/10\n")
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in command.split()]
     assert main(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+# stdout of `family taylor --m 100 --order 100`, at the caps of both flags:
+# 14,925 characters, pinned by length and digest
+CAP_TAYLOR_LENGTH = 14925
+CAP_TAYLOR_SHA256 = "5514e8c6cdf5cad338ebb765664c3f858304359883eacda0455b1912e2bae681"
+
+
+def test_golden_taylor_at_cap(capsys, monkeypatch):
+    # the series route builds no D_m and runs no rational series division
+    monkeypatch.setattr(family, "d_ratfn", refuse_rational_route)
+    monkeypatch.setattr(rational.RatFn, "taylor_at_zero", refuse_rational_route)
+    assert main(["family", "taylor", "--m", "100", "--order", "100"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == CAP_TAYLOR_LENGTH
+    assert hashlib.sha256(out.encode()).hexdigest() == CAP_TAYLOR_SHA256

@@ -16,10 +16,8 @@ from circuitdual.family import (
     figure_rows,
     omega_eval,
     omega_prefix,
-    omega_ratfn,
     s_closed_form,
     s_derivatives_at_zero,
-    s_ratfn,
     sign_scan,
 )
 from circuitdual.operators import (
@@ -34,9 +32,11 @@ from ref_rational import (
     lift,
     omega_bracket_at_zero,
     omega_deriv_leibniz,
+    omega_ratfn,
     ref_d,
     ref_omega,
     ref_s,
+    s_ratfn,
 )
 
 
@@ -144,6 +144,39 @@ def test_d_derivatives_vanish_to_order_three():
 def test_d_fourth_derivative_law():
     for m in range(5, 31):
         assert d_taylor(m, 4)[4] == F(-288) / 2 ** m
+
+
+def test_d_taylor_matches_rational_series_division():
+    # the whole D_m expanded by RatFn.taylor_at_zero, the route the
+    # truncated integer series replaced, kept as its oracle
+    for m in range(31):
+        for k in (0, 1, 4, 8, 12):
+            coeffs = d_ratfn(m).taylor_at_zero(k)
+            assert d_taylor(m, k) == tuple(
+                c * math.factorial(l) for l, c in enumerate(coeffs)
+            )
+
+
+def test_s_derivatives_match_rational_series_division():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # orders beyond the table warn
+        for n in range(13):
+            coeffs = s_ratfn(n).taylor_at_zero(8)
+            for l in range(9):
+                assert s_derivatives_at_zero(n, l) == coeffs[l] * math.factorial(l)
+
+
+def test_taylor_rejects_negative_index_and_order():
+    with pytest.raises(ValueError, match="^index must be nonnegative$"):
+        d_taylor(-1, 4)
+    with pytest.raises(ValueError, match="^index must be nonnegative$"):
+        d_taylor(-1, -1)
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        d_taylor(5, -1)
+    with pytest.raises(ValueError, match="^index and order must be nonnegative$"):
+        s_derivatives_at_zero(-1, 2)
+    with pytest.raises(ValueError, match="^index and order must be nonnegative$"):
+        s_derivatives_at_zero(2, -1)
 
 
 def test_builders_match_gcd_route():
