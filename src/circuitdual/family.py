@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
+from ._record import Record
 from .moments import MomentSeq, MomentVerdict, hausdorff_test
 from .operators import (
     OperatorReport,
@@ -73,8 +72,7 @@ from .oracle import hsequence
 from .rational import Poly, RatFn, format_rat
 
 
-@dataclass(frozen=True)
-class FamilyParam:
+class FamilyParam(Record):
     """Family parameter; the operator-side constructions need x >= 0."""
 
     x: Fraction
@@ -310,16 +308,15 @@ def s_closed_form(n: int, l: int) -> Fraction:
 BRACKET_SHRINK = 1024  # bisection target: width <= x_max / 2^10
 
 
-@dataclass(frozen=True)
-class SignScanReport:
+class SignScanReport(Record):
     m: int
     x_max: Fraction
     steps: int
     signs: tuple                      # -1 / 0 / +1 at k*x_max/steps, k=1..steps
     values: tuple                     # exact sample values
     negative_prefix: int              # leading samples with D_m < 0
-    first_nonnegative: Optional[Fraction]
-    bracket: Optional[tuple]          # (lo, hi): D_m(lo) < 0 <= D_m(hi)
+    first_nonnegative: Fraction | None
+    bracket: tuple | None             # (lo, hi): D_m(lo) < 0 <= D_m(hi)
 
     def all_negative(self) -> bool:
         return self.negative_prefix == self.steps
@@ -405,8 +402,7 @@ def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
 # counterexample pipeline
 
 
-@dataclass(frozen=True)
-class CounterexampleVerdict:
+class CounterexampleVerdict(Record):
     """Bundled evidence that the dual of the family operator at x is not
     subnormal: operator facts, the moment prefix by three independent
     routes, and the Hausdorff verdict."""

@@ -27,10 +27,10 @@ absolute tolerance of zero as zero (``_zero``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
+from ._record import Record
 from .rational import format_rat, over_common_denominator, parse_rat
 
 DEFAULT_FLOAT_TOL = 1e-10
@@ -39,8 +39,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class MomentSeq:
+class MomentSeq(Record):
     """Finite prefix gamma_0..gamma_N under moment testing.  The entries
     give the backend: all Fraction is exact, all float is float."""
 
@@ -98,8 +97,7 @@ class MomentSeq:
         return MomentSeq.floats(self.values)
 
 
-@dataclass(frozen=True)
-class MomentVerdict:
+class MomentVerdict(Record):
     """Outcome of a finite-depth necessary-conditions check.
 
     ``witness`` is (m, j) for a difference violation, with ``detail`` the
@@ -113,7 +111,7 @@ class MomentVerdict:
     mode: str                    # "hausdorff" | "stieltjes"
     depth: int                   # max difference order m, or Hankel order K
     top_index: int               # largest sequence index examined
-    witness: Optional[tuple] = None
+    witness: tuple | None = None
     detail: object = None
 
     @property

@@ -21,10 +21,9 @@ bounded below exactly when min(alpha, inf_{n>=2} sq(n)) > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
+from ._record import Record
 from .rational import format_rat
 
 
@@ -46,8 +45,7 @@ def xi_sq(n: int, w2sq: Fraction) -> Fraction:
     return Fraction(b + (n + 1) * a, b + n * a)
 
 
-@dataclass(frozen=True)
-class ConstantTail:
+class ConstantTail(Record):
     """sq(n) = value for every index past the explicit head."""
 
     value: Fraction
@@ -58,8 +56,7 @@ class ConstantTail:
             raise ValueError("squared weights are nonnegative")
 
 
-@dataclass(frozen=True)
-class XiTail:
+class XiTail(Record):
     """sq(n+2) = xi_sq(n, w2sq) for all n >= 0; nonincreasing, limit 1."""
 
     w2sq: Fraction
@@ -70,8 +67,7 @@ class XiTail:
             raise ValueError("xi tails require w2sq >= 1")
 
 
-@dataclass(frozen=True)
-class ReciprocalXiTail:
+class ReciprocalXiTail(Record):
     """sq(n+2) = 1 / xi_sq(n, w2sq); nondecreasing from 1/w2sq, limit 1.
 
     Not expressible as a constant or xi tail (its entries sit below 1), but
@@ -87,11 +83,10 @@ class ReciprocalXiTail:
             raise ValueError("reciprocal xi tails require w2sq >= 1")
 
 
-Tail = Union[ConstantTail, XiTail, ReciprocalXiTail]
+Tail = ConstantTail | XiTail | ReciprocalXiTail
 
 
-@dataclass(frozen=True)
-class SquaredWeights:
+class SquaredWeights(Record):
     """Squared weight moduli: an explicit head plus a total tail rule.
 
     For xi-style tails the rule covers every index >= 2 and head entries
@@ -206,8 +201,7 @@ def is_two_isometric(w: SquaredWeights) -> bool:
     return tail.w2sq == 1
 
 
-@dataclass(frozen=True)
-class OperatorReport:
+class OperatorReport(Record):
     norm_sq: Fraction
     lower_bound_sq: Fraction
     bounded: bool

@@ -17,16 +17,15 @@ and reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .moments import MomentSeq
 from .operators import SquaredWeights
 from .rational import over_common_denominator
 
 
-@dataclass(frozen=True)
-class BandedOp:
+class BandedOp(Record):
     """Truncated action on span{e_0..e_{size-1}}, on squared moduli."""
 
     weights: SquaredWeights

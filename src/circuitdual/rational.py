@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Sequence
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 
 class PoleError(ZeroDivisionError):
@@ -245,9 +245,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the values over the lcm of their denominators,
-    and that lcm: value i is Fraction(numerators[i], lcm)."""
-    lcm = math.lcm(*(v.denominator for v in values))
+    """Integer numerators of the values over the lcm of their denominators, and
+    that lcm (of balanced pairs, round by round): value i is numerators[i]/lcm."""
+    dens = [d for d in (v.denominator for v in values) if d != 1]
+    while len(dens) > 2:
+        dens = list(map(math.lcm, dens[::2], dens[1::2] + [1]))  # odd one: lcm with 1
+    lcm = math.lcm(*dens)
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from circuitdual.rational import (
     RatFn,
     decimal_str,
     format_rat,
+    over_common_denominator,
     parse_rat,
     poly_gcd,
 )
@@ -241,3 +243,11 @@ def test_canonical_equality_matches_pointwise(pn, pd, qn, qd):
             continue
         samples.append(f.eval(x0) == g.eval(x0))
     assert (f == g) == all(samples)
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=40))
+@settings(max_examples=100)
+def test_over_common_denominator_is_the_plain_lcm(values):
+    numerators, lcm = over_common_denominator(values)
+    assert lcm == math.lcm(*(v.denominator for v in values))
+    assert [F(n, lcm) for n in numerators] == values
