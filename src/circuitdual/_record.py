@@ -23,7 +23,7 @@ class Record:
             self.__post_init__()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if type(other) is not type(self):

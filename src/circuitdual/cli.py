@@ -259,8 +259,12 @@ def _cmd_family_figure(args) -> int:
     return 0
 
 
+# holds no per-call state; built at import so that forked workers inherit it
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.backend == FLOAT and not 0 < args.tol < math.inf:
             raise ValueError(

@@ -256,7 +256,7 @@ def d_taylor(m: int, order: int) -> tuple:
         u[0] += 1
         coeff = (-1) ** n * math.comb(m, n) * 2 ** (m - n)
         total = [t + coeff * c for t, c in zip(total, u)]
-    return tuple(Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(total))
+    return tuple([Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(total)])
 
 
 TABLE_MAX_ORDER = 4
@@ -349,8 +349,8 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
         raise ValueError("x_max must be positive")
     f = d_ratfn(m)
     xs = [x_max * k / steps for k in range(1, steps + 1)]
-    values = tuple(f.eval(x) for x in xs)
-    signs = tuple(-1 if v < 0 else (0 if v == 0 else 1) for v in values)
+    values = tuple([f.eval(x) for x in xs])
+    signs = tuple([-1 if v < 0 else (0 if v == 0 else 1) for v in values])
 
     prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
     first_nonneg = xs[prefix] if prefix < steps else None
@@ -394,7 +394,7 @@ def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
     rows = []
     for k in range(1, steps + 1):
         x = x_max * k / steps
-        rows.append((x, tuple(f.eval(x) for f in fns)))
+        rows.append((x, tuple([f.eval(x) for f in fns])))
     return rows
 
 

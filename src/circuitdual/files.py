@@ -54,7 +54,7 @@ def parse_weight_spec(text: str) -> SquaredWeights:
         raise ValueError("sq must be a bracketed list, e.g. sq = [1/2, 1]")
     body = sq_text[1:-1].strip()
     tokens = body.split(",") if body else ()
-    head = tuple(parse_literal(f"sq[{n}]", t) for n, t in enumerate(tokens))
+    head = tuple([parse_literal(f"sq[{n}]", t) for n, t in enumerate(tokens)])
     if not head:
         raise ValueError("sq needs at least one entry")
 

@@ -98,7 +98,7 @@ class SquaredWeights(Record):
     tail: Tail
 
     def __post_init__(self):
-        head = tuple(Fraction(v) for v in self.head)
+        head = tuple([Fraction(v) for v in self.head])
         object.__setattr__(self, "head", head)
         if any(v < 0 for v in head):
             raise ValueError("squared weights are nonnegative")
@@ -135,7 +135,7 @@ class SquaredWeights(Record):
         return self.sq(0) + self.sq(1)
 
     def prefix(self, count: int) -> tuple:
-        return tuple(self.sq(n) for n in range(count))
+        return tuple([self.sq(n) for n in range(count)])
 
     def tail_sup(self) -> Fraction:
         """Supremum of sq(n) over n >= 2 (may be a limit, not attained)."""

@@ -46,9 +46,12 @@ class BandedOp(Record):
                 f"overflow the block of size {self.size}"
             )
         sq = self._sq
-        return (v[0] * sq[0], v[0] * sq[1]) + tuple(
+        # a list, not a generator: a generator-built tuple of 11-19 items
+        # never reuses CPython's free list of its size, yet joins it when
+        # freed, until a full collection (tests/test_no_tuple_generators.py)
+        return (v[0] * sq[0], v[0] * sq[1]) + tuple([
             a * b if a else a for a, b in zip(v[1:-1], sq[2:])
-        )
+        ])
 
 
 def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
@@ -56,7 +59,7 @@ def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
     if not 0 <= k < size:
         raise ValueError(f"basis index {k} outside 0..{size - 1}")
     op = BandedOp(w, size)
-    v = tuple(Fraction(int(i == k)) for i in range(size))
+    v = tuple([Fraction(int(i == k)) for i in range(size)])
     values = [Fraction(1)]
     for _ in range(n):
         v = op.apply(v)

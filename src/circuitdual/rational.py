@@ -158,7 +158,7 @@ class Poly:
 
     def scale(self, scalar) -> "Poly":
         s = _as_fraction(scalar)
-        return Poly(tuple(s * c for c in self.coeffs))
+        return Poly(tuple([s * c for c in self.coeffs]))
 
     def __call__(self, point) -> Fraction:
         point = _as_fraction(point)
@@ -171,7 +171,7 @@ class Poly:
         if self.is_zero():
             return self
         lead = self.leading()
-        return Poly(tuple(c / lead for c in self.coeffs))
+        return Poly(tuple([c / lead for c in self.coeffs]))
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         if divisor.is_zero():

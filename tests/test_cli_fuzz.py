@@ -2,14 +2,14 @@
 
 Whatever the input, ``main`` returns (or argparse exits with) 0, 1 or 2,
 and no traceback reaches stderr; an invalid tolerance on the float backend
-always exits 2.  Sizes are drawn small (at most 20), nonpositive (down to
--2, below the floor of --count and --fiber) or beyond every cap of their
-flag, so each example stays cheap.
+always exits 2.  Each argument list runs twice, with the parser that every
+``main`` call shares and with a freshly built one, which must agree on the
+exit code, stdout and stderr.  Sizes are drawn small (at most 20),
+nonpositive (down to -2, below the floor of --count and --fiber) or beyond
+every cap of their flag, so each example stays cheap.
 """
 
 import argparse
-import contextlib
-import io
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +27,8 @@ from circuitdual.cli import (
     MAX_RESIDUAL_DEPTH,
     MAX_STEPS,
     _build_parser,
-    main,
 )
+from test_cli_parser_once import run_alone, run_in_process
 
 # the largest cap of each size flag, whatever the subcommand
 OVER_CAP = {
@@ -128,14 +128,10 @@ def argvs(draw, pools):
 @given(data=st.data())
 def test_cli_never_escapes_its_exit_codes(files, data):
     argv = data.draw(argvs(files))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    code, out, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)
     options = dict(zip(argv, argv[1:]))
     if options.get("--backend") == "float" and options.get("--tol") in TOLERANCES[1]:
         assert code == 2, argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+    assert run_alone(argv) == (code, out, err), argv
