@@ -348,16 +348,15 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
     if x_max <= 0:
         raise ValueError("x_max must be positive")
     f = d_ratfn(m)
-    xs = [x_max * k / steps for k in range(1, steps + 1)]
-    values = tuple([f.eval(x) for x in xs])
+    values = f.eval_grid(x_max, steps)
     signs = tuple([-1 if v < 0 else (0 if v == 0 else 1) for v in values])
 
     prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
-    first_nonneg = xs[prefix] if prefix < steps else None
+    first_nonneg = x_max * (prefix + 1) / steps if prefix < steps else None
 
     bracket = None
     if 1 <= prefix < steps:
-        lo, hi = xs[prefix - 1], xs[prefix]
+        lo, hi = x_max * prefix / steps, first_nonneg
         target = x_max / BRACKET_SHRINK
         while hi - lo > target:
             mid = (lo + hi) / 2
@@ -390,12 +389,11 @@ def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
     x_max = Fraction(x_max)
     if steps < 1 or x_max <= 0:
         raise ValueError("need steps >= 1 and x_max > 0")
-    fns = [d_ratfn(m) for m in FIGURE_MS]
-    rows = []
-    for k in range(1, steps + 1):
-        x = x_max * k / steps
-        rows.append((x, tuple([f.eval(x) for f in fns])))
-    return rows
+    columns = [d_ratfn(m).eval_grid(x_max, steps) for m in FIGURE_MS]
+    p, big_q = x_max.numerator, x_max.denominator * steps
+    return [
+        (Fraction(k * p, big_q), row) for k, row in enumerate(zip(*columns), 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

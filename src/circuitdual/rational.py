@@ -17,7 +17,10 @@ when it is built: its numerator and denominator coefficients scaled by the
 lcm of all their denominators.  Evaluation at p/q runs homogenised Horner
 passes over these plain integers and normalises the quotient with a single
 gcd, where a Fraction Horner pass would reduce a growing fraction at every
-coefficient.  The values returned are the same Fractions either way.
+coefficient.  The values returned are the same Fractions either way.  A
+grid k*x_max/steps, k = 1..steps, shares one denominator, so ``eval_grid``
+homogenises the coefficients once per grid and runs the Horner passes in
+the small integer k.
 
 Values are immutable after construction and all operations are pure, so
 everything here can be shared freely across threads.
@@ -349,6 +352,40 @@ class RatFn:
         return Fraction(a_h * q ** max(shift, 0), b_h * q ** max(-shift, 0))
 
     __call__ = eval
+
+    def eval_grid(self, x_max, steps: int) -> tuple:
+        """The values f(k x_max/steps) for k = 1..steps, as ``eval`` returns them.
+
+        Each grid point is k p/Q with p/q = x_max and Q = q steps, so every
+        coefficient c_i is homogenised once to c_i p^i Q^(d-i) over the
+        common degree d, and a sample is two Horner passes in k.  Both
+        passes are Q^d times a value at the point, so Q cancels.
+        """
+        x_max = _as_fraction(x_max)
+        p, big_q = x_max.numerator, x_max.denominator * steps
+        a, b = self._ints
+        d = max(len(a), len(b)) - 1
+        weights = [1] * (d + 1)  # p^i Q^(d-i), from running powers
+        p_pow = q_pow = 1
+        for i in range(d + 1):
+            weights[i] *= p_pow
+            weights[d - i] *= q_pow
+            p_pow *= p
+            q_pow *= big_q
+        a_h = [c * w for c, w in zip(a, weights)][::-1]
+        b_h = [c * w for c, w in zip(b, weights)][::-1]
+        values = []
+        for k in range(1, steps + 1):
+            b_k = 0
+            for c in b_h:
+                b_k = b_k * k + c
+            if b_k == 0:
+                raise PoleError(f"pole at x = {format_rat(Fraction(k * p, big_q))}")
+            a_k = 0
+            for c in a_h:
+                a_k = a_k * k + c
+            values.append(Fraction(a_k, b_k))
+        return tuple(values)
 
     def taylor_at_zero(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients f^(l)(0)/l! for l = 0..order, by series division."""

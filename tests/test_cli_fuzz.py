@@ -6,7 +6,9 @@ always exits 2.  Each argument list runs twice, with the parser that every
 ``main`` call shares and with a freshly built one, which must agree on the
 exit code, stdout and stderr.  Sizes are drawn small (at most 20),
 nonpositive (down to -2, below the floor of --count and --fiber) or beyond
-every cap of their flag, so each example stays cheap.
+every cap of their flag, so each example stays cheap.  A second test draws
+only ``moments check`` on the float backend in Stieltjes mode, where the
+whole grammar rarely reaches the overflow file.
 """
 
 import argparse
@@ -97,17 +99,19 @@ def _value(draw, action, pools):
     return draw(st.sampled_from(good if valid else bad))
 
 
-def _argv(draw, parser, pools):
+def _argv(draw, parser, pools, keep=(), drop=()):
+    """Arguments of ``parser``; those whose dest is in ``keep`` are kept as
+    often as required ones, those in ``drop`` never drawn."""
     options, positionals, tail = [], [], []
     for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
+        if isinstance(action, argparse._HelpAction) or action.dest in drop:
             continue
         if isinstance(action, argparse._SubParsersAction):
             name = draw(st.sampled_from(sorted(action.choices)))
             tail = [name] + _argv(draw, action.choices[name], pools)
             continue
         # required arguments are left out now and then; optional ones often
-        if draw(st.integers(0, 9)) >= (9 if action.required else 5):
+        if draw(st.integers(0, 9)) >= (9 if action.required or action.dest in keep else 5):
             continue
         if not action.option_strings:
             positionals.append(_value(draw, action, pools))
@@ -124,10 +128,7 @@ def argvs(draw, pools):
     return _argv(draw, _build_parser(), pools)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_cli_never_escapes_its_exit_codes(files, data):
-    argv = data.draw(argvs(files))
+def _check_exit(argv):
     code, out, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)
     options = dict(zip(argv, argv[1:]))
@@ -135,3 +136,32 @@ def test_cli_never_escapes_its_exit_codes(files, data):
         assert code == 2, argv
     assert "Traceback" not in err, argv
     assert run_alone(argv) == (code, out, err), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_never_escapes_its_exit_codes(files, data):
+    _check_exit(data.draw(argvs(files)))
+
+
+@st.composite
+def float_hankel_argvs(draw, pools):
+    """``moments check`` on the float backend in Stieltjes mode, nearly always
+    on a sequence file, the overflow file being the only valid one."""
+    check = _build_parser()
+    for name in ("moments", "check"):
+        sub = next(a for a in check._actions if isinstance(a, argparse._SubParsersAction))
+        check = sub.choices[name]
+    valid, invalid = pools["sequence"]
+    overflow = [path for path in valid if path.endswith("overflow.txt")]
+    pools = dict(pools, sequence=(overflow, invalid))
+    drawn = _argv(draw, check, pools, keep={"sequence"}, drop={"from_dual", "mode"})
+    return ["--backend", "float", "moments", "check", "--mode", "stieltjes"] + drawn
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_float_hankel_overflow_never_escapes(files, data):
+    # the overflow input of the float Hankel test needs four choices at
+    # once, which the whole grammar draws about once in 1,800 examples
+    _check_exit(data.draw(float_hankel_argvs(files)))

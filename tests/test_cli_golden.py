@@ -99,3 +99,24 @@ def test_golden_taylor_at_cap(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert len(out) == CAP_TAYLOR_LENGTH
     assert hashlib.sha256(out.encode()).hexdigest() == CAP_TAYLOR_SHA256
+
+
+# the largest outputs of the grid routes, pinned by length and digest as
+# recorded with per-point evaluation: a scan at the cap of --m whose first
+# crossing, in [1553/1000, 777/500], is bisected, and an exact figure at a
+# 21-character --xmax
+AT_SCALE = [
+    ("family scan --m 100 --xmax 2 --steps 500", 636,
+     "6fa597441c5d1b42154fe77a01ce8b0d0872ff2c9929b042193ae5e40c5cf709"),
+    ("family figure --xmax 9999999999/9999999997 --steps 1000 --out - --exact", 1014853,
+     "60e14b0cd09b96b652a5c40b16e03b15315c80aaf3311d648f6f9200baae9cf2"),
+]
+
+
+@pytest.mark.parametrize("command, length, digest", AT_SCALE, ids=[c[0] for c in AT_SCALE])
+def test_golden_grid_at_scale(capsys, monkeypatch, command, length, digest):
+    monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -316,6 +316,36 @@ def test_counterexample_rejects_boundary():
         counterexample_verdict(FamilyParam(F(0)))
 
 
+@pytest.mark.parametrize("m", range(15))
+def test_eval_grid_of_d_matches_pointwise(m):
+    # the scan-warm grid shapes: x_max = p/19 in [1/10, 3/5], steps 60..145
+    f = d_ratfn(m)
+    for i, steps in enumerate(range(60, 150, 5)):
+        x_max = F(2 + i % 10, 19)
+        expected = [f.eval(x_max * k / steps) for k in range(1, steps + 1)]
+        assert list(f.eval_grid(x_max, steps)) == expected
+
+
+def test_grid_routes_evaluate_only_the_bisection_pointwise(monkeypatch):
+    calls = []
+    original = RatFn.eval
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(RatFn, "eval", counting)
+    assert len(figure_rows(F(3, 5), 120)) == 120
+    assert calls == []
+    # width x_max/60 halves five times to reach x_max/1024
+    report = sign_scan(12, F(3, 5), 60)
+    assert report.bracket == (F(647, 3200), F(81, 400))
+    assert len(calls) == 5
+    calls.clear()
+    assert sign_scan(4, F(1, 10), 100).bracket is None
+    assert calls == []
+
+
 def test_figure_rows_shape_and_determinism():
     rows = figure_rows(F(1, 5), 10)
     assert len(rows) == 10

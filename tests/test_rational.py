@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction as F
 
@@ -176,6 +177,48 @@ def test_eval_matches_fraction_horner(pn, pd, x0):
             f.eval(x0)
     else:
         assert f.eval(x0) == f.num(x0) / f.den(x0)
+
+
+small_ints = st.integers(-4, 4)
+nonzero_ints = st.integers(1, 4).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@st.composite
+def grid_functions(draw):
+    """RatFns with small integer coefficients whose numerator degree is above,
+    equal to or below the denominator's, or the zero function."""
+    def int_poly(degree):
+        if degree < 0:
+            return Poly()
+        return Poly(draw(st.lists(small_ints, min_size=degree, max_size=degree))
+                    + [draw(nonzero_ints)])
+
+    den_degree = draw(st.integers(0, 4))
+    shift = draw(st.sampled_from([2, 1, 0, -1, -2, None]))  # None: zero function
+    num_degree = -1 if shift is None else den_degree + shift
+    return RatFn(int_poly(num_degree), int_poly(den_degree))
+
+
+@given(grid_functions(), st.fractions(-3, 3, max_denominator=12), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_eval_grid_matches_pointwise_eval(f, x_max, steps):
+    # per-point evaluation is the oracle of the grid route
+    try:
+        expected = [f.eval(x_max * k / steps) for k in range(1, steps + 1)]
+    except PoleError as exc:
+        with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
+            f.eval_grid(x_max, steps)
+        return
+    assert list(f.eval_grid(x_max, steps)) == expected
+
+
+def test_eval_grid_pole_and_floats():
+    f = RatFn(Poly((1,)), Poly((-1, 3)))  # 1/(3x - 1), a pole at the grid point 1/3
+    with pytest.raises(PoleError, match=r"pole at x = 1/3"):
+        f.eval_grid(1, 3)
+    assert f.eval_grid(1, 2) == (F(2), F(1, 2))
+    with pytest.raises(TypeError):
+        f.eval_grid(0.5, 3)
 
 
 def test_taylor_geometric_series():
