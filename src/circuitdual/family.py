@@ -29,26 +29,33 @@ the first positive zero of D_5 near 0.003418 and of D_6 near 0.023913.
 The symbolic layer builds D_m in integer arithmetic over the closed-form
 common denominator
 
-    L_m = 2^m (1+x)^(2m) P_m,   P_m = prod_{j=2}^{m+1} (1 + jx),
-    omega_n L_m = 2^(m-n) (1+x)^(2(m-n))
-                  (P_m + (1+2x)^2 sum_{j<n} 2^j (1+x)^(2j) P_m / (1 + (j+2)x)),
+    L_m = 2^m (1+x)^(2m) P_m,   P_m = prod_{j=2}^{m+1} (1 + jx).
 
-where each P_m / (1 + (j+2)x) is an exact synthetic division.  The
-canonical form (numerator and denominator coprime, denominator monic)
-follows without a polynomial gcd: the numerator is divided by (1+x) up to
-2m times and by each (1+jx), j = 2..m+1, once, each time only while it
-vanishes at -1/j.
+For x > 0, with r = 2(1+x)^2, q = 1 - 1/r, c = (1+2x)^2/x and the Beta
+integrals beta_k = k! x^(k+1) / P_{k+1}(x), the alternating sum collapses
+to one positive term minus positive terms (README derives it):
 
-Derivatives at 0 need no rational function.  With E = (1+x)^(-2) and
-u_n = 1 + (1+2x)^2 S_n,
+    D_m = q^m - (c/r) sum_{k<m} q^(m-1-k) beta_k.
 
-    2^m D_m = sum_{n=0}^{m} (-1)^n C(m, n) 2^(m-n) u_n E^n,
+Multiplied by L_m it gives the integer numerator N_m = D_m L_m by
 
-summed by Horner in E, on integer power series truncated after the
-requested order.  Multiplying by E is two synthetic divisions by (1+x);
-S_n is the running sum of omega_prefix, each term one truncated division
-by (1 + (j+2)x).  The only division of integers is the final one by 2^m,
-so D_m^{(l)}(0) for l <= order costs O(m * order) operations on integers.
+    N_0 = 1,
+    N_{k+1} = (1+4x+2x^2)(1+(k+2)x) N_k - k! (1+2x)^2 (2x(1+x)^2)^k,
+
+each step one product with a cubic, so N_m costs O(m^2) operations.  The
+recurrence serves both routes:
+
+- d_ratfn reduces N_m / L_m to canonical form (numerator and denominator
+  coprime, denominator monic) without a polynomial gcd: the numerator is
+  divided by (1+x) up to 2m times and by each (1+jx), j = 2..m+1, once,
+  each time only while it vanishes at -1/j.  Exactly (1+x)(1+2x) cancels
+  at every m = 1..120 checked; the (1+2x) follows from the identity, but
+  the (1+x) is only observed, so the divisions stay trials.
+- d_taylor truncates the recurrence after the requested order and divides
+  the series by the linear factors of L_m, one truncated synthetic
+  division each.  The only division of integers is the final one by 2^m,
+  so D_m^{(l)}(0) for l <= order costs O(m * order) operations on
+  integers.
 """
 
 from __future__ import annotations
@@ -170,18 +177,15 @@ def _div_linear(a, j):
     return q[:-1] if q[-1] == 0 else None
 
 
-def _s_times_p(m: int):
-    """P_m and the integer polynomials S_n P_m for n = 0..m."""
-    p = [1]
-    for j in range(2, m + 2):
-        p = _mul(p, (1, j))
-    s, power = [], [1]  # power = 2^n (1+x)^(2n)
-    out = [s]
-    for n in range(m):
-        s = _add(s, _mul(power, _div_linear(p, n + 2)))
-        power = _mul(power, (2, 4, 2))
-        out.append(s)
-    return p, out
+def _d_numerator(m: int, terms=None) -> list:
+    """N_m = D_m L_m by its recurrence (see the module docstring),
+    truncated to `terms` coefficients when given."""
+    num, term = [1], [-1, -4, -4]  # term = -k! (1+2x)^2 (2x(1+x)^2)^k
+    for k in range(m):
+        j = k + 2
+        num = _add(_mul(num, (1, j + 4, 4 * j + 2, 2 * j)), term)[:terms]
+        term = _mul(term, (0, 2 * j - 2, 4 * j - 4, 2 * j - 2))[:terms]
+    return num
 
 
 def _l_factors(m: int) -> list:
@@ -195,8 +199,6 @@ def _canonical(num, scale: int, factors) -> RatFn:
     The denominator's factors are known, so the gcd is divided out one
     linear factor at a time, for as long as num vanishes at -1/j.
     """
-    if not num:
-        return RatFn._from_reduced(Poly(), Poly.const(1))
     den = [scale]
     for j, e in factors:
         while e and (q := _div_linear(num, j)) is not None:
@@ -213,15 +215,7 @@ def _canonical(num, scale: int, factors) -> RatFn:
 def d_ratfn(m: int) -> RatFn:
     if m < 0:
         raise ValueError("index must be nonnegative")
-    # D_m L_m = sum_n (-1)^n C(m, n) A^(m-n) (P_m + (1+2x)^2 S_n P_m) with
-    # A = 2 (1+x)^2, summed by Horner in A
-    p, s = _s_times_p(m)
-    total = []
-    for n in range(m + 1):
-        coeff = (-1) ** n * math.comb(m, n)
-        term = [coeff * c for c in _add(p, _mul((1, 4, 4), s[n]))]
-        total = _add(_mul(total, (2, 4, 2)), term)
-    return _canonical(total, 2**m, _l_factors(m))
+    return _canonical(_d_numerator(m), 2**m, _l_factors(m))
 
 
 def evaluate_d(m: int, x) -> Fraction:
@@ -247,16 +241,14 @@ def d_taylor(m: int, order: int) -> tuple:
         raise ValueError("index must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # 2^m D_m by Horner in E = (1+x)^(-2) (see the module docstring)
+    # N_m / L_m as a series: one truncated division per linear factor of L_m
     terms = order + 1
-    total = [0] * terms
-    for n, s in reversed(list(enumerate(_s_series(m, terms)))):
-        total = _series_div(_series_div(total, 1), 1)
-        u = _mul((1, 4, 4), s)[:terms]
-        u[0] += 1
-        coeff = (-1) ** n * math.comb(m, n) * 2 ** (m - n)
-        total = [t + coeff * c for t, c in zip(total, u)]
-    return tuple([Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(total)])
+    series = _d_numerator(m, terms)
+    series += [0] * (terms - len(series))
+    for j, e in _l_factors(m):
+        for _ in range(e):
+            series = _series_div(series, j)
+    return tuple([Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(series)])
 
 
 TABLE_MAX_ORDER = 4

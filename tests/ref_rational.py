@@ -1,9 +1,9 @@
 """Reference algebra and derivation routes the package no longer runs.
 
-The package builds S_n, omega_n and D_m in integer arithmetic over their
-known common denominator, then only evaluates them and expands them at 0.
-The tests keep the general routes those builders replaced, as oracles on
-a small range:
+The package builds D_m in integer arithmetic over its known common
+denominator, from a recurrence for its numerator, then only evaluates it;
+its derivatives at 0 come from the same recurrence, truncated.  The tests
+keep the routes those builders replaced, as oracles on a small range:
 
 - ``Poly`` and ``RatFn`` are the package's classes with sums, products,
   quotients, powers and exact derivatives on top.  Every rational-function
@@ -11,11 +11,16 @@ a small range:
   divides out the ``poly_gcd`` of numerator and denominator.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
-- ``s_ratfn`` and ``omega_ratfn`` build S_n and omega_n with the
-  package's integer builders, as ``d_ratfn`` builds D_m.  The commands
-  take Taylor coefficients from truncated power series instead; these
-  whole rational functions, expanded by ``RatFn.taylor_at_zero``, are
-  that route's oracle.
+- ``s_ratfn``, ``omega_ratfn`` and ``ref_d_table`` build S_n, omega_n
+  and D_m in integers over their known denominators, from a table of the
+  polynomials S_n P_m.  The package built D_m this way before it took
+  D_m from the recurrence of its numerator; ``ref_d_table`` is that
+  recurrence's oracle.  Expanded by ``RatFn.taylor_at_zero``, these
+  whole rational functions are also the oracle of the truncated power
+  series the commands take Taylor coefficients from.
+- ``ref_d_taylor`` takes D_m's derivatives at 0 from the series of
+  S_0..S_m by Horner in (1+x)^(-2), the series route the recurrence
+  replaced.
 - ``omega_deriv_leibniz`` assembles omega_n^{(l)}(0) by the product rule
   from the tabulated S_n derivatives, independently of series division.
 """
@@ -30,9 +35,11 @@ from circuitdual import rational
 from circuitdual.family import (
     _add,
     _canonical,
+    _div_linear,
     _l_factors,
     _mul,
-    _s_times_p,
+    _s_series,
+    _series_div,
     s_derivatives_at_zero,
 )
 
@@ -142,7 +149,21 @@ def lift(f: rational.RatFn) -> RatFn:
     return RatFn(f.num, f.den)
 
 
-# S_n and omega_n over their known denominators, by the builders of d_ratfn
+# S_n, omega_n and D_m over their known denominators, from a table of S_n P_m
+
+
+def _s_times_p(m: int):
+    """P_m and the integer polynomials S_n P_m for n = 0..m."""
+    p = [1]
+    for j in range(2, m + 2):
+        p = _mul(p, (1, j))
+    s, power = [], [1]  # power = 2^n (1+x)^(2n)
+    out = [s]
+    for n in range(m):
+        s = _add(s, _mul(power, _div_linear(p, n + 2)))
+        power = _mul(power, (2, 4, 2))
+        out.append(s)
+    return p, out
 
 
 @lru_cache(maxsize=None)
@@ -150,6 +171,8 @@ def s_ratfn(n: int) -> rational.RatFn:
     """S_n as a reduced rational function (S_0 is the zero function)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if n == 0:
+        return rational.RatFn(0)
     _, s = _s_times_p(n)
     return _canonical(s[n], 1, _l_factors(n)[1:])  # over P_n
 
@@ -160,6 +183,38 @@ def omega_ratfn(n: int) -> rational.RatFn:
         raise ValueError("index must be nonnegative")
     p, s = _s_times_p(n)  # omega_n L_n = P_n + (1+2x)^2 S_n P_n
     return _canonical(_add(p, _mul((1, 4, 4), s[n])), 2**n, _l_factors(n))
+
+
+@lru_cache(maxsize=None)
+def ref_d_table(m: int) -> rational.RatFn:
+    """D_m from the table of S_n P_m, the build the recurrence replaced."""
+    # D_m L_m = sum_n (-1)^n C(m, n) A^(m-n) (P_m + (1+2x)^2 S_n P_m) with
+    # A = 2 (1+x)^2, summed by Horner in A
+    p, s = _s_times_p(m)
+    total = []
+    for n in range(m + 1):
+        coeff = (-1) ** n * math.comb(m, n)
+        term = [coeff * c for c in _add(p, _mul((1, 4, 4), s[n]))]
+        total = _add(_mul(total, (2, 4, 2)), term)
+    return _canonical(total, 2**m, _l_factors(m))
+
+
+def ref_d_taylor(m: int, order: int) -> tuple:
+    """D_m^{(l)}(0) for l = 0..order, from the series of S_0..S_m.
+
+    With E = (1+x)^(-2) and u_n = 1 + (1+2x)^2 S_n,
+    2^m D_m = sum_n (-1)^n C(m, n) 2^(m-n) u_n E^n, summed by Horner in E
+    on integer power series; the route the recurrence replaced.
+    """
+    terms = order + 1
+    total = [0] * terms
+    for n, s in reversed(list(enumerate(_s_series(m, terms)))):
+        total = _series_div(_series_div(total, 1), 1)
+        u = _mul((1, 4, 4), s)[:terms]
+        u[0] += 1
+        coeff = (-1) ** n * math.comb(m, n) * 2 ** (m - n)
+        total = [t + coeff * c for t, c in zip(total, u)]
+    return tuple([Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(total)])
 
 
 # The gcd-based route the family builders replaced: sums of generic RatFns,

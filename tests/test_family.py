@@ -4,6 +4,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitdual.family import (
     FamilyParam,
@@ -34,6 +36,8 @@ from ref_rational import (
     omega_deriv_leibniz,
     omega_ratfn,
     ref_d,
+    ref_d_table,
+    ref_d_taylor,
     ref_omega,
     ref_s,
     s_ratfn,
@@ -147,14 +151,55 @@ def test_d_fourth_derivative_law():
 
 
 def test_d_taylor_matches_rational_series_division():
-    # the whole D_m expanded by RatFn.taylor_at_zero, the route the
-    # truncated integer series replaced, kept as its oracle
+    # the whole D_m, built from the S_n P_m table and expanded by
+    # RatFn.taylor_at_zero, the route the truncated integer series replaced,
+    # kept as its oracle independently of the recurrence both package
+    # routes share
     for m in range(31):
         for k in (0, 1, 4, 8, 12):
-            coeffs = d_ratfn(m).taylor_at_zero(k)
+            coeffs = ref_d_table(m).taylor_at_zero(k)
             assert d_taylor(m, k) == tuple(
                 c * math.factorial(l) for l, c in enumerate(coeffs)
             )
+
+
+def test_d_ratfn_matches_table_build():
+    for m in range(41):
+        assert d_ratfn(m) == ref_d_table(m)
+
+
+def test_d_taylor_matches_s_series_route():
+    for m in range(41):
+        for k in (0, 1, 4, 8, 12):
+            assert d_taylor(m, k) == ref_d_taylor(m, k)
+
+
+def _d_one_positive_term(m, x):
+    # D_m = q^m - (c/r) sum_{k<m} q^(m-1-k) beta_k with r = 2(1+x)^2,
+    # q = 1 - 1/r, c = (1+2x)^2/x and beta_k = k! x^(k+1) / P_{k+1}(x)
+    r = 2 * (1 + x) ** 2
+    q, c = 1 - 1 / r, (1 + 2 * x) ** 2 / x
+    total, beta = F(0), x / (1 + 2 * x)  # beta_0
+    for k in range(m):
+        total = q * total + beta
+        beta *= (k + 1) * x / (1 + (k + 3) * x)
+    return q**m - c / r * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.fractions(min_value=F(1, 1000), max_value=10, max_denominator=1000),
+    m=st.integers(0, 40),
+)
+def test_d_one_positive_term_identity(x, m):
+    # the identity the numerator recurrence comes from, against the package's
+    # D_m and against the m-th differences of the dual moments
+    expected = _d_one_positive_term(m, x)
+    assert evaluate_d(m, x) == expected
+    row = list(omega_prefix(m, FamilyParam(x)))
+    for _ in range(m):
+        row = [a - b for a, b in zip(row, row[1:])]
+    assert row == [expected]
 
 
 def test_s_derivatives_match_rational_series_division():
@@ -187,7 +232,8 @@ def test_builders_match_gcd_route():
 
 
 def test_d_denominator_degree():
-    for m in range(2, 31):
+    # exactly (1+x)(1+2x) cancels from L_m, up to the --m cap
+    for m in [*range(2, 31), 60, 100]:
         assert d_ratfn(m).den.degree == 3 * m - 2
 
 
