@@ -37,25 +37,30 @@ to one positive term minus positive terms (README derives it):
 
     D_m = q^m - (c/r) sum_{k<m} q^(m-1-k) beta_k.
 
-Multiplied by L_m it gives the integer numerator N_m = D_m L_m by
+Multiplied by L_m it gives the integer numerator N_m = D_m L_m.  For
+m >= 1 exactly (1+x)(1+2x) of L_m cancels (README proves it from the
+identity), so D_m's reduced denominator is
 
-    N_0 = 1,
-    N_{k+1} = (1+4x+2x^2)(1+(k+2)x) N_k - k! (1+2x)^2 (2x(1+x)^2)^k,
+    2^m (1+x)^(2m-1) prod_{j=3}^{m+1} (1+jx),   of degree 3m - 2.
 
-each step one product with a cubic, so N_m costs O(m^2) operations.  The
+The reduced numerator M_m = N_m / ((1+x)(1+2x)) has its own
+division-free recurrence,
+
+    M_0 = 1,  M_1 = 2x,
+    M_{k+1} = (1+4x+2x^2)(1+(k+2)x) M_k - k! 2^k x^k (1+2x)(1+x)^(2k-1),
+
+each step one product with a cubic, so M_m costs O(m^2) operations.  The
 recurrence serves both routes:
 
-- d_ratfn reduces N_m / L_m to canonical form (numerator and denominator
-  coprime, denominator monic) without a polynomial gcd: the numerator is
-  divided by (1+x) up to 2m times and by each (1+jx), j = 2..m+1, once,
-  each time only while it vanishes at -1/j.  Exactly (1+x)(1+2x) cancels
-  at every m = 1..120 checked; the (1+2x) follows from the identity, but
-  the (1+x) is only observed, so the divisions stay trials.
+- d_ratfn puts M_m over the reduced denominator, built as
+  prod_{j=3}^{m+1} (1+jx) and then one product with the binomial row of
+  (1+x)^(2m-1), and scales both to a monic denominator: no polynomial gcd
+  and no trial division.
 - d_taylor truncates the recurrence after the requested order and divides
-  the series by the linear factors of L_m, one truncated synthetic
-  division each.  The only division of integers is the final one by 2^m,
-  so D_m^{(l)}(0) for l <= order costs O(m * order) operations on
-  integers.
+  the series by the 3m - 2 linear factors of the reduced denominator, one
+  truncated synthetic division each.  The only division of integers is the
+  final one by 2^m, so D_m^{(l)}(0) for l <= order costs O(m * order)
+  operations on integers.
 """
 
 from __future__ import annotations
@@ -171,51 +176,38 @@ def _series_div(a, j) -> list:
     return q
 
 
-def _div_linear(a, j):
-    """a / (1 + jx) by synthetic division, or None when it is not exact."""
-    q = _series_div(a, j)
-    return q[:-1] if q[-1] == 0 else None
-
-
 def _d_numerator(m: int, terms=None) -> list:
-    """N_m = D_m L_m by its recurrence (see the module docstring),
-    truncated to `terms` coefficients when given."""
-    num, term = [1], [-1, -4, -4]  # term = -k! (1+2x)^2 (2x(1+x)^2)^k
-    for k in range(m):
+    """M_m = D_m L_m / ((1+x)(1+2x)) by its recurrence (see the module
+    docstring), truncated to `terms` coefficients when given."""
+    if m == 0:
+        return [1]
+    num, term = [0, 2], [0, -2, -6, -4]  # term = -k! 2^k x^k (1+2x)(1+x)^(2k-1)
+    for k in range(1, m):
         j = k + 2
         num = _add(_mul(num, (1, j + 4, 4 * j + 2, 2 * j)), term)[:terms]
         term = _mul(term, (0, 2 * j - 2, 4 * j - 4, 2 * j - 2))[:terms]
-    return num
+    return num[:terms]
 
 
-def _l_factors(m: int) -> list:
-    """(j, e) with L_m = 2^m prod (1 + jx)^e."""
-    return [(1, 2 * m)] + [(j, 1) for j in range(2, m + 2)]
-
-
-def _canonical(num, scale: int, factors) -> RatFn:
-    """num / (scale prod (1 + jx)^e) as a reduced RatFn with monic denominator.
-
-    The denominator's factors are known, so the gcd is divided out one
-    linear factor at a time, for as long as num vanishes at -1/j.
-    """
-    den = [scale]
-    for j, e in factors:
-        while e and (q := _div_linear(num, j)) is not None:
-            num, e = q, e - 1
-        for _ in range(e):
-            den = _mul(den, (1, j))
-    lead = den[-1]
-    return RatFn._from_reduced(
-        Poly(Fraction(c, lead) for c in num), Poly(Fraction(c, lead) for c in den)
-    )
+def _d_factors(m: int) -> list:
+    """(j, e) with D_m's reduced denominator 2^m prod (1 + jx)^e."""
+    return [(j, 1) for j in range(3, m + 2)] + [(1, 2 * m - 1)] if m else []
 
 
 @lru_cache(maxsize=None)
 def d_ratfn(m: int) -> RatFn:
+    """D_m in lowest terms, its denominator monic and of degree 3m - 2 for
+    m >= 1 (see the module docstring)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
-    return _canonical(_d_numerator(m), 2**m, _l_factors(m))
+    den = [2**m]
+    for j, e in _d_factors(m):
+        den = _mul(den, [math.comb(e, i) * j**i for i in range(e + 1)])
+    lead = den[-1]
+    return RatFn._from_reduced(
+        Poly(Fraction(c, lead) for c in _d_numerator(m)),
+        Poly(Fraction(c, lead) for c in den),
+    )
 
 
 def evaluate_d(m: int, x) -> Fraction:
@@ -241,11 +233,12 @@ def d_taylor(m: int, order: int) -> tuple:
         raise ValueError("index must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    # N_m / L_m as a series: one truncated division per linear factor of L_m
+    # M_m over D_m's reduced denominator as a series: one truncated
+    # division per linear factor
     terms = order + 1
     series = _d_numerator(m, terms)
     series += [0] * (terms - len(series))
-    for j, e in _l_factors(m):
+    for j, e in _d_factors(m):
         for _ in range(e):
             series = _series_div(series, j)
     return tuple([Fraction(c * math.factorial(l), 2**m) for l, c in enumerate(series)])

@@ -1,9 +1,10 @@
 """Reference algebra and derivation routes the package no longer runs.
 
-The package builds D_m in integer arithmetic over its known common
-denominator, from a recurrence for its numerator, then only evaluates it;
-its derivatives at 0 come from the same recurrence, truncated.  The tests
-keep the routes those builders replaced, as oracles on a small range:
+The package builds D_m in lowest terms, from a recurrence for its reduced
+numerator over the closed form of its reduced denominator, then only
+evaluates it; its derivatives at 0 come from the same recurrence,
+truncated.  The tests keep the routes those builders replaced, as oracles
+on a small range:
 
 - ``Poly`` and ``RatFn`` are the package's classes with sums, products,
   quotients, powers and exact derivatives on top.  Every rational-function
@@ -11,11 +12,16 @@ keep the routes those builders replaced, as oracles on a small range:
   divides out the ``poly_gcd`` of numerator and denominator.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
+- ``_canonical`` reduces an integer numerator over a known factored
+  denominator by trial division: it divides by each linear factor for as
+  long as the numerator vanishes at its root.  ``ref_d_trial`` applies it
+  to the unreduced numerator N_m = D_m L_m from its own recurrence, the
+  build the package used before the cancellation was proved.
 - ``s_ratfn``, ``omega_ratfn`` and ``ref_d_table`` build S_n, omega_n
   and D_m in integers over their known denominators, from a table of the
-  polynomials S_n P_m.  The package built D_m this way before it took
-  D_m from the recurrence of its numerator; ``ref_d_table`` is that
-  recurrence's oracle.  Expanded by ``RatFn.taylor_at_zero``, these
+  polynomials S_n P_m, reduced by ``_canonical``.  The package built
+  D_m this way before it took D_m from a recurrence; ``ref_d_table`` is
+  that recurrence's oracle.  Expanded by ``RatFn.taylor_at_zero``, these
   whole rational functions are also the oracle of the truncated power
   series the commands take Taylor coefficients from.
 - ``ref_d_taylor`` takes D_m's derivatives at 0 from the series of
@@ -34,9 +40,6 @@ from functools import lru_cache
 from circuitdual import rational
 from circuitdual.family import (
     _add,
-    _canonical,
-    _div_linear,
-    _l_factors,
     _mul,
     _s_series,
     _series_div,
@@ -147,6 +150,51 @@ class RatFn(rational.RatFn):
 def lift(f: rational.RatFn) -> RatFn:
     """A package rational function as a reference one, with its algebra."""
     return RatFn(f.num, f.den)
+
+
+# Canonical form by trial division over a known factored denominator
+
+
+def _div_linear(a, j):
+    """a / (1 + jx) by synthetic division, or None when it is not exact."""
+    q = _series_div(a, j)
+    return q[:-1] if q[-1] == 0 else None
+
+
+def _l_factors(m: int) -> list:
+    """(j, e) with L_m = 2^m prod (1 + jx)^e."""
+    return [(1, 2 * m)] + [(j, 1) for j in range(2, m + 2)]
+
+
+def _canonical(num, scale: int, factors) -> rational.RatFn:
+    """num / (scale prod (1 + jx)^e) as a reduced RatFn with monic denominator.
+
+    The denominator's factors are known, so the gcd is divided out one
+    linear factor at a time, for as long as num vanishes at -1/j.
+    """
+    den = [scale]
+    for j, e in factors:
+        while e and (q := _div_linear(num, j)) is not None:
+            num, e = q, e - 1
+        for _ in range(e):
+            den = _mul(den, (1, j))
+    lead = den[-1]
+    return rational.RatFn._from_reduced(
+        rational.Poly(Fraction(c, lead) for c in num),
+        rational.Poly(Fraction(c, lead) for c in den),
+    )
+
+
+def ref_d_trial(m: int) -> rational.RatFn:
+    """D_m from the recurrence of the unreduced numerator N_m = D_m L_m,
+    reduced by trial division: the build the reduced recurrence and the
+    closed-form denominator replaced."""
+    num, term = [1], [-1, -4, -4]  # term = -k! (1+2x)^2 (2x(1+x)^2)^k
+    for k in range(m):
+        j = k + 2
+        num = _add(_mul(num, (1, j + 4, 4 * j + 2, 2 * j)), term)
+        term = _mul(term, (0, 2 * j - 2, 4 * j - 4, 2 * j - 2))
+    return _canonical(num, 2**m, _l_factors(m))
 
 
 # S_n, omega_n and D_m over their known denominators, from a table of S_n P_m

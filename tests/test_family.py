@@ -38,6 +38,7 @@ from ref_rational import (
     ref_d,
     ref_d_table,
     ref_d_taylor,
+    ref_d_trial,
     ref_omega,
     ref_s,
     s_ratfn,
@@ -232,9 +233,11 @@ def test_builders_match_gcd_route():
 
 
 def test_d_denominator_degree():
-    # exactly (1+x)(1+2x) cancels from L_m, up to the --m cap
+    # exactly (1+x)(1+2x) cancels from L_m, up to the --m cap; the trial
+    # divisions of the unreduced numerator find the same lowest terms
     for m in [*range(2, 31), 60, 100]:
         assert d_ratfn(m).den.degree == 3 * m - 2
+        assert d_ratfn(m) == ref_d_trial(m)
 
 
 def test_s_derivatives_against_closed_forms():

@@ -3,9 +3,15 @@
 ``perfbench/tracing.py`` looks its span and count points up by name when a
 traced run starts, so deleting or renaming one would crash that run.  This
 test reads the same tables and resolves each point, class attributes
-through ``vars(cls)`` as the tracer does.
+through ``vars(cls)`` as the tracer does.  A name that resolves can
+still stop seeing its layer, so one traced run pins two metrics of the
+symbolic build as well.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +35,32 @@ def test_trace_point_resolves(module, path):
         assert attr in vars(owner)
     else:
         assert callable(getattr(owner, attr))
+
+
+# a traced `family scan` in a fresh interpreter, so the wrappers never reach
+# this process; -B keeps the tracer's bytecode out of perfbench/
+TRACED_SCAN = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(TRACING.parent)!r})
+from circuitdual import cli
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+tracer.op = (0, 0)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["family", "scan", "--m", "12", "--xmax", "3/5", "--steps", "60"])
+print(json.dumps([code, tracing.layer_metrics(tracer.export(), 1)]))
+"""
+
+
+def test_traced_scan_sees_the_symbolic_build():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_SCAN],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, metrics = json.loads(done.stdout)
+    assert code == 0
+    assert metrics["family.d_build_s"] > 0
+    assert metrics["rational.max_coeff_bits"] == 52
