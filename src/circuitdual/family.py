@@ -117,19 +117,31 @@ def family_weights(p: FamilyParam) -> SquaredWeights:
 def omega_prefix(horizon: int, p: FamilyParam) -> tuple:
     """omega_0..omega_horizon, the fiber-0 dual moments, in one pass.
 
-    S_n and the power 2^n (1+x)^(2n) are running quantities, so each
-    further index costs one addition and two multiplications.
+    With x = a/b write B = 2(a+b)^2, L = (b+2a)^2, c_j = b + (j+2)a and
+    P_n = prod_{j<n} c_j, so 2^n (1+x)^(2n) = B^n / b^(2n).  Then
+    t_n = b^(2n-2) S_n P_n is an integer, t_0 = 0 and
+    t_{n+1} = b^2 c_n t_n + b B^n P_n, and
+
+        omega_n = (b^(2n) P_n + L t_n) / (B^n P_n).
+
+    The numerator's first term and the denominator are carried as running
+    products as well, so each further index costs a few products with
+    small integers and one Fraction.
     """
     if horizon < 0:
         raise ValueError("index must be nonnegative")
     x = p.x
     _check_domain(horizon, x)
-    base, lift = 2 * (1 + x) ** 2, (1 + 2 * x) ** 2
-    out, s, power = [Fraction(1)], Fraction(0), Fraction(1)  # power = base^j
+    a, b = x.numerator, x.denominator
+    big_b, lift, b_sq = 2 * (a + b) ** 2, (b + 2 * a) ** 2, b * b
+    out, t = [Fraction(1)], 0
+    head, den = 1, 1  # b^(2n) P_n and B^n P_n
     for j in range(horizon):
-        s += power / (1 + (j + 2) * x)
-        power *= base
-        out.append((1 + lift * s) / power)
+        c = b + (j + 2) * a
+        t = b_sq * c * t + b * den
+        head *= b_sq * c
+        den *= big_b * c
+        out.append(Fraction(head + lift * t, den))
     return tuple(out)
 
 

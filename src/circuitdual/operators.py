@@ -137,6 +137,26 @@ class SquaredWeights(Record):
     def prefix(self, count: int) -> tuple:
         return tuple([self.sq(n) for n in range(count)])
 
+    def pairs(self, count: int) -> list:
+        """sq(0..count-1) as reduced (numerator, denominator) integer pairs.
+
+        With sq(2) - 1 = a/b in lowest terms, an xi tail entry sq(n) is
+        (b + (n-1)a) / (b + (n-2)a), in lowest terms since the gcd of the
+        two is gcd(a, b) = 1, and a reciprocal xi entry is the same pair
+        swapped; so no Fraction is built past the head.
+        """
+        out = [(v.numerator, v.denominator) for v in self.head[:count]]
+        tail = self.tail
+        if isinstance(tail, ConstantTail):
+            value = tail.value
+            return out + [(value.numerator, value.denominator)] * (count - len(out))
+        b = tail.w2sq.denominator
+        a = tail.w2sq.numerator - b
+        ends = [(b + (n - 1) * a, b + (n - 2) * a) for n in range(len(out), count)]
+        if isinstance(tail, ReciprocalXiTail):
+            ends = [(den, num) for num, den in ends]
+        return out + ends
+
     def tail_sup(self) -> Fraction:
         """Supremum of sq(n) over n >= 2 (may be a limit, not attained)."""
         tail = self.tail
@@ -180,12 +200,19 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
     point it is sq(0)^2 + sq(0) sq(1) + sq(1) sq(2), elsewhere
     sq(n+1) sq(n+2).  For an xi tail the residuals past the head vanish
     identically, so a finite check plus the tail rule certifies all depths.
+
+    With sq(n+1) = p/q and sq(n+2) = r/s the residual at n >= 1 is
+    ((q - 2p) s + pr) / (qs), built in integers as one Fraction.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    sq = w.prefix(depth + 3)
+    sq = w.prefix(3)
     out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
-    out.extend(1 - 2 * sq[n + 1] + sq[n + 1] * sq[n + 2] for n in range(1, depth + 1))
+    pairs = w.pairs(depth + 3)[2:]
+    out.extend([
+        Fraction((q - 2 * p) * s + p * r, q * s)
+        for (p, q), (r, s) in zip(pairs, pairs[1:])
+    ])
     return tuple(out)
 
 

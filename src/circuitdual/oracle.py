@@ -9,20 +9,33 @@ and e_1 from e_0 alone, and the shift feeds e_{n+1} from e_n alone.  So
 each entry of an image is one entry of the source times one weight, and
 its squared modulus is the source's squared modulus times one squared
 weight.  A vector is therefore stored as the tuple of the squared moduli of
-its entries, all exact rationals; no square root and no sign convention is
-ever needed, and every squared norm is an exact sum of these entries, read
-as one sum of integer numerators over the lcm of the entries' denominators
-and reduced once.
+its entries, each an exact rational held as a reduced (numerator,
+denominator) pair of integers; no square root and no sign convention is
+ever needed.  Each product cancels crosswise, as ``Fraction`` does: with
+a = an/ad and b = bn/bd reduced, a b = (an/g)(bn/h) / ((ad/h)(bd/g)) with
+g = gcd(an, bd) and h = gcd(bn, ad) is reduced again, so the entries never
+grow past their values.  Every squared norm is an exact sum of these
+entries, read as one sum of integer numerators over the lcm of the
+entries' denominators and reduced once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ._record import Record
 from .moments import MomentSeq
 from .operators import SquaredWeights
-from .rational import over_common_denominator
+from .rational import balanced_lcm
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Product of two reduced (numerator, denominator) pairs, reduced."""
+    an, ad = a
+    bn, bd = b
+    g, h = gcd(an, bd), gcd(bn, ad)
+    return (an // g) * (bn // h), (ad // h) * (bd // g)
 
 
 class BandedOp(Record):
@@ -34,13 +47,14 @@ class BandedOp(Record):
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("need at least span{e_0, e_1}")
-        object.__setattr__(self, "_sq", self.weights.prefix(self.size))
+        object.__setattr__(self, "_sq", tuple(self.weights.pairs(self.size)))
 
     def apply(self, v: tuple) -> tuple:
-        """One application of the operator; support may grow by one index."""
+        """One application of the operator to a tuple of reduced
+        (numerator, denominator) pairs; support may grow by one index."""
         if len(v) != self.size:
             raise ValueError("vector size does not match the operator block")
-        if v[-1] != 0:
+        if v[-1][0] != 0:
             raise ValueError(
                 f"support reaches index {self.size - 1}; the image would "
                 f"overflow the block of size {self.size}"
@@ -49,8 +63,8 @@ class BandedOp(Record):
         # a list, not a generator: a generator-built tuple of 11-19 items
         # never reuses CPython's free list of its size, yet joins it when
         # freed, until a full collection (tests/test_no_tuple_generators.py)
-        return (v[0] * sq[0], v[0] * sq[1]) + tuple([
-            a * b if a else a for a, b in zip(v[1:-1], sq[2:])
+        return (_mul(v[0], sq[0]), _mul(v[0], sq[1])) + tuple([
+            _mul(a, b) if a[0] else a for a, b in zip(v[1:-1], sq[2:])
         ])
 
 
@@ -59,12 +73,12 @@ def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
     if not 0 <= k < size:
         raise ValueError(f"basis index {k} outside 0..{size - 1}")
     op = BandedOp(w, size)
-    v = tuple([Fraction(int(i == k)) for i in range(size)])
+    v = tuple([(int(i == k), 1) for i in range(size)])
     values = [Fraction(1)]
     for _ in range(n):
         v = op.apply(v)
-        numerators, lcm = over_common_denominator(v)
-        values.append(Fraction(sum(numerators), lcm))
+        lcm = balanced_lcm([d for _, d in v])
+        values.append(Fraction(sum([a * (lcm // d) for a, d in v]), lcm))
     return values
 
 

@@ -247,13 +247,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(f).monic()
 
 
-def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the values over the lcm of their denominators, and
-    that lcm (of balanced pairs, round by round): value i is numerators[i]/lcm."""
-    dens = [d for d in (v.denominator for v in values) if d != 1]
+def balanced_lcm(dens: Sequence[int]) -> int:
+    """lcm of positive integers, of balanced pairs round by round."""
+    dens = [d for d in dens if d != 1]
     while len(dens) > 2:
         dens = list(map(math.lcm, dens[::2], dens[1::2] + [1]))  # odd one: lcm with 1
-    lcm = math.lcm(*dens)
+    return math.lcm(*dens)
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values over the lcm of their denominators, and
+    that lcm (``balanced_lcm``): value i is numerators[i]/lcm."""
+    lcm = balanced_lcm([v.denominator for v in values])
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 

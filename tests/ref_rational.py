@@ -29,6 +29,15 @@ on a small range:
   replaced.
 - ``omega_deriv_leibniz`` assembles omega_n^{(l)}(0) by the product rule
   from the tabulated S_n derivatives, independently of series division.
+
+The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
+
+- ``ref_two_isometry_check`` takes the residuals 1 - 2h + h_2 by
+  ``Fraction`` operations on the weight prefix, five per point, the route
+  the one integer quotient per point replaced.
+- ``ref_omega_prefix`` runs S_n and 2^n (1+x)^(2n) as running ``Fraction``
+  sums and products, the route the integer numerators over their known
+  denominators replaced.
 """
 
 from __future__ import annotations
@@ -336,3 +345,23 @@ def omega_deriv_leibniz(n: int, l: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def ref_two_isometry_check(w, depth: int) -> tuple:
+    """Residuals 1 - 2h + h_2 at the points 0..depth, in Fractions."""
+    sq = w.prefix(depth + 3)
+    out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
+    out.extend(1 - 2 * sq[n + 1] + sq[n + 1] * sq[n + 2] for n in range(1, depth + 1))
+    return tuple(out)
+
+
+def ref_omega_prefix(horizon: int, x) -> tuple:
+    """omega_0..omega_horizon with S_n and 2^n (1+x)^(2n) running in Fractions."""
+    x = Fraction(x)
+    base, lift = 2 * (1 + x) ** 2, (1 + 2 * x) ** 2
+    out, s, power = [Fraction(1)], Fraction(0), Fraction(1)  # power = base^j
+    for j in range(horizon):
+        s += power / (1 + (j + 2) * x)
+        power *= base
+        out.append((1 + lift * s) / power)
+    return tuple(out)

@@ -40,6 +40,7 @@ from ref_rational import (
     ref_d_taylor,
     ref_d_trial,
     ref_omega,
+    ref_omega_prefix,
     ref_s,
     s_ratfn,
 )
@@ -98,6 +99,15 @@ def test_omega_prefix_matches_per_n_sum(x):
     assert omega_prefix(0, p) == (1,)
     with pytest.raises(ValueError, match="nonnegative"):
         omega_prefix(-1, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 6),
+    st.integers(0, 40),
+)
+def test_omega_prefix_matches_the_fraction_route(x, horizon):
+    assert omega_prefix(horizon, FamilyParam(x)) == ref_omega_prefix(horizon, x)
 
 
 def test_symbolics_conventions_and_table():

@@ -23,6 +23,8 @@ from circuitdual.operators import (
     two_isometry_check,
     xi_sq,
 )
+from ref_rational import ref_two_isometry_check
+from test_oracle import tailed_weights
 
 small_rats = st.fractions(min_value=0, max_value=3, max_denominator=10)
 
@@ -211,6 +213,15 @@ def test_two_isometry_check_reads_the_residual_formula():
     expected = [1 - 2 * w.alpha + sq(0) ** 2 + sq(0) * sq(1) + sq(1) * sq(2)]
     expected += [1 - 2 * sq(n + 1) + sq(n + 1) * sq(n + 2) for n in range(1, 9)]
     assert two_isometry_check(w, 8) == tuple(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tailed_weights(), st.integers(1, 40))
+def test_two_isometry_check_matches_the_fraction_route(w, depth):
+    # random heads: the residuals are nonzero at the circuit point, and past
+    # it too for constant and reciprocal-xi tails
+    assert two_isometry_check(w, depth) == ref_two_isometry_check(w, depth)
+    assert w.pairs(depth) == [(v.numerator, v.denominator) for v in w.prefix(depth)]
 
 
 def test_dual_moment_fiberk_examples():

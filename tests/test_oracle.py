@@ -23,20 +23,28 @@ from circuitdual.oracle import BandedOp, gram_diagonal, hsequence
 
 
 def basis(size, k):
-    return tuple(F(int(i == k)) for i in range(size))
+    return tuple((int(i == k), 1) for i in range(size))
 
 
 def test_apply_basis_rules():
     op = BandedOp(ones_weights(), 4)
     image = op.apply(basis(4, 0))
-    assert image[0] == 1
-    assert image[1] == 1
-    assert image[2] == 0
+    assert image[0] == (1, 1)
+    assert image[1] == (1, 1)
+    assert image[2] == (0, 1)
 
     w = SquaredWeights((F(1), F(1), F(1), F(1), F(9, 4)), ConstantTail(1))
     shifted = BandedOp(w, 6).apply(basis(6, 3))
-    assert [i for i, value in enumerate(shifted) if value] == [4]
-    assert shifted[4] == F(9, 4)
+    assert [i for i, (num, _) in enumerate(shifted) if num] == [4]
+    assert shifted[4] == (9, 4)
+
+
+def test_apply_keeps_entries_reduced():
+    w = SquaredWeights((F(2, 3), F(3, 4)), ConstantTail(F(4, 9)))
+    v = (F(9, 8), F(0), F(3, 2), F(0))
+    image = BandedOp(w, 4).apply(tuple((x.numerator, x.denominator) for x in v))
+    expected = (v[0] * w.sq(0), v[0] * w.sq(1), v[1] * w.sq(2), v[2] * w.sq(3))
+    assert image == tuple((x.numerator, x.denominator) for x in expected)
 
 
 def test_apply_support_overflow():
@@ -177,13 +185,15 @@ def test_fiber_zero_matches_path_sum(w):
 
 
 def _fraction_sum_route(w, k, n, size):
-    """|C^j e_k|^2 for j = 0..n, each power summed one Fraction addition at a
-    time: the route the sum over the common denominator replaced."""
-    op = BandedOp(w, size)
-    v = basis(size, k)
+    """|C^j e_k|^2 for j = 0..n by the operator's action on Fractions, each
+    power summed one Fraction addition at a time: the routes the integer
+    pairs and the sum over the common denominator replaced."""
+    sq = w.prefix(size)
+    v = [F(int(i == k)) for i in range(size)]
     values = [F(1)]
     for _ in range(n):
-        v = op.apply(v)
+        assert v[-1] == 0
+        v = [v[0] * sq[0], v[0] * sq[1]] + [a * b for a, b in zip(v[1:-1], sq[2:])]
         values.append(sum(v))
     return values
 

@@ -223,6 +223,6 @@ def test_post_init_rejects_bad_fields():
 
 def test_extra_attributes_set_in_post_init():
     op = BandedOp(WEIGHTS, 4)
-    assert op._sq == WEIGHTS.prefix(4)
+    assert op._sq == tuple((v.numerator, v.denominator) for v in WEIGHTS.prefix(4))
     assert op == BandedOp(WEIGHTS, 4) and hash(op) == hash((WEIGHTS, 4))
     assert "_sq" not in repr(op)

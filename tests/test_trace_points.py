@@ -4,8 +4,8 @@
 traced run starts, so deleting or renaming one would crash that run.  This
 test reads the same tables and resolves each point, class attributes
 through ``vars(cls)`` as the tracer does.  A name that resolves can
-still stop seeing its layer, so one traced run pins two metrics of the
-symbolic build as well.
+still stop seeing its layer, so traced runs pin two metrics of the
+symbolic build and two counts of the verdict pipeline as well.
 """
 
 import json
@@ -37,9 +37,9 @@ def test_trace_point_resolves(module, path):
         assert callable(getattr(owner, attr))
 
 
-# a traced `family scan` in a fresh interpreter, so the wrappers never reach
+# a traced `cdl` run in a fresh interpreter, so the wrappers never reach
 # this process; -B keeps the tracer's bytecode out of perfbench/
-TRACED_SCAN = f"""
+TRACED_RUN = f"""
 import contextlib, io, json, sys
 sys.path.insert(0, {str(TRACING.parent)!r})
 from circuitdual import cli
@@ -48,19 +48,35 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 tracer.op = (0, 0)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["family", "scan", "--m", "12", "--xmax", "3/5", "--steps", "60"])
+    code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps([code, tracing.layer_metrics(tracer.export(), 1)]))
 """
 
 
-def test_traced_scan_sees_the_symbolic_build():
+def traced(argv: list) -> tuple:
+    """Exit code and per-layer metrics of one traced ``cdl`` run."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-B", "-c", TRACED_SCAN],
+        [sys.executable, "-B", "-c", TRACED_RUN, json.dumps(argv)],
         capture_output=True, text=True, timeout=60, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    code, metrics = json.loads(done.stdout)
+    return tuple(json.loads(done.stdout))
+
+
+def test_traced_scan_sees_the_symbolic_build():
+    code, metrics = traced(["family", "scan", "--m", "12", "--xmax", "3/5", "--steps", "60"])
     assert code == 0
     assert metrics["family.d_build_s"] > 0
     assert metrics["rational.max_coeff_bits"] == 52
+
+
+def test_traced_verdict_counts_the_oracle_and_the_residuals():
+    code, metrics = traced(
+        ["family", "verdict", "--x", "1/7", "--horizon", "12", "--depth", "12"]
+    )
+    assert code == 0
+    # one application per power of the brute-force route
+    assert metrics["oracle.apply_calls"] == 12
+    # residuals 0..50 in the report, 0..12 behind the closed form
+    assert metrics["operators.residual_checks"] == 51 + 13
