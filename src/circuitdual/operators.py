@@ -17,6 +17,15 @@ The fiber of 0 under phi is {0, 1}; all other fibers are singletons.  So
 
 the squared norm is max(alpha, sup_{n>=2} sq(n)), and the operator is
 bounded below exactly when min(alpha, inf_{n>=2} sq(n)) > 0.
+
+Past an explicit head every tail is one rule, monotone in n and read
+without asking which tail it came from: sq(n) = (u0 + u1 n) / (v0 + v1 n)
+in reduced integers.
+
+- The constant tail p/q is (p, 0, q, 0).
+- The xi tail with sq(2) - 1 = a/b is (b - a, a, b - 2a, a), reduced
+  because gcd(b - a + an, b - 2a + an) = gcd(a, b) = 1.
+- The reciprocal xi tail is the same rule swapped, (b - 2a, a, b - a, a).
 """
 
 from __future__ import annotations
@@ -102,23 +111,29 @@ class SquaredWeights(Record):
         object.__setattr__(self, "head", head)
         if any(v < 0 for v in head):
             raise ValueError("squared weights are nonnegative")
-        if isinstance(self.tail, (XiTail, ReciprocalXiTail)):
-            if len(head) < 2:
-                raise ValueError("xi-style tails need head entries sq(0), sq(1)")
-            for i in range(2, len(head)):
-                if head[i] != self._tail_value(i):
-                    raise ValueError(
-                        f"head entry sq({i}) = {format_rat(head[i])} "
-                        "conflicts with the tail rule"
-                    )
-
-    def _tail_value(self, n: int) -> Fraction:
         tail = self.tail
         if isinstance(tail, ConstantTail):
-            return tail.value
-        if isinstance(tail, XiTail):
-            return xi_sq(n - 2, tail.w2sq)
-        return 1 / xi_sq(n - 2, tail.w2sq)
+            value = tail.value
+            rule, start = (value.numerator, 0, value.denominator, 0), len(head)
+        else:
+            if len(head) < 2:
+                raise ValueError("xi-style tails need head entries sq(0), sq(1)")
+            b = tail.w2sq.denominator
+            a = tail.w2sq.numerator - b
+            rule, start = (b - a, a, b - 2 * a, a), 2
+            if isinstance(tail, ReciprocalXiTail):
+                rule = rule[2:] + rule[:2]
+        object.__setattr__(self, "_rule", rule)
+        for i in range(start, len(head)):
+            if head[i] != self._tail_value(i):
+                raise ValueError(
+                    f"head entry sq({i}) = {format_rat(head[i])} "
+                    "conflicts with the tail rule"
+                )
+
+    def _tail_value(self, n: int) -> Fraction:
+        u0, u1, v0, v1 = self._rule
+        return Fraction(u0 + u1 * n, v0 + v1 * n)
 
     def sq(self, n: int) -> Fraction:
         if n < 0:
@@ -138,46 +153,23 @@ class SquaredWeights(Record):
         return tuple([self.sq(n) for n in range(count)])
 
     def pairs(self, count: int) -> list:
-        """sq(0..count-1) as reduced (numerator, denominator) integer pairs.
-
-        With sq(2) - 1 = a/b in lowest terms, an xi tail entry sq(n) is
-        (b + (n-1)a) / (b + (n-2)a), in lowest terms since the gcd of the
-        two is gcd(a, b) = 1, and a reciprocal xi entry is the same pair
-        swapped; so no Fraction is built past the head.
-        """
+        """sq(0..count-1) as reduced (numerator, denominator) integer pairs;
+        the tail rule is reduced, so no Fraction is built past the head."""
         out = [(v.numerator, v.denominator) for v in self.head[:count]]
-        tail = self.tail
-        if isinstance(tail, ConstantTail):
-            value = tail.value
-            return out + [(value.numerator, value.denominator)] * (count - len(out))
-        b = tail.w2sq.denominator
-        a = tail.w2sq.numerator - b
-        ends = [(b + (n - 1) * a, b + (n - 2) * a) for n in range(len(out), count)]
-        if isinstance(tail, ReciprocalXiTail):
-            ends = [(den, num) for num, den in ends]
-        return out + ends
+        u0, u1, v0, v1 = self._rule
+        return out + [(u0 + u1 * n, v0 + v1 * n) for n in range(len(out), count)]
 
-    def tail_sup(self) -> Fraction:
-        """Supremum of sq(n) over n >= 2 (may be a limit, not attained)."""
-        tail = self.tail
-        if isinstance(tail, XiTail):
-            return tail.w2sq
-        if isinstance(tail, ReciprocalXiTail):
-            return Fraction(1)
-        candidates = [tail.value]
-        candidates.extend(self.head[2:])
-        return max(candidates)
+    def tail_bounds(self) -> tuple:
+        """(inf, sup) of sq(n) over n >= 2; either may be a limit, not attained.
 
-    def tail_inf(self) -> Fraction:
-        """Infimum of sq(n) over n >= 2 (may be a limit, not attained)."""
-        tail = self.tail
-        if isinstance(tail, XiTail):
-            return Fraction(1)
-        if isinstance(tail, ReciprocalXiTail):
-            return 1 / tail.w2sq
-        candidates = [tail.value]
-        candidates.extend(self.head[2:])
-        return min(candidates)
+        The rule is monotone in n, so past the head its values lie between
+        its first value and its limit u1/v1 (the first value again when
+        v1 = 0, a constant rule).
+        """
+        _, u1, _, v1 = self._rule
+        first = self._tail_value(max(len(self.head), 2))
+        values = [*self.head[2:], first, Fraction(u1, v1) if v1 else first]
+        return min(values), max(values)
 
 
 def ones_weights() -> SquaredWeights:
@@ -198,8 +190,8 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
 
     h_2 is the Radon-Nikodym weight of the squared operator: at the circuit
     point it is sq(0)^2 + sq(0) sq(1) + sq(1) sq(2), elsewhere
-    sq(n+1) sq(n+2).  For an xi tail the residuals past the head vanish
-    identically, so a finite check plus the tail rule certifies all depths.
+    sq(n+1) sq(n+2).  ``is_two_isometric`` turns a finite check into a
+    certificate for every depth.
 
     With sq(n+1) = p/q and sq(n+2) = r/s the residual at n >= 1 is
     ((q - 2p) s + pr) / (qs), built in integers as one Fraction.
@@ -217,15 +209,17 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
 
 
 def is_two_isometric(w: SquaredWeights) -> bool:
-    """Exact head check plus a symbolic certificate for the tail rule."""
-    if any(r != 0 for r in two_isometry_check(w, max(len(w.head) + 1, 2))):
-        return False
-    tail = w.tail
-    if isinstance(tail, XiTail):
-        return True
-    if isinstance(tail, ConstantTail):
-        return tail.value == 1
-    return tail.w2sq == 1
+    """Whether the residuals of ``two_isometry_check`` vanish at every depth.
+
+    Let L = max(len(head), 2), so sq(n) = N(n) / D(n) for n >= L with N and
+    D the tail rule's linear numerator and denominator, D > 0.  For
+    n >= L - 1 the residual times D(n+1) D(n+2) is
+    D(n+1) D(n+2) - 2 N(n+1) D(n+2) + N(n+1) N(n+2), a quadratic in n.
+    The points 0..L+1 hold every residual before the rule and three of the
+    rule's, n = L-1, L, L+1; a quadratic with three zeros is zero, so the
+    residuals then vanish at every depth.
+    """
+    return all(r == 0 for r in two_isometry_check(w, max(len(w.head), 2) + 1))
 
 
 class OperatorReport(Record):
@@ -239,28 +233,21 @@ class OperatorReport(Record):
 def operator_report(w: SquaredWeights, probe_depth: int = 10) -> OperatorReport:
     """Boundedness data, the cyclicity sufficient condition, and residuals.
 
-    The tail sup and inf are closed-form (xi tails are monotone with limit
-    1), so the norm and lower bound do not depend on the probe depth; the
-    probe depth only sizes the residual list.  Cyclicity is reported via
-    the sufficient condition only: sq(n) > 0 for all n >= 1 makes e_0 a
+    The tail bounds are closed-form (the tail rule is monotone), so the
+    norm and lower bound do not depend on the probe depth; the probe depth
+    only sizes the residual list.  Cyclicity is reported via the
+    sufficient condition only: sq(n) > 0 for all n >= 1 makes e_0 a
     cyclic vector.
     """
     if probe_depth < 2:
         raise ValueError("probe depth must be at least 2")
     alpha = w.alpha
-    norm_sq = max(alpha, w.tail_sup())
-    lower_sq = min(alpha, w.tail_inf())
-
-    positive_tail = (
-        w.tail.value > 0 if isinstance(w.tail, ConstantTail) else True
-    )
-    cyclic = positive_tail and all(v > 0 for v in w.head[1:])
-
+    inf, sup = w.tail_bounds()
     return OperatorReport(
-        norm_sq=norm_sq,
-        lower_bound_sq=lower_sq,
+        norm_sq=max(alpha, sup),
+        lower_bound_sq=min(alpha, inf),
         bounded=True,
-        cyclic_sufficient=cyclic,
+        cyclic_sufficient=inf > 0 and all(v > 0 for v in w.head[1:]),
         two_isometry_residuals=two_isometry_check(w, probe_depth),
     )
 
@@ -300,10 +287,9 @@ def dual_weights(w: SquaredWeights) -> SquaredWeights:
     n >= 2.  Its Radon-Nikodym weight is the reciprocal of the original,
     and applying the construction twice returns the original entrywise.
     """
-    report_inf = min(w.alpha, w.tail_inf())
-    if report_inf <= 0:
-        raise ValueError("Cauchy dual requires an operator bounded from below")
     alpha = w.alpha
+    if min(alpha, w.tail_bounds()[0]) <= 0:
+        raise ValueError("Cauchy dual requires an operator bounded from below")
     head = [w.sq(0) / alpha ** 2, w.sq(1) / alpha ** 2]
     head.extend(1 / v for v in w.head[2:])
     tail = w.tail

@@ -38,6 +38,11 @@ The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
 - ``ref_omega_prefix`` runs S_n and 2^n (1+x)^(2n) as running ``Fraction``
   sums and products, the route the integer numerators over their known
   denominators replaced.
+
+The operators read one linear-fractional tail rule; the per-kind answers
+it replaced stay here: ``ref_tail_sup``, ``ref_tail_inf``,
+``ref_cyclic_sufficient`` and ``ref_is_two_isometric`` each ask which tail
+class the weights carry.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from circuitdual.family import (
     _series_div,
     s_derivatives_at_zero,
 )
+from circuitdual.operators import ConstantTail, ReciprocalXiTail, XiTail
 
 
 def _lift(p: rational.Poly) -> "Poly":
@@ -365,3 +371,40 @@ def ref_omega_prefix(horizon: int, x) -> tuple:
         power *= base
         out.append((1 + lift * s) / power)
     return tuple(out)
+
+
+def ref_tail_sup(w) -> Fraction:
+    """Supremum of sq(n) over n >= 2: w2sq for xi, 1 for reciprocal xi."""
+    if isinstance(w.tail, XiTail):
+        return w.tail.w2sq
+    if isinstance(w.tail, ReciprocalXiTail):
+        return Fraction(1)
+    return max([w.tail.value, *w.head[2:]])
+
+
+def ref_tail_inf(w) -> Fraction:
+    """Infimum of sq(n) over n >= 2: 1 for xi, 1/w2sq for reciprocal xi."""
+    if isinstance(w.tail, XiTail):
+        return Fraction(1)
+    if isinstance(w.tail, ReciprocalXiTail):
+        return 1 / w.tail.w2sq
+    return min([w.tail.value, *w.head[2:]])
+
+
+def ref_cyclic_sufficient(w) -> bool:
+    """sq(n) > 0 for n >= 1: only a constant tail can be zero."""
+    positive_tail = w.tail.value > 0 if isinstance(w.tail, ConstantTail) else True
+    return positive_tail and all(v > 0 for v in w.head[1:])
+
+
+def ref_is_two_isometric(w) -> bool:
+    """Residuals through one point past the head, then the tail class: an
+    xi tail is 2-isometric, a constant or reciprocal xi one only when flat."""
+    residuals = ref_two_isometry_check(w, max(len(w.head) + 1, 2))
+    if any(r != 0 for r in residuals):
+        return False
+    if isinstance(w.tail, XiTail):
+        return True
+    if isinstance(w.tail, ConstantTail):
+        return w.tail.value == 1
+    return w.tail.w2sq == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitdual import operators
 from circuitdual.family import FamilyParam, family_weights
 from circuitdual.operators import (
     ConstantTail,
@@ -23,7 +24,13 @@ from circuitdual.operators import (
     two_isometry_check,
     xi_sq,
 )
-from ref_rational import ref_two_isometry_check
+from ref_rational import (
+    ref_cyclic_sufficient,
+    ref_is_two_isometric,
+    ref_tail_inf,
+    ref_tail_sup,
+    ref_two_isometry_check,
+)
 from test_oracle import tailed_weights
 
 small_rats = st.fractions(min_value=0, max_value=3, max_denominator=10)
@@ -221,7 +228,86 @@ def test_two_isometry_check_matches_the_fraction_route(w, depth):
     # random heads: the residuals are nonzero at the circuit point, and past
     # it too for constant and reciprocal-xi tails
     assert two_isometry_check(w, depth) == ref_two_isometry_check(w, depth)
+    # both read the tail rule; test_the_tail_rule_matches_each_kinds_formula
+    # checks the rule itself
     assert w.pairs(depth) == [(v.numerator, v.denominator) for v in w.prefix(depth)]
+
+
+@st.composite
+def rule_cases(draw):
+    """Weights of each tail kind, zero entries, w2sq = 1 and longer xi heads
+    included, with the kind's own formula for sq(n), n >= 2."""
+    entries = small_rats | st.just(F(0))
+    kind = draw(st.sampled_from([ConstantTail, XiTail, ReciprocalXiTail]))
+    if kind is ConstantTail:
+        value = draw(entries)
+        head = draw(st.lists(entries, max_size=6))
+        return SquaredWeights(tuple(head), ConstantTail(value)), lambda n: value
+    s = draw(st.just(F(1)) | st.fractions(min_value=1, max_value=5, max_denominator=10 ** 6))
+
+    def formula(n):
+        value = xi_sq(n - 2, s)
+        return value if kind is XiTail else 1 / value
+
+    head = draw(st.lists(entries, min_size=2, max_size=2))
+    head += [formula(n) for n in range(2, draw(st.integers(2, 6)))]
+    return SquaredWeights(tuple(head), kind(s)), formula
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule_cases())
+def test_the_tail_rule_matches_each_kinds_formula(case):
+    w, formula = case
+    expected = [w.head[n] if n < len(w.head) else formula(n) for n in range(2, 41)]
+    assert [w.sq(n) for n in range(2, 41)] == expected
+    assert w.pairs(41)[2:] == [(v.numerator, v.denominator) for v in expected]
+
+
+@st.composite
+def near_two_isometries(draw):
+    """A 2-isometric circuit (sq0, sq1, s) finished by each tail kind with
+    the same s; only the xi tail, or a flat s = 1, stays 2-isometric."""
+    sq0, sq1 = draw(small_rats), draw(small_rats)
+    try:
+        w = construct_2isometry(sq0, sq1)
+    except ValueError:
+        w = construct_2isometry(1, sq1)  # sq(0) = 1 always completes
+    s, extra = w.sq(2), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from([ConstantTail, XiTail, ReciprocalXiTail]))
+    if kind is ConstantTail:
+        return SquaredWeights(w.head[:2] + (s,) * extra, ConstantTail(s))
+    head = SquaredWeights(w.head[:2], kind(s)).prefix(2 + extra)
+    return SquaredWeights(head, kind(s))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tailed_weights() | rule_cases().map(lambda case: case[0]) | near_two_isometries())
+def test_the_rule_answers_as_the_per_kind_routes(w):
+    report = operator_report(w, 2)
+    assert report.norm_sq == max(w.alpha, ref_tail_sup(w))
+    assert report.lower_bound_sq == min(w.alpha, ref_tail_inf(w))
+    assert report.cyclic_sufficient == ref_cyclic_sufficient(w)
+    assert is_two_isometric(w) == ref_is_two_isometric(w)
+    if min(w.alpha, ref_tail_inf(w)) > 0:
+        dual_weights(w)
+    else:
+        with pytest.raises(ValueError, match="bounded from below"):
+            dual_weights(w)
+
+
+def test_the_certificate_reads_three_residuals_past_the_head(monkeypatch):
+    # the points 0..max(len(head), 2) + 1: three zeros of the quadratic
+    # residual numerator past the head, as is_two_isometric's argument needs
+    depths = []
+    check = operators.two_isometry_check
+    monkeypatch.setattr(
+        operators, "two_isometry_check", lambda w, depth: depths.append(depth) or check(w, depth)
+    )
+    heads = [(F(1),), (F(1), F(0)), (F(1), F(0), F(1)), (F(1), F(0), F(1), F(1), F(1))]
+    assert all(is_two_isometric(SquaredWeights(h, ConstantTail(1))) for h in heads)
+    fam = family_weights(FamilyParam(F(1, 2)))
+    assert is_two_isometric(fam)
+    assert depths == [3, 3, 4, 6, max(len(fam.head), 2) + 1]
 
 
 def test_dual_moment_fiberk_examples():
