@@ -8,13 +8,11 @@ rational arithmetic.
 """
 
 from .rational import (
-    Poly,
     PoleError,
     RatFn,
     decimal_str,
     format_rat,
     parse_rat,
-    poly_gcd,
 )
 from .moments import (
     MomentSeq,

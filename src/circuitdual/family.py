@@ -54,8 +54,8 @@ recurrence serves both routes:
 
 - d_ratfn puts M_m over the reduced denominator, built as
   prod_{j=3}^{m+1} (1+jx) and then one product with the binomial row of
-  (1+x)^(2m-1), and scales both to a monic denominator: no polynomial gcd
-  and no trial division.
+  (1+x)^(2m-1), and divides both by their integer content: no polynomial
+  gcd, no trial division and no Fraction.
 - d_taylor truncates the recurrence after the requested order and divides
   the series by the 3m - 2 linear factors of the reduced denominator, one
   truncated synthetic division each.  The only division of integers is the
@@ -75,13 +75,13 @@ from .moments import MomentSeq, MomentVerdict, hausdorff_test
 from .operators import (
     OperatorReport,
     SquaredWeights,
-    XiTail,
+    construct_2isometry,
     dual_moments_fiber0,
     dual_weights,
     operator_report,
 )
 from .oracle import hsequence
-from .rational import Poly, RatFn, format_rat
+from .rational import RatFn, format_rat
 
 
 class FamilyParam(Record):
@@ -109,9 +109,8 @@ def _check_domain(n: int, x: Fraction):
 
 
 def family_weights(p: FamilyParam) -> SquaredWeights:
-    x = p.x
-    sq2 = (1 + 3 * x) / (1 + 2 * x)
-    return SquaredWeights((Fraction(1, 2), Fraction(1, 2) + x, sq2), XiTail(sq2))
+    """The 2-isometric completion of the head sq(0) = 1/2, sq(1) = 1/2 + x."""
+    return construct_2isometry(Fraction(1, 2), Fraction(1, 2) + p.x)
 
 
 def omega_prefix(horizon: int, p: FamilyParam) -> tuple:
@@ -208,18 +207,14 @@ def _d_factors(m: int) -> list:
 
 @lru_cache(maxsize=None)
 def d_ratfn(m: int) -> RatFn:
-    """D_m in lowest terms, its denominator monic and of degree 3m - 2 for
-    m >= 1 (see the module docstring)."""
+    """D_m in lowest terms, its denominator of degree 3m - 2 for m >= 1
+    (see the module docstring)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     den = [2**m]
     for j, e in _d_factors(m):
         den = _mul(den, [math.comb(e, i) * j**i for i in range(e + 1)])
-    lead = den[-1]
-    return RatFn._from_reduced(
-        Poly(Fraction(c, lead) for c in _d_numerator(m)),
-        Poly(Fraction(c, lead) for c in den),
-    )
+    return RatFn._from_ints(_d_numerator(m), den)
 
 
 def evaluate_d(m: int, x) -> Fraction:

@@ -2,25 +2,26 @@
 
 Everything on the exact path lives in the rationals: scalars are
 ``fractions.Fraction``, polynomials are dense coefficient tuples, and a
-rational function is a reduced quotient of two polynomials with a monic
-denominator.  Equality of values and of functions is therefore decidable,
-which is what the rest of the package relies on: every identity it checks
-is checked exactly, never to a tolerance.
+rational function is one pair of integer coefficient tuples in lowest
+terms, with content 1 and a positive leading denominator coefficient.
+That form is canonical, so equality of values and of functions is
+decidable, which is what the rest of the package relies on: every
+identity it checks is checked exactly, never to a tolerance.
 
-Polynomials and rational functions are values here: the package builds
-them from integer coefficient lists, then evaluates them and expands them
-at 0.  Their sums, products, quotients and derivatives, the general route
-the family builders replaced, are a test reference in tests/ref_rational.py.
-
-A rational function also keeps an integer form of itself, computed once
-when it is built: its numerator and denominator coefficients scaled by the
-lcm of all their denominators.  Evaluation at p/q runs homogenised Horner
-passes over these plain integers and normalises the quotient with a single
-gcd, where a Fraction Horner pass would reduce a growing fraction at every
-coefficient.  The values returned are the same Fractions either way.  A
-grid k*x_max/steps, k = 1..steps, shares one denominator, so ``eval_grid``
+The family builders hand such a pair to ``RatFn._from_ints``; the general
+constructor reaches it from two ``Poly``s through ``poly_gcd``.
+Evaluation at p/q runs homogenised Horner passes over the integers and
+normalises the quotient with a single gcd, where a Fraction Horner pass
+would reduce a growing fraction at every coefficient.  A grid
+k*x_max/steps, k = 1..steps, shares one denominator, so ``eval_grid``
 homogenises the coefficients once per grid and runs the Horner passes in
 the small integer k.
+
+``num`` and ``den``, the quotient as ``Poly``s of Fractions over a monic
+denominator, are views built on request for ``__repr__``, the tests and a
+benchmark tracer; no command builds a ``Poly``.  Sums, products, quotients
+and derivatives, the general route the family builders replaced, are a
+test reference in tests/ref_rational.py.
 
 Values are immutable after construction and all operations are pure, so
 everything here can be shared freely across threads.
@@ -159,10 +160,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[format_rat(c) for c in self.coeffs]})"
 
-    def scale(self, scalar) -> "Poly":
-        s = _as_fraction(scalar)
-        return Poly(tuple([s * c for c in self.coeffs]))
-
     def __call__(self, point) -> Fraction:
         point = _as_fraction(point)
         acc = Fraction(0)
@@ -195,10 +192,7 @@ class Poly:
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    return g or 1
+    return math.gcd(*coeffs) or 1
 
 
 def _int_primitive(coeffs: Sequence[int]) -> list[int]:
@@ -262,10 +256,12 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
-def _integer_form(num: Poly, den: Poly) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """num and den coefficients times the lcm of all their denominators."""
-    scaled, _ = over_common_denominator(num.coeffs + den.coeffs)
-    return tuple(scaled[:len(num.coeffs)]), tuple(scaled[len(num.coeffs):])
+def _primitive_pair(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """a and b divided by their joint content, signed so that b leads positive."""
+    g = _int_content([*a, *b])
+    if b[-1] < 0:
+        g = -g
+    return tuple([c // g for c in a]), tuple([c // g for c in b])
 
 
 def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -279,19 +275,13 @@ def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
 
 
 class RatFn:
-    """Reduced quotient of two polynomials with a monic denominator.
-
-    The canonical form (gcd divided out, denominator monic) makes equality
-    structural: two RatFn compare equal exactly when they agree as functions
-    wherever both are defined.
-
-    Construction also stores the integer form of the quotient (see the
-    module docstring), which ``eval`` uses so that a value costs one gcd
-    instead of one per coefficient.  Equality and hashing ignore it, and
-    like ``num`` and ``den`` it never changes after construction.
+    """Reduced quotient of two polynomials, held only as the integer pair
+    ``_ints`` in the canonical form of the module docstring: two RatFn
+    compare equal exactly when they agree as functions wherever both are
+    defined.  ``num`` and ``den`` are Fraction views over a monic denominator.
     """
 
-    __slots__ = ("num", "den", "_ints")
+    __slots__ = ("_ints",)
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
@@ -309,37 +299,41 @@ class RatFn:
             if g.degree >= 1:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            lead = den.leading()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        self._store(num, den)
-
-    def _store(self, num: Poly, den: Poly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_ints", _integer_form(num, den))
+        scaled, _ = over_common_denominator(num.coeffs + den.coeffs)
+        split = len(num.coeffs)
+        object.__setattr__(self, "_ints", _primitive_pair(scaled[:split], scaled[split:]))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFn is immutable")
 
     @classmethod
-    def _from_reduced(cls, num: Poly, den: Poly) -> "RatFn":
-        """Wrap a quotient the caller has already put in canonical form."""
+    def _from_ints(cls, a: Sequence[int], b: Sequence[int]) -> "RatFn":
+        """a/b for integer coefficient lists, b's leading one nonzero, that
+        share no factor of positive degree."""
         f = object.__new__(cls)
-        f._store(num, den)
+        object.__setattr__(f, "_ints", _primitive_pair(a, b))
         return f
 
+    @property
+    def num(self) -> Poly:
+        a, b = self._ints
+        return Poly([Fraction(c, b[-1]) for c in a])
+
+    @property
+    def den(self) -> Poly:
+        b = self._ints[1]
+        return Poly([Fraction(c, b[-1]) for c in b])
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._ints[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFn):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash(self._ints)
 
     def __repr__(self) -> str:
         return f"RatFn({self.num!r}, {self.den!r})"
@@ -396,15 +390,15 @@ class RatFn:
         """Coefficients f^(l)(0)/l! for l = 0..order, by series division."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        b0 = self.den(0)
-        if b0 == 0:
+        a, b = self._ints
+        if b[0] == 0:
             raise PoleError("pole at x = 0")
-        a = list(self.num.coeffs) + [Fraction(0)] * (order + 1)
-        b = list(self.den.coeffs) + [Fraction(0)] * (order + 1)
+        pad = [0] * (order + 1)
+        a, b = [*a, *pad], [*b, *pad]
         out: list[Fraction] = []
         for k in range(order + 1):
-            acc = a[k]
+            acc = Fraction(a[k])
             for i in range(1, k + 1):
                 acc -= b[i] * out[k - i]
-            out.append(acc / b0)
+            out.append(acc / b[0])
         return tuple(out)

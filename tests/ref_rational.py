@@ -6,10 +6,11 @@ evaluates it; its derivatives at 0 come from the same recurrence,
 truncated.  The tests keep the routes those builders replaced, as oracles
 on a small range:
 
-- ``Poly`` and ``RatFn`` are the package's classes with sums, products,
-  quotients, powers and exact derivatives on top.  Every rational-function
-  result goes through the package's canonicalising constructor, which
-  divides out the ``poly_gcd`` of numerator and denominator.
+- ``Poly`` and ``RatFn`` are the package's classes with scaling, sums,
+  products, quotients, powers and exact derivatives on top.  Every
+  rational-function result goes through the package's canonicalising
+  constructor, which divides out the ``poly_gcd`` of numerator and
+  denominator.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
 - ``_canonical`` reduces an integer numerator over a known factored
@@ -67,7 +68,7 @@ def _lift(p: rational.Poly) -> "Poly":
 
 
 class Poly(rational.Poly):
-    """The package's polynomial with ring operations and a derivative."""
+    """The package's polynomial with scaling, ring operations and a derivative."""
 
     __slots__ = ()
 
@@ -86,9 +87,13 @@ class Poly(rational.Poly):
     def __sub__(self, other: rational.Poly) -> "Poly":
         return self + (-_lift(other))
 
+    def scale(self, scalar) -> "Poly":
+        s = rational._as_fraction(scalar)
+        return Poly(tuple([s * c for c in self.coeffs]))
+
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, rational.Poly):
-            return _lift(self.scale(other))
+            return self.scale(other)
         if self.is_zero() or other.is_zero():
             return Poly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -119,12 +124,17 @@ class Poly(rational.Poly):
 
 class RatFn(rational.RatFn):
     """The package's rational function with field operations and
-    derivatives; its numerator and denominator are reference ``Poly``s."""
+    derivatives; its ``num`` and ``den`` views are reference ``Poly``s."""
 
     __slots__ = ()
 
-    def _store(self, num: rational.Poly, den: rational.Poly):
-        super()._store(_lift(num), _lift(den))
+    @property
+    def num(self) -> Poly:
+        return _lift(super().num)
+
+    @property
+    def den(self) -> Poly:
+        return _lift(super().den)
 
     @classmethod
     def const(cls, value) -> "RatFn":
@@ -182,7 +192,7 @@ def _l_factors(m: int) -> list:
 
 
 def _canonical(num, scale: int, factors) -> rational.RatFn:
-    """num / (scale prod (1 + jx)^e) as a reduced RatFn with monic denominator.
+    """num / (scale prod (1 + jx)^e) as a reduced RatFn.
 
     The denominator's factors are known, so the gcd is divided out one
     linear factor at a time, for as long as num vanishes at -1/j.
@@ -193,11 +203,7 @@ def _canonical(num, scale: int, factors) -> rational.RatFn:
             num, e = q, e - 1
         for _ in range(e):
             den = _mul(den, (1, j))
-    lead = den[-1]
-    return rational.RatFn._from_reduced(
-        rational.Poly(Fraction(c, lead) for c in num),
-        rational.Poly(Fraction(c, lead) for c in den),
-    )
+    return rational.RatFn._from_ints(num, den)
 
 
 def ref_d_trial(m: int) -> rational.RatFn:

@@ -3,8 +3,9 @@
 Each case runs ``cdl`` in-process on the fixture files below; ``@name`` in
 an argument list stands for the path of fixture ``name``.  A change to any
 expected output is a change of behaviour and belongs in CHANGES.md.  Every
-case runs with ``rational.poly_gcd`` patched to raise, which pins that the
-commands run no polynomial gcd.
+case runs with ``rational.poly_gcd`` and ``rational.Poly.__init__`` patched
+to raise, which pins that the commands run no polynomial gcd and build no
+Fraction polynomial.
 """
 
 import hashlib
@@ -66,6 +67,10 @@ def refuse_gcd(*args):
     raise AssertionError("a command ran a polynomial gcd")
 
 
+def refuse_poly(*args):
+    raise AssertionError("a command built a Fraction polynomial")
+
+
 def refuse_rational_route(*args):
     raise AssertionError("family taylor built a rational function")
 
@@ -73,9 +78,10 @@ def refuse_rational_route(*args):
 @pytest.mark.parametrize("command, code, stdout", CASES, ids=[c[0] for c in CASES])
 def test_golden_cli(tmp_path, capsys, monkeypatch, command, code, stdout):
     # the family builder puts D_m in canonical form over its known
-    # denominator, so no command may reach the gcd route; the cache is
-    # cleared so that each case builds what it uses
+    # denominator, in integers, so no command may reach the gcd route or
+    # build a Poly; the cache is cleared so that each case builds what it uses
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
+    monkeypatch.setattr(rational.Poly, "__init__", refuse_poly)
     family.d_ratfn.cache_clear()
     for name, values in SEQUENCES.items():
         (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
@@ -116,6 +122,7 @@ AT_SCALE = [
 @pytest.mark.parametrize("command, length, digest", AT_SCALE, ids=[c[0] for c in AT_SCALE])
 def test_golden_grid_at_scale(capsys, monkeypatch, command, length, digest):
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
+    monkeypatch.setattr(rational.Poly, "__init__", refuse_poly)
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert len(out) == length

@@ -422,5 +422,5 @@ def test_eval_matches_fraction_horner(m):
     for f in (d_ratfn(m), omega_ratfn(m), s_ratfn(m)):
         for x in xs:
             assert f.eval(x) == f.num(x) / f.den(x)
-        fresh = RatFn(f.num, f.den)  # built by __init__, not _from_reduced
+        fresh = RatFn(f.num, f.den)  # built by __init__, not _from_ints
         assert f == fresh and hash(f) == hash(fresh)

@@ -179,6 +179,29 @@ def test_eval_matches_fraction_horner(pn, pd, x0):
         assert f.eval(x0) == f.num(x0) / f.den(x0)
 
 
+nonzero_rats = rats.filter(bool)
+
+
+@given(polys, polys, nonzero_rats, rats, nonzero_rats, points)
+@settings(max_examples=50)
+def test_canonical_integer_pair(pn, pd, k, h0, h1, x0):
+    if pd.is_zero():
+        return
+    f = RatFn(pn, pd)
+    a, b = f._ints
+    assert math.gcd(*a, *b) == 1 and b[-1] > 0
+    for h in (ref.Poly.const(k), ref.Poly((h0, h1))):
+        scaled = RatFn(ref.Poly(pn.coeffs) * h, ref.Poly(pd.coeffs) * h)
+        assert scaled == f and hash(scaled) == hash(f)
+    assert RatFn._from_ints(*f._ints) == f
+    assert f.den.leading() == 1
+    if f.den(x0) == 0:
+        with pytest.raises(PoleError):
+            f.eval(x0)
+    else:
+        assert f.eval(x0) == f.num(x0) / f.den(x0)
+
+
 small_ints = st.integers(-4, 4)
 nonzero_ints = st.integers(1, 4).flatmap(lambda c: st.sampled_from([c, -c]))
 
