@@ -59,7 +59,7 @@ class MomentSeq(Record):
 
     @classmethod
     def exact(cls, values) -> "MomentSeq":
-        return cls(tuple([Fraction(v) for v in values]))
+        return cls(tuple([v if type(v) is Fraction else Fraction(v) for v in values]))
 
     @classmethod
     def floats(cls, values) -> "MomentSeq":

@@ -316,7 +316,8 @@ def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
     + sq(1) / (alpha^2 (1 + (n-1)(sq(2) - 1))): one pass over the horizon.
     The derivation uses 2-isometricity (partial tail products telescope to
     1 + j (sq(2) - 1)), hence the residual precondition on the points
-    0..horizon.
+    0..horizon.  With sq(1)/alpha^2 = s/t and sq(2) - 1 = a/b the second
+    term is s b / (t (b + (n-1) a)), built as one Fraction.
     """
     if horizon < 0:
         raise ValueError("power must be nonnegative")
@@ -329,9 +330,10 @@ def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
         )
     alpha_sq = w.alpha ** 2
     ratio, sq1, step = w.sq(0) / alpha_sq, w.sq(1) / alpha_sq, w.sq(2) - 1
+    s, t, a, b = sq1.numerator, sq1.denominator, step.numerator, step.denominator
     out = [Fraction(1)]
     for j in range(horizon):
-        out.append(ratio * out[-1] + sq1 / (1 + j * step))
+        out.append(ratio * out[-1] + Fraction(s * b, t * (b + j * a)))
     return tuple(out)
 
 

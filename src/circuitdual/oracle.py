@@ -1,22 +1,33 @@
 """Brute-force ground truth for operator powers on a finite basis block.
 
-Nothing here uses a closed form: the operator is applied step by step to
-basis vectors and squared norms are read off, which is what the rest of the
-package is checked against.
+Nothing here uses a closed form, a 2-isometry or a telescoping product:
+the squared norms |C^n e_k|^2 are read off one finite matrix power, which
+is what the rest of the package is checked against.
 
 The action never merges two sources into one index: the circuit feeds e_0
 and e_1 from e_0 alone, and the shift feeds e_{n+1} from e_n alone.  So
-each entry of an image is one entry of the source times one weight, and
-its squared modulus is the source's squared modulus times one squared
-weight.  A vector is therefore stored as the tuple of the squared moduli of
-its entries, each an exact rational held as a reduced (numerator,
-denominator) pair of integers; no square root and no sign convention is
-ever needed.  Each product cancels crosswise, as ``Fraction`` does: with
-a = an/ad and b = bn/bd reduced, a b = (an/g)(bn/h) / ((ad/h)(bd/g)) with
-g = gcd(an, bd) and h = gcd(bn, ad) is reduced again, so the entries never
-grow past their values.  Every squared norm is an exact sum of these
-entries, read as one sum of integer numerators over the lcm of the
-entries' denominators and reduced once.
+with A_ij = |<C e_j, e_i>|^2 the power A^n is |C^n|^2 entrywise, and
+
+    |C^n e_k|^2 = sum_i |<C^n e_k, e_i>|^2 = (1^T A^n)_k.
+
+The oracle reads that row from the adjoint side: u_0 = (1, 1, ...) and
+u_j = A^T u_{j-1} give u_j[k] = |C^j e_k|^2, with
+
+    u_j[0] = sq(0) u_{j-1}[0] + sq(1) u_{j-1}[1],
+    u_j[i] = sq(i+1) u_{j-1}[i+1]  (i >= 1),
+
+so the only sum has two terms.  For k >= 1 index 0 is never read, so step
+j carries only indices k..k+n-j (0..n-j for k = 0): n + 1 entries at the
+start, one fewer each step, whatever the fiber.
+
+Each entry is an exact rational held as a reduced (numerator, denominator)
+pair of integers; no square root and no sign convention is ever needed.
+Products and the two-term sum stay reduced as ``Fraction`` keeps them.  A
+product cancels crosswise: with a = an/ad and b = bn/bd reduced,
+a b = (an/g)(bn/h) / ((ad/h)(bd/g)) with g = gcd(an, bd) and
+h = gcd(bn, ad).  A sum a + b over g = gcd(ad, bd) is
+(an (bd/g) + bn (ad/g)) / ((ad/g) bd), whose only common factor divides
+g, so one more gcd with g reduces it.
 """
 
 from __future__ import annotations
@@ -27,7 +38,6 @@ from math import gcd
 from ._record import Record
 from .moments import MomentSeq
 from .operators import SquaredWeights
-from .rational import balanced_lcm
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -36,6 +46,17 @@ def _mul(a: tuple, b: tuple) -> tuple:
     bn, bd = b
     g, h = gcd(an, bd), gcd(bn, ad)
     return (an // g) * (bn // h), (ad // h) * (bd // g)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """Sum of two reduced nonnegative (numerator, denominator) pairs, reduced."""
+    an, ad = a
+    bn, bd = b
+    g = gcd(ad, bd)
+    s = ad // g
+    n = an * (bd // g) + bn * s
+    g = gcd(n, g)
+    return n // g, s * (bd // g)
 
 
 class BandedOp(Record):
@@ -49,36 +70,40 @@ class BandedOp(Record):
             raise ValueError("need at least span{e_0, e_1}")
         object.__setattr__(self, "_sq", tuple(self.weights.pairs(self.size)))
 
-    def apply(self, v: tuple) -> tuple:
-        """One application of the operator to a tuple of reduced
-        (numerator, denominator) pairs; support may grow by one index."""
-        if len(v) != self.size:
-            raise ValueError("vector size does not match the operator block")
-        if v[-1][0] != 0:
+    def apply(self, u: list, start: int = 0) -> list:
+        """One step of the adjoint action, u -> A^T u, on a window.
+
+        ``u`` holds reduced (numerator, denominator) pairs at the indices
+        start..start+len(u)-1; the image is returned on the same window
+        less its last index, which would need an entry past it.
+        """
+        end = start + len(u)
+        if len(u) < 2 or start < 0 or end > self.size:
             raise ValueError(
-                f"support reaches index {self.size - 1}; the image would "
-                f"overflow the block of size {self.size}"
+                f"window {start}..{end - 1} is not two or more indices "
+                f"inside the block 0..{self.size - 1}"
             )
         sq = self._sq
-        # a list, not a generator: a generator-built tuple of 11-19 items
-        # never reuses CPython's free list of its size, yet joins it when
-        # freed, until a full collection (tests/test_no_tuple_generators.py)
-        return (_mul(v[0], sq[0]), _mul(v[0], sq[1])) + tuple([
-            _mul(a, b) if a[0] else a for a, b in zip(v[1:-1], sq[2:])
-        ])
+        # lists and no tuple slices: CPython 3.11 files every freed 20-item
+        # tuple on a free list that no allocation takes from, up to 2,000 of
+        # them until a full collection, and the windows take every length
+        out = [_mul(a, sq[i]) for i, a in enumerate(u[1:], start + 1)]
+        if start == 0:
+            out[0] = _add(_mul(u[0], sq[0]), out[0])
+        return out
 
 
-def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
-    """|C^j e_k|^2 for j = 0..n on a block of the given size."""
-    if not 0 <= k < size:
+def _powers(w: SquaredWeights, k: int, n: int) -> list:
+    """|C^j e_k|^2 for j = 0..n, as the first entry of each window."""
+    size = max(k + n + 1, 2)
+    if k < 0:
         raise ValueError(f"basis index {k} outside 0..{size - 1}")
     op = BandedOp(w, size)
-    v = tuple([(int(i == k), 1) for i in range(size)])
+    u = [(1, 1)] * (n + 1)
     values = [Fraction(1)]
     for _ in range(n):
-        v = op.apply(v)
-        lcm = balanced_lcm([d for _, d in v])
-        values.append(Fraction(sum([a * (lcm // d) for a, d in v]), lcm))
+        u = op.apply(u, k)
+        values.append(Fraction(*u[0]))
     return values
 
 
@@ -87,21 +112,18 @@ def gram_diagonal(
 ) -> Fraction:
     """|C^n e_k|^2 by direct application; exact, no truncation error.
 
-    Any block spanning e_0..e_{k+n} suffices, since one application grows
-    the support by at most one index.
+    Any block spanning e_0..e_{k+n} suffices, since C^n e_k lies in it;
+    a larger one gives the same value at the same cost.
     """
     if k < 0 or n < 0:
         raise ValueError("fiber and power must be nonnegative")
-    needed = k + n + 1
-    if size is None:
-        size = max(needed, 2)
-    elif size < needed:
+    if size is not None and size < max(k + n + 1, 2):
         raise ValueError(f"block of size {size} cannot hold C^{n} e_{k}")
-    return _powers(w, k, n, size)[-1]
+    return _powers(w, k, n)[-1]
 
 
 def hsequence(w: SquaredWeights, k: int, n_max: int = 12) -> MomentSeq:
     """Moment prefix {|C^n e_k|^2} for n = 0..n_max, ready for testing."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
-    return MomentSeq.exact(_powers(w, k, n_max, max(k + n_max + 1, 2)))
+    return MomentSeq.exact(_powers(w, k, n_max))

@@ -20,21 +20,30 @@ from circuitdual.operators import (
     ones_weights,
 )
 from circuitdual.oracle import BandedOp, gram_diagonal, hsequence
+from ref_oracle import BandedOp as ForwardOp
+from ref_oracle import _powers as forward_powers
 
 
 def basis(size, k):
     return tuple((int(i == k), 1) for i in range(size))
 
 
+def pairs(values):
+    return [(F(x).numerator, F(x).denominator) for x in values]
+
+
+# the forward action of the reference route, on basis vectors
+
+
 def test_apply_basis_rules():
-    op = BandedOp(ones_weights(), 4)
+    op = ForwardOp(ones_weights(), 4)
     image = op.apply(basis(4, 0))
     assert image[0] == (1, 1)
     assert image[1] == (1, 1)
     assert image[2] == (0, 1)
 
     w = SquaredWeights((F(1), F(1), F(1), F(1), F(9, 4)), ConstantTail(1))
-    shifted = BandedOp(w, 6).apply(basis(6, 3))
+    shifted = ForwardOp(w, 6).apply(basis(6, 3))
     assert [i for i, (num, _) in enumerate(shifted) if num] == [4]
     assert shifted[4] == (9, 4)
 
@@ -42,17 +51,74 @@ def test_apply_basis_rules():
 def test_apply_keeps_entries_reduced():
     w = SquaredWeights((F(2, 3), F(3, 4)), ConstantTail(F(4, 9)))
     v = (F(9, 8), F(0), F(3, 2), F(0))
-    image = BandedOp(w, 4).apply(tuple((x.numerator, x.denominator) for x in v))
+    image = ForwardOp(w, 4).apply(tuple((x.numerator, x.denominator) for x in v))
     expected = (v[0] * w.sq(0), v[0] * w.sq(1), v[1] * w.sq(2), v[2] * w.sq(3))
     assert image == tuple((x.numerator, x.denominator) for x in expected)
 
 
 def test_apply_support_overflow():
-    op = BandedOp(ones_weights(), 3)
+    op = ForwardOp(ones_weights(), 3)
     with pytest.raises(ValueError, match="overflow"):
         op.apply(basis(3, 2))
     with pytest.raises(ValueError, match="does not match"):
         op.apply(basis(4, 0))
+
+
+# the package's adjoint step u -> A^T u on a window
+
+
+def test_adjoint_index_zero_rule_has_two_terms():
+    w = SquaredWeights((F(2, 3), F(5, 7), F(3)), ConstantTail(F(1, 2)))
+    u = (F(4, 5), F(9, 11), F(13, 2), F(1, 3))
+    image = BandedOp(w, 4).apply(pairs(u))
+    assert len(image) == 3
+    assert image[0] == pairs([w.sq(0) * u[0] + w.sq(1) * u[1]])[0]
+
+
+def test_adjoint_shift_rule():
+    w = SquaredWeights((F(2, 3), F(5, 7), F(3), F(7, 5)), ConstantTail(F(1, 2)))
+    u = (F(4, 5), F(9, 11), F(13, 2), F(1, 3), F(6))
+    image = BandedOp(w, 5).apply(pairs(u))
+    assert image[1:] == pairs([w.sq(i + 1) * u[i + 1] for i in range(1, 4)])
+
+
+def test_adjoint_step_keeps_entries_reduced():
+    # 1/6 + 1/3 = 3/6 reduces through the denominators' common factor 3,
+    # and (3/2)(4/9) cancels crosswise to 2/3
+    w = SquaredWeights((F(1, 2), F(1, 3)), ConstantTail(F(4, 9)))
+    image = BandedOp(w, 3).apply(pairs([F(1, 3), F(1), F(3, 2)]))
+    assert image == [(1, 2), (2, 3)]
+    rng = random.Random(2121)
+    for _ in range(50):
+        w = SquaredWeights(
+            tuple(F(rng.randint(0, 30), rng.randint(1, 30)) for _ in range(5)),
+            ConstantTail(F(rng.randint(1, 30), rng.randint(1, 30))),
+        )
+        u = [F(rng.randint(0, 30), rng.randint(1, 30)) for _ in range(5)]
+        expected = [w.sq(0) * u[0] + w.sq(1) * u[1]]
+        expected += [w.sq(i + 1) * u[i + 1] for i in range(1, 4)]
+        assert BandedOp(w, 5).apply(pairs(u)) == pairs(expected)
+
+
+def test_adjoint_window_offset():
+    w = SquaredWeights((F(2, 3), F(5, 7), F(3), F(7, 5)), ConstantTail(F(1, 2)))
+    u = pairs([F(4, 5), F(9, 11), F(13, 2), F(1, 3), F(6)])
+    op = BandedOp(w, 7)
+    full = op.apply(u)
+    # a window from index 2 reads the shift rule only, at sq(3), sq(4), ...
+    assert op.apply(u[2:], 2) == full[2:]
+    window = op.apply(u[1:], 2)
+    assert window == pairs([w.sq(3) * F(13, 2), w.sq(4) * F(1, 3), w.sq(5) * 6])
+
+
+def test_adjoint_window_precondition():
+    op = BandedOp(ones_weights(), 4)
+    ones = [(1, 1)] * 4
+    for window, start in ((ones[:1], 0), (ones + [(1, 1)], 0), (ones[:3], 2),
+                          (ones[:2], -1)):
+        with pytest.raises(ValueError, match="inside the block"):
+            op.apply(window, start)
+    assert op.apply(ones[:2], 2) == [(1, 1)]
 
 
 def test_gram_diagonal_small_powers():
@@ -185,9 +251,8 @@ def test_fiber_zero_matches_path_sum(w):
 
 
 def _fraction_sum_route(w, k, n, size):
-    """|C^j e_k|^2 for j = 0..n by the operator's action on Fractions, each
-    power summed one Fraction addition at a time: the routes the integer
-    pairs and the sum over the common denominator replaced."""
+    """|C^j e_k|^2 for j = 0..n by the operator's forward action on
+    Fractions, each power summed one Fraction addition at a time."""
     sq = w.prefix(size)
     v = [F(int(i == k)) for i in range(size)]
     values = [F(1)]
@@ -212,9 +277,19 @@ def tailed_weights(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(tailed_weights(), st.integers(0, 3), st.integers(0, 12))
-def test_common_denominator_sums_match_the_fraction_sums(w, k, n):
+def test_adjoint_powers_match_the_fraction_sums(w, k, n):
     size = max(k + n + 1, 2)
     expected = _fraction_sum_route(w, k, n, size)
     assert hsequence(w, k, n).values == tuple(expected)
     assert gram_diagonal(w, k, n) == expected[-1]
     assert gram_diagonal(w, k, n, size + 3) == expected[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tailed_weights(), st.integers(0, 6), st.integers(0, 14), st.integers(0, 3))
+def test_adjoint_route_matches_the_forward_reference(w, k, n, extra):
+    size = max(k + n + 1, 2)
+    expected = forward_powers(w, k, n, size)
+    assert forward_powers(w, k, n, size + extra) == expected
+    assert hsequence(w, k, n).values == tuple(expected)
+    assert gram_diagonal(w, k, n, size + extra) == expected[-1]
