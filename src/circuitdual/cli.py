@@ -7,12 +7,13 @@
 
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
-unless --exact is given.  Every size flag has a cap (the MAX_* constants
-below), and so has a sequence file (MAX_HORIZON + 1 values) and every
-input rational written as p/q, in --x/--xmax and in weight-spec files
-(MAX_LITERAL characters); a larger request is an input error.  So is a
-size flag below its floor where the command uses it; both messages name
-the flag.
+unless --exact is given.  Each size flag declares its floor and its cap
+(the MAX_* constants below) where it is added, and ``main`` checks every
+cap, then every floor, before the command runs; only ``moments check``
+checks three floors itself, where its mode or source uses the flag
+(--depth, --order, --horizon).  A sequence file (MAX_HORIZON + 1 values)
+and every input rational written as p/q, in --x/--xmax and in weight-spec
+files (MAX_LITERAL characters), have caps too.  Each message names the flag.
 """
 
 from __future__ import annotations
@@ -55,14 +56,17 @@ MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
 
 
-def _check_cap(flag: str, value: int, cap: int):
-    if value > cap:
-        raise ValueError(f"{flag} must be at most {cap}, got {value}")
-
-
 def _check_floor(flag: str, value: int, floor: int):
     if value < floor:
         raise ValueError(f"{flag} must be at least {floor}, got {value}")
+
+
+def _size(parser, flag: str, floor: int | None, cap: int, **kwargs):
+    """Add the integer flag ``flag`` and record its limits in the parser's
+    ``sizes`` default; a floor of None is left to the command."""
+    parser.add_argument(flag, type=int, **kwargs)
+    sizes = parser.get_default("sizes") or ()
+    parser.set_defaults(sizes=sizes + ((flag, floor, cap),))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,11 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     wco_sub = wco.add_subparsers(dest="subcommand", required=True)
     describe = wco_sub.add_parser("describe", help="norms, cyclicity, residuals")
     describe.add_argument("--spec", required=True, help="weight-spec file")
-    describe.add_argument("--depth", type=int, default=10)
+    _size(describe, "--depth", 2, MAX_RESIDUAL_DEPTH, default=10)
     describe.set_defaults(run=_cmd_wco_describe)
     dual = wco_sub.add_parser("dual", help="Cauchy dual weights")
     dual.add_argument("--spec", required=True, help="weight-spec file")
-    dual.add_argument("--count", type=int, default=10, help="entries to print")
+    _size(dual, "--count", 1, MAX_COUNT, default=10, help="entries to print")
     dual.set_defaults(run=_cmd_wco_dual)
 
     moments = sub.add_parser("moments", help="moment-sequence testing")
@@ -103,33 +107,36 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("sequence", nargs="?", help="sequence file, one value per line")
     check.add_argument("--from-dual", metavar="SPEC", help="weight-spec file; "
                        "test the dual moment sequence instead of a file")
-    check.add_argument("--fiber", type=int, default=0, help="fiber index for --from-dual")
     check.add_argument("--mode", choices=("hausdorff", "stieltjes"), default="hausdorff")
-    check.add_argument("--depth", type=int, default=6, help="max difference order (hausdorff)")
-    check.add_argument("--order", type=int, default=4, help="Hankel order (stieltjes)")
-    check.add_argument("--horizon", type=int, default=12, help="prefix length for --from-dual")
+    _size(check, "--depth", None, MAX_DEPTH, default=6,
+          help="max difference order (hausdorff)")
+    _size(check, "--order", None, MAX_HANKEL_ORDER, default=4,
+          help="Hankel order (stieltjes)")
+    _size(check, "--horizon", None, MAX_HORIZON, default=12,
+          help="prefix length for --from-dual")
+    _size(check, "--fiber", 0, MAX_FIBER, default=0, help="fiber index for --from-dual")
     check.set_defaults(run=_cmd_moments_check)
 
     family = sub.add_parser("family", help="the parametric counterexample family")
     family_sub = family.add_subparsers(dest="subcommand", required=True)
     taylor = family_sub.add_parser("taylor", help="derivatives of D_m at 0")
-    taylor.add_argument("--m", type=int, required=True)
-    taylor.add_argument("--order", type=int, default=4)
+    _size(taylor, "--m", 0, MAX_M, required=True)
+    _size(taylor, "--order", 0, MAX_ORDER, default=4)
     taylor.set_defaults(run=_cmd_family_taylor)
     scan = family_sub.add_parser("scan", help="exact sign scan of D_m")
-    scan.add_argument("--m", type=int, required=True)
+    _size(scan, "--m", 0, MAX_M, required=True)
     scan.add_argument("--xmax", default=str(FIGURE_X_MAX))
-    scan.add_argument("--steps", type=int, default=FIGURE_STEPS)
+    _size(scan, "--steps", 1, MAX_STEPS, default=FIGURE_STEPS)
     scan.set_defaults(run=_cmd_family_scan)
     verdict = family_sub.add_parser("verdict", help="full counterexample pipeline")
     verdict.add_argument("--x", required=True)
-    verdict.add_argument("--depth", type=int, default=5)
-    verdict.add_argument("--horizon", type=int, default=12)
-    verdict.add_argument("--residual-depth", type=int, default=50)
+    _size(verdict, "--horizon", 0, MAX_HORIZON, default=12)
+    _size(verdict, "--depth", 1, MAX_DEPTH, default=5)
+    _size(verdict, "--residual-depth", 2, MAX_RESIDUAL_DEPTH, default=50)
     verdict.set_defaults(run=_cmd_family_verdict)
     figure = family_sub.add_parser("figure", help="CSV of D_4, D_5, D_6 samples")
     figure.add_argument("--xmax", default=str(FIGURE_X_MAX))
-    figure.add_argument("--steps", type=int, default=FIGURE_STEPS)
+    _size(figure, "--steps", 1, MAX_STEPS, default=FIGURE_STEPS)
     figure.add_argument("--out", required=True, help="output path, or - for stdout")
     figure.add_argument("--exact", action="store_true", help="write p/q instead of decimals")
     figure.set_defaults(run=_cmd_family_figure)
@@ -137,8 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_wco_describe(args) -> int:
-    _check_cap("--depth", args.depth, MAX_RESIDUAL_DEPTH)
-    _check_floor("--depth", args.depth, 2)
     w = load_weight_spec(args.spec)
     report = operator_report(w, probe_depth=args.depth)
     print(f"norm_sq={format_rat(report.norm_sq)}")
@@ -157,8 +162,6 @@ def _cmd_wco_describe(args) -> int:
 
 
 def _cmd_wco_dual(args) -> int:
-    _check_cap("--count", args.count, MAX_COUNT)
-    _check_floor("--count", args.count, 1)
     w = load_weight_spec(args.spec)
     dual = dual_weights(w)
     report = operator_report(dual, probe_depth=2)  # the norms ignore the depth
@@ -171,11 +174,6 @@ def _cmd_wco_dual(args) -> int:
 
 
 def _cmd_moments_check(args) -> int:
-    _check_cap("--depth", args.depth, MAX_DEPTH)
-    _check_cap("--order", args.order, MAX_HANKEL_ORDER)
-    _check_cap("--horizon", args.horizon, MAX_HORIZON)
-    _check_cap("--fiber", args.fiber, MAX_FIBER)
-    _check_floor("--fiber", args.fiber, 0)
     if (args.sequence is None) == (args.from_dual is None):
         raise ValueError("give a sequence file or --from-dual, not both")
     if args.sequence is not None:
@@ -200,20 +198,12 @@ def _cmd_moments_check(args) -> int:
 
 
 def _cmd_family_taylor(args) -> int:
-    _check_cap("--m", args.m, MAX_M)
-    _check_cap("--order", args.order, MAX_ORDER)
-    _check_floor("--m", args.m, 0)
-    _check_floor("--order", args.order, 0)
     values = d_taylor(args.m, args.order)
     print(" ".join(format_rat(v) for v in values))
     return 0
 
 
 def _cmd_family_scan(args) -> int:
-    _check_cap("--m", args.m, MAX_M)
-    _check_cap("--steps", args.steps, MAX_STEPS)
-    _check_floor("--m", args.m, 0)
-    _check_floor("--steps", args.steps, 1)
     report = sign_scan(args.m, parse_literal("--xmax", args.xmax), args.steps)
     print(report.summary())
     glyphs = {-1: "-", 0: "0", 1: "+"}
@@ -226,12 +216,6 @@ def _cmd_family_scan(args) -> int:
 
 
 def _cmd_family_verdict(args) -> int:
-    _check_cap("--horizon", args.horizon, MAX_HORIZON)
-    _check_cap("--depth", args.depth, MAX_DEPTH)
-    _check_cap("--residual-depth", args.residual_depth, MAX_RESIDUAL_DEPTH)
-    _check_floor("--horizon", args.horizon, 0)
-    _check_floor("--depth", args.depth, 1)
-    _check_floor("--residual-depth", args.residual_depth, 2)
     verdict = counterexample_verdict(
         FamilyParam(parse_literal("--x", args.x)),
         depth=args.depth,
@@ -243,8 +227,6 @@ def _cmd_family_verdict(args) -> int:
 
 
 def _cmd_family_figure(args) -> int:
-    _check_cap("--steps", args.steps, MAX_STEPS)
-    _check_floor("--steps", args.steps, 1)
     rows = figure_rows(parse_literal("--xmax", args.xmax), args.steps)
     render = format_rat if args.exact else decimal_str
     lines = ["x," + ",".join(f"D{m}" for m in FIGURE_MS)]
@@ -270,6 +252,14 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"--tol must be positive and finite, got {args.tol!r}"
             )
+        # every cap of the command, then every floor, in declaration order
+        values = [getattr(args, flag[2:].replace("-", "_")) for flag, _, _ in args.sizes]
+        for (flag, _, cap), value in zip(args.sizes, values):
+            if value > cap:
+                raise ValueError(f"{flag} must be at most {cap}, got {value}")
+        for (flag, floor, _), value in zip(args.sizes, values):
+            if floor is not None:
+                _check_floor(flag, value, floor)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,18 +107,11 @@ def _powers(w: SquaredWeights, k: int, n: int) -> list:
     return values
 
 
-def gram_diagonal(
-    w: SquaredWeights, k: int, n: int, size: int | None = None
-) -> Fraction:
-    """|C^n e_k|^2 by direct application; exact, no truncation error.
-
-    Any block spanning e_0..e_{k+n} suffices, since C^n e_k lies in it;
-    a larger one gives the same value at the same cost.
-    """
+def gram_diagonal(w: SquaredWeights, k: int, n: int) -> Fraction:
+    """|C^n e_k|^2 by direct application on the block e_0..e_{k+n}, which
+    holds C^n e_k; exact, no truncation error."""
     if k < 0 or n < 0:
         raise ValueError("fiber and power must be nonnegative")
-    if size is not None and size < max(k + n + 1, 2):
-        raise ValueError(f"block of size {size} cannot hold C^{n} e_{k}")
     return _powers(w, k, n)[-1]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from circuitdual.cli import (
     MAX_ORDER,
     MAX_RESIDUAL_DEPTH,
     MAX_STEPS,
+    _build_parser,
     main,
 )
 
@@ -351,6 +353,46 @@ def test_size_floors_name_the_flag(tmp_path, capsys, argv, flag, floor):
     assert err == f"error: {flag} must be at least {floor}, got {floor - 1}\n"
     code, out, err = run(capsys, *argv, str(floor))
     assert code in (0, 1) and out and err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["family", "verdict", "--x", "1/10", "--depth", "101", "--horizon", "101"],
+     "error: --horizon must be at most 100, got 101"),
+    (["moments", "check", "@seq", "--fiber", "1001", "--depth", "101"],
+     "error: --depth must be at most 100, got 101"),
+    (["family", "taylor", "--m", "-1", "--order", "101"],
+     "error: --order must be at most 100, got 101"),
+    (["moments", "check", "@seq", "--fiber", "-1", "--order", "51"],
+     "error: --order must be at most 50, got 51"),
+    # the file loads before the floor of the mode's flag is checked
+    (["moments", "check", "@missing", "--depth", "0"], "error: [Errno 2]"),
+])
+def test_which_size_error_wins(tmp_path, capsys, argv, message):
+    # every cap before any floor, in the order the command checks its flags
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n" * 8)
+    files = {"@seq": str(seq), "@missing": str(tmp_path / "missing.txt")}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
+def _parsers(parser):
+    """``parser`` and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_every_integer_flag_has_a_cap():
+    for parser in _parsers(_build_parser()):
+        caps = {flag: cap for flag, _, cap in parser.get_default("sizes") or ()}
+        for action in parser._actions:
+            if action.type is int:
+                flag = action.option_strings[0]
+                assert type(caps.get(flag)) is int, (parser.prog, flag)
 
 
 def test_floors_skip_unused_flags(tmp_path, capsys):

@@ -6,9 +6,9 @@ always exits 2.  Each argument list runs twice, with the parser that every
 ``main`` call shares and with a freshly built one, which must agree on the
 exit code, stdout and stderr.  Sizes are drawn small (at most 20),
 nonpositive (down to -2, below the floor of --count and --fiber) or beyond
-every cap of their flag, so each example stays cheap.  A second test draws
-only ``moments check`` on the float backend in Stieltjes mode, where the
-whole grammar rarely reaches the overflow file.
+the cap that their own subcommand declares, so each example stays cheap.
+A second test draws only ``moments check`` on the float backend in
+Stieltjes mode, where the whole grammar rarely reaches the overflow file.
 """
 
 import argparse
@@ -17,32 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitdual.cli import (
-    MAX_COUNT,
-    MAX_DEPTH,
-    MAX_FIBER,
-    MAX_HANKEL_ORDER,
-    MAX_HORIZON,
-    MAX_LITERAL,
-    MAX_M,
-    MAX_ORDER,
-    MAX_RESIDUAL_DEPTH,
-    MAX_STEPS,
-    _build_parser,
-)
+from circuitdual.cli import MAX_LITERAL, _build_parser
 from test_cli_parser_once import run_alone, run_in_process
 
-# the largest cap of each size flag, whatever the subcommand
-OVER_CAP = {
-    "--m": MAX_M,
-    "--order": max(MAX_ORDER, MAX_HANKEL_ORDER),
-    "--steps": MAX_STEPS,
-    "--depth": max(MAX_DEPTH, MAX_RESIDUAL_DEPTH),
-    "--horizon": MAX_HORIZON,
-    "--residual-depth": MAX_RESIDUAL_DEPTH,
-    "--count": MAX_COUNT,
-    "--fiber": MAX_FIBER,
-}
 # invalid literals include ones whose p/q form is beyond MAX_LITERAL
 RATIONALS = (
     ["1/10", "1/500", "3/5", "1/7", "2"],
@@ -79,15 +56,15 @@ def files(tmp_path_factory):
     }
 
 
-def _value(draw, action, pools):
-    """A valid value three times in four, else an invalid or over-cap one."""
+def _value(draw, action, pools, caps):
+    """A valid value three times in four, else an invalid or over-cap one;
+    ``caps`` maps each size flag of the subcommand to its cap."""
     valid = draw(st.integers(0, 3)) > 0
-    flag = action.option_strings[0] if action.option_strings else None
     if action.type is int:
         if valid:
             return str(draw(st.integers(1, 20)))
-        if flag in OVER_CAP and draw(st.booleans()):
-            return str(OVER_CAP[flag] + draw(st.integers(1, 10 ** 6)))
+        if draw(st.booleans()):
+            return str(caps[action.option_strings[0]] + draw(st.integers(1, 10 ** 6)))
         return str(draw(st.integers(-2, 0)))
     if action.choices is not None:
         good, bad = list(action.choices), ["bogus"]
@@ -103,6 +80,7 @@ def _argv(draw, parser, pools, keep=(), drop=()):
     """Arguments of ``parser``; those whose dest is in ``keep`` are kept as
     often as required ones, those in ``drop`` never drawn."""
     options, positionals, tail = [], [], []
+    caps = {flag: cap for flag, _, cap in parser.get_default("sizes") or ()}
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction) or action.dest in drop:
             continue
@@ -114,11 +92,11 @@ def _argv(draw, parser, pools, keep=(), drop=()):
         if draw(st.integers(0, 9)) >= (9 if action.required or action.dest in keep else 5):
             continue
         if not action.option_strings:
-            positionals.append(_value(draw, action, pools))
+            positionals.append(_value(draw, action, pools, caps))
         elif action.nargs == 0:
             options.append([action.option_strings[0]])
         else:
-            options.append([action.option_strings[0], _value(draw, action, pools)])
+            options.append([action.option_strings[0], _value(draw, action, pools, caps)])
     options = draw(st.permutations(options))
     return [token for option in options for token in option] + positionals + tail
 

@@ -133,15 +133,6 @@ def test_gram_diagonal_matches_closed_form_on_dual():
     assert gram_diagonal(dual_weights(w), 0, 3) == dual_moment_fiber0(w, 3)
 
 
-def test_gram_diagonal_band_exactness():
-    w = family_weights(FamilyParam(F(1, 3)))
-    base = gram_diagonal(w, 1, 4)
-    assert gram_diagonal(w, 1, 4, size=12) == base
-    assert gram_diagonal(w, 1, 4, size=30) == base
-    with pytest.raises(ValueError):
-        gram_diagonal(w, 1, 4, size=5)
-
-
 def test_multiplicativity_off_the_circuit():
     rng = random.Random(404)
     for _ in range(20):
@@ -282,7 +273,6 @@ def test_adjoint_powers_match_the_fraction_sums(w, k, n):
     expected = _fraction_sum_route(w, k, n, size)
     assert hsequence(w, k, n).values == tuple(expected)
     assert gram_diagonal(w, k, n) == expected[-1]
-    assert gram_diagonal(w, k, n, size + 3) == expected[-1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,4 +282,4 @@ def test_adjoint_route_matches_the_forward_reference(w, k, n, extra):
     expected = forward_powers(w, k, n, size)
     assert forward_powers(w, k, n, size + extra) == expected
     assert hsequence(w, k, n).values == tuple(expected)
-    assert gram_diagonal(w, k, n, size + extra) == expected[-1]
+    assert gram_diagonal(w, k, n) == expected[-1]
