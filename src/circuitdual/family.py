@@ -214,7 +214,7 @@ def d_ratfn(m: int) -> RatFn:
     den = [2**m]
     for j, e in _d_factors(m):
         den = _mul(den, [math.comb(e, i) * j**i for i in range(e + 1)])
-    return RatFn._from_ints(_d_numerator(m), den)
+    return RatFn(_d_numerator(m), den)
 
 
 def evaluate_d(m: int, x) -> Fraction:

@@ -141,10 +141,7 @@ def diff_transform(seq: MomentSeq, m: int, j: int):
             f"prefix too short: need index {j + m}, have {seq.top_index}"
         )
     vals = seq.values
-    if seq.backend == EXACT:
-        total = Fraction(0)
-    else:
-        total = 0.0
+    total = 0
     for n in range(m + 1):
         term = math.comb(m, n) * vals[n + j]
         total = total + term if n % 2 == 0 else total - term

@@ -142,8 +142,6 @@ class SquaredWeights(Record):
             return self.head[n]
         return self._tail_value(n)
 
-    __getitem__ = sq
-
     @property
     def alpha(self) -> Fraction:
         """h(0) = sq(0) + sq(1), the squared norm of the image of e_0."""

@@ -8,8 +8,9 @@ That form is canonical, so equality of values and of functions is
 decidable, which is what the rest of the package relies on: every
 identity it checks is checked exactly, never to a tolerance.
 
-The family builders hand such a pair to ``RatFn._from_ints``; the general
-constructor reaches it from two ``Poly``s through ``poly_gcd``.
+A ``RatFn`` is built only from such a pair: the family builders know
+D_m's denominator in closed form and hand the constructor a coprime
+integer numerator and denominator, so no command runs a polynomial gcd.
 Evaluation at p/q runs homogenised Horner passes over the integers and
 normalises the quotient with a single gcd, where a Fraction Horner pass
 would reduce a growing fraction at every coefficient.  A grid
@@ -18,10 +19,12 @@ homogenises the coefficients once per grid and runs the Horner passes in
 the small integer k.
 
 ``num`` and ``den``, the quotient as ``Poly``s of Fractions over a monic
-denominator, are views built on request for ``__repr__``, the tests and a
-benchmark tracer; no command builds a ``Poly``.  Sums, products, quotients
-and derivatives, the general route the family builders replaced, are a
-test reference in tests/ref_rational.py.
+denominator, are views built on request for the tests and a benchmark
+tracer; no command builds a ``Poly``.  ``poly_gcd`` stays because that
+tracer wraps it.  The canonicalising constructor from two ``Poly``s,
+polynomial division, sums, products, quotients and derivatives, the
+general route the family builders replaced, are a test reference in
+tests/ref_rational.py.
 
 Values are immutable after construction and all operations are pure, so
 everything here can be shared freely across threads.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Sequence
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 
@@ -96,16 +99,17 @@ def format_rat(value: Fraction) -> str:
     return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
-def decimal_str(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with the given number of significant digits.
+# shared by every call and thread: divide reads prec and rounding, and the
+# flags it sets are never read
+_DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
+def decimal_str(value: Fraction) -> str:
+    """Decimal rendering to 12 significant digits.
 
     Rounding is half-even, so repeated runs produce identical bytes.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(quotient)
+    return str(_DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _as_fraction(value) -> Fraction:
@@ -115,7 +119,8 @@ def _as_fraction(value) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with Fraction coefficients, the type of
+    the ``RatFn.num`` and ``RatFn.den`` views and of ``poly_gcd``.
 
     ``coeffs[k]`` is the coefficient of x^k; trailing zeros are stripped so
     the representation is canonical.  The zero polynomial has an empty
@@ -132,10 +137,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def const(cls, value) -> "Poly":
-        return cls((value,))
 
     @property
     def degree(self) -> int:
@@ -160,35 +161,11 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[format_rat(c) for c in self.coeffs]})"
 
-    def __call__(self, point) -> Fraction:
-        point = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         lead = self.leading()
         return Poly(tuple([c / lead for c in self.coeffs]))
-
-    def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dlead = divisor.leading()
-        dd = divisor.degree
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / dlead
-            quot[k - dd] = q
-            for i, dc in enumerate(divisor.coeffs):
-                rem[k - dd + i] -= q * dc
-        return Poly(quot), Poly(rem)
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
@@ -264,6 +241,15 @@ def _primitive_pair(a: Sequence[int], b: Sequence[int]) -> tuple:
     return tuple([c // g for c in a]), tuple([c // g for c in b])
 
 
+def _int_coeffs(coeffs: Iterable[int]) -> list[int]:
+    cs = list(coeffs)
+    if not all(isinstance(c, int) for c in cs):
+        raise TypeError("RatFn coefficients must be ints")
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
 def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
     """q^d c(p/q) for the degree-d integer polynomial c, by Horner in Z."""
     acc = 0
@@ -275,7 +261,7 @@ def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
 
 
 class RatFn:
-    """Reduced quotient of two polynomials, held only as the integer pair
+    """Reduced quotient of two integer polynomials, held only as the pair
     ``_ints`` in the canonical form of the module docstring: two RatFn
     compare equal exactly when they agree as functions wherever both are
     defined.  ``num`` and ``den`` are Fraction views over a monic denominator.
@@ -283,36 +269,17 @@ class RatFn:
 
     __slots__ = ("_ints",)
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
-        if den is None:
-            den = Poly.const(1)
-        elif not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
+    def __init__(self, a: Sequence[int], b: Sequence[int]):
+        """a/b for integer coefficient sequences, lowest degree first, that
+        share no factor of positive degree; the pair is stored divided by
+        its content, and the zero function as ((), (1,))."""
+        a, b = _int_coeffs(a), _int_coeffs(b)
+        if not b:
             raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero():
-            den = Poly.const(1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree >= 1:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        scaled, _ = over_common_denominator(num.coeffs + den.coeffs)
-        split = len(num.coeffs)
-        object.__setattr__(self, "_ints", _primitive_pair(scaled[:split], scaled[split:]))
+        object.__setattr__(self, "_ints", _primitive_pair(a, b) if a else ((), (1,)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFn is immutable")
-
-    @classmethod
-    def _from_ints(cls, a: Sequence[int], b: Sequence[int]) -> "RatFn":
-        """a/b for integer coefficient lists, b's leading one nonzero, that
-        share no factor of positive degree."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "_ints", _primitive_pair(a, b))
-        return f
 
     @property
     def num(self) -> Poly:
@@ -336,7 +303,7 @@ class RatFn:
         return hash(self._ints)
 
     def __repr__(self) -> str:
-        return f"RatFn({self.num!r}, {self.den!r})"
+        return f"RatFn({self._ints[0]!r}, {self._ints[1]!r})"
 
     def eval(self, point) -> Fraction:
         point = _as_fraction(point)

@@ -6,11 +6,13 @@ evaluates it; its derivatives at 0 come from the same recurrence,
 truncated.  The tests keep the routes those builders replaced, as oracles
 on a small range:
 
-- ``Poly`` and ``RatFn`` are the package's classes with scaling, sums,
-  products, quotients, powers and exact derivatives on top.  Every
-  rational-function result goes through the package's canonicalising
-  constructor, which divides out the ``poly_gcd`` of numerator and
-  denominator.
+- ``Poly`` and ``RatFn`` are the package's classes with evaluation,
+  division with remainder, scaling, sums, products, quotients, powers and
+  exact derivatives on top.  ``RatFn`` is built from two ``Poly``s or
+  scalars by the canonicalising route the package's integer-pair
+  constructor replaced: it divides out the ``poly_gcd`` of numerator and
+  denominator and hands the quotient to that constructor as an integer
+  pair.  Every rational-function result goes through it.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
 - ``_canonical`` reduces an integer numerator over a known factored
@@ -68,9 +70,38 @@ def _lift(p: rational.Poly) -> "Poly":
 
 
 class Poly(rational.Poly):
-    """The package's polynomial with scaling, ring operations and a derivative."""
+    """The package's polynomial with evaluation, division, scaling, ring
+    operations and a derivative."""
 
     __slots__ = ()
+
+    @classmethod
+    def const(cls, value) -> "Poly":
+        return cls((value,))
+
+    def __call__(self, point) -> Fraction:
+        point = rational._as_fraction(point)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
+
+    def divmod(self, divisor: rational.Poly) -> tuple["Poly", "Poly"]:
+        if divisor.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        dlead = divisor.leading()
+        dd = divisor.degree
+        quot = [Fraction(0)] * max(len(rem) - dd, 0)
+        for k in range(len(rem) - 1, dd - 1, -1):
+            c = rem[k]
+            if c == 0:
+                continue
+            q = c / dlead
+            quot[k - dd] = q
+            for i, dc in enumerate(divisor.coeffs):
+                rem[k - dd + i] -= q * dc
+        return Poly(quot), Poly(rem)
 
     def __add__(self, other: rational.Poly) -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -123,10 +154,24 @@ class Poly(rational.Poly):
 
 
 class RatFn(rational.RatFn):
-    """The package's rational function with field operations and
-    derivatives; its ``num`` and ``den`` views are reference ``Poly``s."""
+    """The package's rational function built from two polynomials, with
+    field operations and derivatives; its ``num`` and ``den`` views are
+    reference ``Poly``s."""
 
     __slots__ = ()
+
+    def __init__(self, num, den=1):
+        """num/den for ``Poly``s or scalars, reduced by their ``poly_gcd``."""
+        num, den = (_lift(p) if isinstance(p, rational.Poly) else Poly.const(p)
+                    for p in (num, den))
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator polynomial")
+        g = rational.poly_gcd(num, den)
+        if g.degree >= 1:
+            num, den = num.divmod(g)[0], den.divmod(g)[0]
+        scaled, _ = rational.over_common_denominator(num.coeffs + den.coeffs)
+        split = len(num.coeffs)
+        super().__init__(scaled[:split], scaled[split:])
 
     @property
     def num(self) -> Poly:
@@ -203,7 +248,7 @@ def _canonical(num, scale: int, factors) -> rational.RatFn:
             num, e = q, e - 1
         for _ in range(e):
             den = _mul(den, (1, j))
-    return rational.RatFn._from_ints(num, den)
+    return rational.RatFn(num, den)
 
 
 def ref_d_trial(m: int) -> rational.RatFn:
@@ -241,7 +286,7 @@ def s_ratfn(n: int) -> rational.RatFn:
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
-        return rational.RatFn(0)
+        return rational.RatFn((), (1,))
     _, s = _s_times_p(n)
     return _canonical(s[n], 1, _l_factors(n)[1:])  # over P_n
 

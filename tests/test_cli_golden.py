@@ -3,9 +3,10 @@
 Each case runs ``cdl`` in-process on the fixture files below; ``@name`` in
 an argument list stands for the path of fixture ``name``.  A change to any
 expected output is a change of behaviour and belongs in CHANGES.md.  Every
-case runs with ``rational.poly_gcd`` and ``rational.Poly.__init__`` patched
-to raise, which pins that the commands run no polynomial gcd and build no
-Fraction polynomial.
+case runs with ``rational.poly_gcd``, ``rational.Poly.__init__`` and
+``rational.RatFn.taylor_at_zero`` patched to raise, which pins that the
+commands run no polynomial gcd, build no Fraction polynomial and expand no
+rational function into a series.
 """
 
 import hashlib
@@ -71,6 +72,10 @@ def refuse_poly(*args):
     raise AssertionError("a command built a Fraction polynomial")
 
 
+def refuse_series(*args):
+    raise AssertionError("a command ran a rational series division")
+
+
 def refuse_rational_route(*args):
     raise AssertionError("family taylor built a rational function")
 
@@ -78,10 +83,12 @@ def refuse_rational_route(*args):
 @pytest.mark.parametrize("command, code, stdout", CASES, ids=[c[0] for c in CASES])
 def test_golden_cli(tmp_path, capsys, monkeypatch, command, code, stdout):
     # the family builder puts D_m in canonical form over its known
-    # denominator, in integers, so no command may reach the gcd route or
-    # build a Poly; the cache is cleared so that each case builds what it uses
+    # denominator, in integers, so no command may reach the gcd route, build
+    # a Poly or divide series of a RatFn; the cache is cleared so that each
+    # case builds what it uses
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
     monkeypatch.setattr(rational.Poly, "__init__", refuse_poly)
+    monkeypatch.setattr(rational.RatFn, "taylor_at_zero", refuse_series)
     family.d_ratfn.cache_clear()
     for name, values in SEQUENCES.items():
         (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
@@ -123,6 +130,7 @@ AT_SCALE = [
 def test_golden_grid_at_scale(capsys, monkeypatch, command, length, digest):
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
     monkeypatch.setattr(rational.Poly, "__init__", refuse_poly)
+    monkeypatch.setattr(rational.RatFn, "taylor_at_zero", refuse_series)
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert len(out) == length

@@ -32,6 +32,12 @@ def test_diff_transform_examples():
     assert diff_transform(spike, 2, 0) == 1
     geo = MomentSeq.exact([F(1, 2) ** n for n in range(6)])
     assert diff_transform(geo, 2, 1) == F(1, 8)
+    # the sum takes the type of the entries, also for a zero sum
+    for m in (0, 2, 3):
+        assert type(diff_transform(const, m, 0)) is F
+        assert type(diff_transform(MomentSeq.floats([1] * 6), m, 0)) is float
+    assert type(diff_transform(geo, 2, 1)) is F
+    assert type(diff_transform(MomentSeq.floats([0.5 ** n for n in range(6)]), 2, 1)) is float
 
 
 def test_diff_transform_prefix_too_short():
