@@ -61,6 +61,11 @@ recurrence serves both routes:
   truncated synthetic division each.  The only division of integers is the
   final one by 2^m, so D_m^{(l)}(0) for l <= order costs O(m * order)
   operations on integers.
+
+The reduced denominator is a product of positive constants and factors
+(1 + jx), so all its coefficients are positive and it is positive for
+every x > 0.  There D_m has the sign of its stored numerator (M_m over a
+positive content), which sign_scan reads by homogenised Horner passes.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from .operators import (
     operator_report,
 )
 from .oracle import hsequence
-from .rational import RatFn, format_rat
+from .rational import RatFn, _as_fraction, _homogeneous, format_rat, grid_horner
 
 
 class FamilyParam(Record):
@@ -90,7 +95,7 @@ class FamilyParam(Record):
     x: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
+        object.__setattr__(self, "x", _as_fraction(self.x))
         if self.x < 0:
             raise ValueError("the weight family is defined for x >= 0")
 
@@ -218,7 +223,7 @@ def d_ratfn(m: int) -> RatFn:
 
 
 def evaluate_d(m: int, x) -> Fraction:
-    x = Fraction(x)
+    x = _as_fraction(x)
     _check_domain(m, x)
     return d_ratfn(m).eval(x)
 
@@ -305,7 +310,6 @@ class SignScanReport(Record):
     x_max: Fraction
     steps: int
     signs: tuple                      # -1 / 0 / +1 at k*x_max/steps, k=1..steps
-    values: tuple                     # exact sample values
     negative_prefix: int              # leading samples with D_m < 0
     first_nonnegative: Fraction | None
     bracket: tuple | None             # (lo, hi): D_m(lo) < 0 <= D_m(hi)
@@ -330,17 +334,21 @@ class SignScanReport(Record):
 def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
     """Exact signs of D_m on the grid k*x_max/steps, k = 1..steps.
 
+    D_m's reduced denominator has only positive coefficients, so for x > 0
+    D_m has the sign of its integer numerator: each sign, on the grid and at
+    the bisection's midpoints, is one homogenised Horner pass over it.
+
     When the samples change sign from negative to nonnegative, the first
     crossing is bisected down to a bracket of width x_max/1024 with
     D_m < 0 on the left end and D_m >= 0 on the right.
     """
-    x_max = Fraction(x_max)
+    x_max = _as_fraction(x_max)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if x_max <= 0:
         raise ValueError("x_max must be positive")
-    f = d_ratfn(m)
-    values = f.eval_grid(x_max, steps)
+    a = d_ratfn(m).int_numerator
+    values = grid_horner(a, len(a) - 1, x_max, steps)
     signs = tuple([-1 if v < 0 else (0 if v == 0 else 1) for v in values])
 
     prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
@@ -352,7 +360,7 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
         target = x_max / BRACKET_SHRINK
         while hi - lo > target:
             mid = (lo + hi) / 2
-            if f.eval(mid) < 0:
+            if _homogeneous(a, mid.numerator, mid.denominator) < 0:
                 lo = mid
             else:
                 hi = mid
@@ -363,7 +371,6 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
         x_max=x_max,
         steps=steps,
         signs=signs,
-        values=values,
         negative_prefix=prefix,
         first_nonnegative=first_nonneg,
         bracket=bracket,
@@ -378,7 +385,7 @@ FIGURE_STEPS = 120
 def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
     """Exact (x, D_m values for m in FIGURE_MS) rows for the sign-landscape
     table."""
-    x_max = Fraction(x_max)
+    x_max = _as_fraction(x_max)
     if steps < 1 or x_max <= 0:
         raise ValueError("need steps >= 1 and x_max > 0")
     columns = [d_ratfn(m).eval_grid(x_max, steps) for m in FIGURE_MS]

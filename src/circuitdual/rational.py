@@ -14,9 +14,10 @@ integer numerator and denominator, so no command runs a polynomial gcd.
 Evaluation at p/q runs homogenised Horner passes over the integers and
 normalises the quotient with a single gcd, where a Fraction Horner pass
 would reduce a growing fraction at every coefficient.  A grid
-k*x_max/steps, k = 1..steps, shares one denominator, so ``eval_grid``
-homogenises the coefficients once per grid and runs the Horner passes in
-the small integer k.
+k*x_max/steps, k = 1..steps, shares one denominator, so ``grid_horner``
+homogenises an integer polynomial once per grid and runs one Horner pass
+per sample in the small integer k: ``eval_grid`` runs it on both halves
+of the pair and a sign scan of D_m on the numerator alone.
 
 ``num`` and ``den``, the quotient as ``Poly``s of Fractions over a monic
 denominator, are views built on request for the tests and a benchmark
@@ -260,6 +261,22 @@ def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
+def grid_horner(coeffs: Sequence[int], d: int, x_max: Fraction, steps: int) -> list[int]:
+    """Q^d c(k x_max/steps) for k = 1..steps, c an integer polynomial of
+    degree at most d.  Each grid point is k p/Q with p/q = x_max and
+    Q = q steps, so c_i is homogenised once to c_i p^i Q^(d-i) and a sample
+    is one Horner pass in the small integer k."""
+    p, big_q = x_max.numerator, x_max.denominator * steps
+    hom = [c * p**i * big_q ** (d - i) for i, c in enumerate(coeffs)][::-1]
+    values = []
+    for k in range(1, steps + 1):
+        acc = 0
+        for c in hom:
+            acc = acc * k + c
+        values.append(acc)
+    return values
+
+
 class RatFn:
     """Reduced quotient of two integer polynomials, held only as the pair
     ``_ints`` in the canonical form of the module docstring: two RatFn
@@ -290,6 +307,11 @@ class RatFn:
     def den(self) -> Poly:
         b = self._ints[1]
         return Poly([Fraction(c, b[-1]) for c in b])
+
+    @property
+    def int_numerator(self) -> tuple:
+        """The integer numerator of the stored pair, lowest degree first."""
+        return self._ints[0]
 
     def is_zero(self) -> bool:
         return not self._ints[0]
@@ -322,36 +344,16 @@ class RatFn:
     def eval_grid(self, x_max, steps: int) -> tuple:
         """The values f(k x_max/steps) for k = 1..steps, as ``eval`` returns them.
 
-        Each grid point is k p/Q with p/q = x_max and Q = q steps, so every
-        coefficient c_i is homogenised once to c_i p^i Q^(d-i) over the
-        common degree d, and a sample is two Horner passes in k.  Both
-        passes are Q^d times a value at the point, so Q cancels.
+        Both passes of ``grid_horner`` run over the common degree d, so each
+        is Q^d times a value at the point and Q cancels.
         """
         x_max = _as_fraction(x_max)
-        p, big_q = x_max.numerator, x_max.denominator * steps
         a, b = self._ints
         d = max(len(a), len(b)) - 1
-        weights = [1] * (d + 1)  # p^i Q^(d-i), from running powers
-        p_pow = q_pow = 1
-        for i in range(d + 1):
-            weights[i] *= p_pow
-            weights[d - i] *= q_pow
-            p_pow *= p
-            q_pow *= big_q
-        a_h = [c * w for c, w in zip(a, weights)][::-1]
-        b_h = [c * w for c, w in zip(b, weights)][::-1]
-        values = []
-        for k in range(1, steps + 1):
-            b_k = 0
-            for c in b_h:
-                b_k = b_k * k + c
-            if b_k == 0:
-                raise PoleError(f"pole at x = {format_rat(Fraction(k * p, big_q))}")
-            a_k = 0
-            for c in a_h:
-                a_k = a_k * k + c
-            values.append(Fraction(a_k, b_k))
-        return tuple(values)
+        b_k = grid_horner(b, d, x_max, steps)
+        if 0 in b_k:
+            raise PoleError(f"pole at x = {format_rat(x_max * (b_k.index(0) + 1) / steps)}")
+        return tuple(map(Fraction, grid_horner(a, d, x_max, steps), b_k))
 
     def taylor_at_zero(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients f^(l)(0)/l! for l = 0..order, by series division."""

@@ -328,7 +328,55 @@ def test_sign_scan_m4_nonnegative():
 def test_sign_scan_m0_constant_one():
     report = sign_scan(0, F(1, 2), 10)
     assert all(s == 1 for s in report.signs)
-    assert all(v == 1 for v in report.values)
+    assert all(v == 1 for v in d_ratfn(0).eval_grid(F(1, 2), 10))
+
+
+@pytest.mark.parametrize("m", range(101))
+def test_d_denominator_coefficients_are_positive(m):
+    # so D_m's denominator is positive for x > 0, and sign_scan reads the
+    # sign of D_m from its numerator alone
+    den = d_ratfn(m)._ints[1]
+    assert len(den) == (3 * m - 1 if m else 1)
+    assert all(c > 0 for c in den)
+
+
+def _scan_by_values(m, x_max, steps):
+    """Signs and bracket from the values of D_m, the route sign_scan replaced."""
+    f = d_ratfn(m)
+    values = f.eval_grid(x_max, steps)
+    signs = tuple([-1 if v < 0 else (0 if v == 0 else 1) for v in values])
+    prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
+    if not 1 <= prefix < steps:
+        return signs, None
+    lo, hi = x_max * prefix / steps, x_max * (prefix + 1) / steps
+    while hi - lo > x_max / 1024:
+        mid = (lo + hi) / 2
+        if f.eval(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return signs, (lo, hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 30), st.integers(1, 60), st.integers(1, 200))
+def test_sign_scan_matches_the_values_route(m, p, q, steps):
+    report = sign_scan(m, F(p, q), steps)
+    assert (report.signs, report.bracket) == _scan_by_values(m, F(p, q), steps)
+
+
+def test_family_entry_points_refuse_floats():
+    for call in (
+        lambda: sign_scan(5, 0.1, 4),
+        lambda: figure_rows(0.5, 4),
+        lambda: evaluate_d(5, 0.1),
+        lambda: FamilyParam(0.1),
+    ):
+        with pytest.raises(TypeError, match="floats are not allowed on the exact path"):
+            call()
+    assert sign_scan(5, 1, 4) == sign_scan(5, F(1), 4)
+    assert evaluate_d(5, 1) == evaluate_d(5, F(1))
+    assert FamilyParam(1) == FamilyParam(F(1))
 
 
 def test_evaluate_d_domain():
@@ -385,7 +433,7 @@ def test_eval_grid_of_d_matches_pointwise(m):
         assert list(f.eval_grid(x_max, steps)) == expected
 
 
-def test_grid_routes_evaluate_only_the_bisection_pointwise(monkeypatch):
+def test_scan_reads_signs_without_evaluating_d(monkeypatch):
     calls = []
     original = RatFn.eval
 
@@ -396,13 +444,15 @@ def test_grid_routes_evaluate_only_the_bisection_pointwise(monkeypatch):
     monkeypatch.setattr(RatFn, "eval", counting)
     assert len(figure_rows(F(3, 5), 120)) == 120
     assert calls == []
-    # width x_max/60 halves five times to reach x_max/1024
+
+    def refuse(*args):
+        raise AssertionError("sign_scan evaluated D_m")
+
+    monkeypatch.setattr(RatFn, "eval", refuse)
+    monkeypatch.setattr(RatFn, "eval_grid", refuse)
     report = sign_scan(12, F(3, 5), 60)
     assert report.bracket == (F(647, 3200), F(81, 400))
-    assert len(calls) == 5
-    calls.clear()
     assert sign_scan(4, F(1, 10), 100).bracket is None
-    assert calls == []
 
 
 def test_figure_rows_shape_and_determinism():
