@@ -37,7 +37,6 @@ from .operators import (
     ones_weights,
     operator_report,
     two_isometry_check,
-    xi_sq,
 )
 from .oracle import BandedOp, gram_diagonal, hsequence
 from .family import (

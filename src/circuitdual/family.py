@@ -314,9 +314,6 @@ class SignScanReport(Record):
     first_nonnegative: Fraction | None
     bracket: tuple | None             # (lo, hi): D_m(lo) < 0 <= D_m(hi)
 
-    def all_negative(self) -> bool:
-        return self.negative_prefix == self.steps
-
     def summary(self) -> str:
         neg = sum(1 for s in self.signs if s < 0)
         parts = [

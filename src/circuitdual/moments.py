@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .rational import format_rat, over_common_denominator, parse_rat
+from .rational import _as_fraction, format_rat, over_common_denominator, parse_rat
 
 DEFAULT_FLOAT_TOL = 1e-10
 
@@ -59,7 +59,7 @@ class MomentSeq(Record):
 
     @classmethod
     def exact(cls, values) -> "MomentSeq":
-        return cls(tuple([v if type(v) is Fraction else Fraction(v) for v in values]))
+        return cls(tuple([v if type(v) is Fraction else _as_fraction(v) for v in values]))
 
     @classmethod
     def floats(cls, values) -> "MomentSeq":

@@ -9,7 +9,8 @@ and every quantity this package cares about (the Radon-Nikodym weight h,
 norms, 2-isometry residuals, Cauchy dual moments) depends on the weights
 only through their squared moduli.  Weights are therefore stored as the
 sequence sq(n) = |w(n)|^2 of rationals, which keeps the whole analysis in
-exact arithmetic.
+exact arithmetic: every number a caller supplies converts through
+``rational._as_fraction``, which takes ints and Fractions and refuses floats.
 
 The fiber of 0 under phi is {0, 1}; all other fibers are singletons.  So
 
@@ -33,25 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .rational import format_rat
-
-
-def xi_sq(n: int, w2sq: Fraction) -> Fraction:
-    """Squared tail weight (1 + (n+1)(s-1)) / (1 + n(s-1)) with s = sq(2).
-
-    This is the unique squared-weight tail making the shift part of the
-    operator 2-isometric once sq(2) = s >= 1 is fixed; the partial products
-    telescope to 1 + n(s-1).  With s - 1 = a/b in lowest terms it is the
-    integer ratio (b + (n+1)a) / (b + na), built as one Fraction.
-    """
-    if n < 0:
-        raise ValueError("tail index must be nonnegative")
-    w2sq = Fraction(w2sq)
-    b = w2sq.denominator
-    a = w2sq.numerator - b
-    if a < 0:
-        raise ValueError("xi tails require sq(2) >= 1")
-    return Fraction(b + (n + 1) * a, b + n * a)
+from .rational import _as_fraction, format_rat
 
 
 class ConstantTail(Record):
@@ -60,24 +43,30 @@ class ConstantTail(Record):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", _as_fraction(self.value))
         if self.value < 0:
             raise ValueError("squared weights are nonnegative")
 
 
 class XiTail(Record):
-    """sq(n+2) = xi_sq(n, w2sq) for all n >= 0; nonincreasing, limit 1."""
+    """sq(n+2) = (1 + (n+1)(s-1)) / (1 + n(s-1)), s = w2sq, for all n >= 0.
+
+    The only 2-isometric tail once sq(2) = s >= 1 is fixed: the residual at
+    n >= 1 forces sq(n+2) = 2 - 1/sq(n+1).  Nonincreasing, limit 1; the
+    partial products sq(2) ... sq(n+1) telescope to 1 + n(s-1).
+    """
 
     w2sq: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "w2sq", Fraction(self.w2sq))
+        object.__setattr__(self, "w2sq", _as_fraction(self.w2sq))
         if self.w2sq < 1:
             raise ValueError("xi tails require w2sq >= 1")
 
 
 class ReciprocalXiTail(Record):
-    """sq(n+2) = 1 / xi_sq(n, w2sq); nondecreasing from 1/w2sq, limit 1.
+    """The xi tail inverted, sq(n+2) = (1 + n(s-1)) / (1 + (n+1)(s-1)):
+    nondecreasing from 1/s, limit 1, partial products 1 / (1 + n(s-1)).
 
     Not expressible as a constant or xi tail (its entries sit below 1), but
     it is exactly the tail of the Cauchy dual of an xi-tail operator, so it
@@ -87,7 +76,7 @@ class ReciprocalXiTail(Record):
     w2sq: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "w2sq", Fraction(self.w2sq))
+        object.__setattr__(self, "w2sq", _as_fraction(self.w2sq))
         if self.w2sq < 1:
             raise ValueError("reciprocal xi tails require w2sq >= 1")
 
@@ -107,7 +96,7 @@ class SquaredWeights(Record):
     tail: Tail
 
     def __post_init__(self):
-        head = tuple([Fraction(v) for v in self.head])
+        head = tuple([_as_fraction(v) for v in self.head])
         object.__setattr__(self, "head", head)
         if any(v < 0 for v in head):
             raise ValueError("squared weights are nonnegative")
@@ -258,7 +247,7 @@ def construct_2isometry(sq0, sq1) -> SquaredWeights:
     sq(2) = ((sq0 + sq1)(2 - sq0) - 1) / sq1, which must be >= 1, and the
     xi tail finishes the construction.
     """
-    sq0, sq1 = Fraction(sq0), Fraction(sq1)
+    sq0, sq1 = _as_fraction(sq0), _as_fraction(sq1)
     if sq0 < 0 or sq1 < 0:
         raise ValueError("squared weights are nonnegative")
     if sq1 == 0:

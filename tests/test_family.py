@@ -302,7 +302,7 @@ def test_sign_scan_m5_short_window():
     # the grid k/1000 only the first three samples are negative.
     report = sign_scan(5, F(1, 10), 100)
     assert report.negative_prefix == 3
-    assert not report.all_negative()
+    assert report.negative_prefix != report.steps
     assert report.first_nonnegative == F(4, 1000)
     lo, hi = report.bracket
     assert F(3, 1000) <= lo < hi <= F(4, 1000)
@@ -313,7 +313,7 @@ def test_sign_scan_m5_short_window():
 
 def test_sign_scan_m5_inside_window_all_negative():
     report = sign_scan(5, F(3, 1000), 30)
-    assert report.all_negative()
+    assert report.negative_prefix == report.steps
     assert report.bracket is None
     assert report.first_nonnegative is None
 

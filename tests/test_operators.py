@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from circuitdual import operators
 from circuitdual.family import FamilyParam, family_weights
+from circuitdual.moments import MomentSeq
 from circuitdual.operators import (
     ConstantTail,
     ReciprocalXiTail,
@@ -22,7 +23,6 @@ from circuitdual.operators import (
     ones_weights,
     operator_report,
     two_isometry_check,
-    xi_sq,
 )
 from ref_rational import (
     ref_cyclic_sufficient,
@@ -41,17 +41,52 @@ def isometry_weights():
 
 
 def test_xi_sq_examples():
-    assert xi_sq(0, F(7, 3)) == F(7, 3)
-    assert xi_sq(12, F(1)) == 1
-    assert xi_sq(1, F(2)) == F(3, 2)
+    def xi(n, s):
+        return SquaredWeights((F(1), F(1)), XiTail(s)).sq(n + 2)
+
+    assert xi(0, F(7, 3)) == F(7, 3)
+    assert xi(12, F(1)) == 1
+    assert xi(1, F(2)) == F(3, 2)
     with pytest.raises(ValueError):
-        xi_sq(0, F(1, 2))
+        XiTail(F(1, 2))
+
+
+EXACT_ENTRY_POINTS = {
+    # name: (build from one number, an accepted int, an accepted Fraction,
+    #        an out-of-range int or None, its ValueError message)
+    "ConstantTail": (ConstantTail, 2, F(1, 2), -1, "squared weights are nonnegative"),
+    "XiTail": (XiTail, 1, F(5, 4), 0, "xi tails require w2sq >= 1"),
+    "ReciprocalXiTail": (
+        ReciprocalXiTail, 1, F(5, 4), 0, "reciprocal xi tails require w2sq >= 1"),
+    "SquaredWeights head": (
+        lambda v: SquaredWeights((v, F(1)), ConstantTail(1)),
+        0, F(1, 2), -1, "squared weights are nonnegative"),
+    "construct_2isometry sq0": (
+        lambda v: construct_2isometry(v, F(1, 2)),
+        1, F(1, 2), -1, "squared weights are nonnegative"),
+    "construct_2isometry sq1": (
+        lambda v: construct_2isometry(1, v),
+        1, F(1, 2), -1, "squared weights are nonnegative"),
+    "MomentSeq.exact": (lambda v: MomentSeq.exact([F(1), v]), 3, F(1, 3), None, None),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_ENTRY_POINTS)
+def test_exact_entry_points_refuse_floats(name):
+    build, as_int, as_fraction, bad_int, message = EXACT_ENTRY_POINTS[name]
+    with pytest.raises(TypeError, match="floats are not allowed on the exact path"):
+        build(float(as_fraction))
+    assert build(as_int) == build(F(as_int))
+    build(as_fraction)
+    if bad_int is not None:
+        with pytest.raises(ValueError, match=message):
+            build(bad_int)
 
 
 def test_weights_materialization():
     w = SquaredWeights((F(1, 2), F(1)), XiTail(F(5, 4)))
     assert w.sq(2) == F(5, 4)
-    assert w.sq(3) == xi_sq(1, F(5, 4))
+    assert w.sq(3) == F(6, 5)
     assert w.prefix(3) == (F(1, 2), F(1), F(5, 4))
     assert w.alpha == F(3, 2)
 
@@ -233,6 +268,13 @@ def test_two_isometry_check_matches_the_fraction_route(w, depth):
     assert w.pairs(depth) == [(v.numerator, v.denominator) for v in w.prefix(depth)]
 
 
+def _xi_sq_fraction_route(n, s):
+    """sq(n+2) of the xi tail with sq(2) = s, in Fractions: the test's oracle
+    for the integer tail rule."""
+    delta = s - 1
+    return (1 + (n + 1) * delta) / (1 + n * delta)
+
+
 @st.composite
 def rule_cases(draw):
     """Weights of each tail kind, zero entries, w2sq = 1 and longer xi heads
@@ -246,7 +288,7 @@ def rule_cases(draw):
     s = draw(st.just(F(1)) | st.fractions(min_value=1, max_value=5, max_denominator=10 ** 6))
 
     def formula(n):
-        value = xi_sq(n - 2, s)
+        value = _xi_sq_fraction_route(n - 2, s)
         return value if kind is XiTail else 1 / value
 
     head = draw(st.lists(entries, min_size=2, max_size=2))
@@ -367,12 +409,6 @@ def test_constructed_2isometries_are_expansive():
         assert (w.alpha - 1) * (1 - w.sq(0)) >= 0
 
 
-def _xi_sq_fraction_route(n, s):
-    """The Fraction expression that xi_sq's integer ratio replaced."""
-    delta = s - 1
-    return (1 + (n + 1) * delta) / (1 + n * delta)
-
-
 w2sqs = st.one_of(
     st.just(F(1)),
     st.integers(1, 10 ** 6).map(F),
@@ -385,9 +421,8 @@ w2sqs = st.one_of(
 @settings(max_examples=60)
 def test_xi_sq_matches_the_fraction_route(s, n):
     expected = _xi_sq_fraction_route(n, s)
-    value = xi_sq(n, s)
+    value = SquaredWeights((F(1), F(1)), XiTail(s)).sq(n + 2)
     assert (type(value), value) == (F, expected)
-    assert SquaredWeights((F(1), F(1)), XiTail(s)).sq(n + 2) == expected
     assert SquaredWeights((F(1), F(1)), ReciprocalXiTail(s)).sq(n + 2) == 1 / expected
 
 
@@ -395,7 +430,8 @@ def test_xi_sq_matches_the_fraction_route(s, n):
        st.integers(1, 50))
 @settings(max_examples=60)
 def test_xi_tail_telescoping(s, n):
+    w = SquaredWeights((F(1), F(1)), XiTail(s))
     product = F(1)
     for j in range(n):
-        product *= xi_sq(j, s)
+        product *= w.sq(j + 2)
     assert product == 1 + n * (s - 1)
