@@ -34,7 +34,6 @@ from .operators import (
     dual_weights,
     h_of,
     is_two_isometric,
-    ones_weights,
     operator_report,
     two_isometry_check,
 )

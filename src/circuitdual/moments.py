@@ -12,16 +12,16 @@ violation among the tested pairs", never membership.  Verdicts carry the
 tested ranges for that reason, and a failing verdict always carries an
 explicit witness.
 
-Both tests run one routine for both backends.  The differences come from
-one difference table, Delta^m gamma_j = Delta^(m-1) gamma_j -
-Delta^(m-1) gamma_(j+1): one subtraction per tested pair instead of a
-binomial sum.  Positive semidefiniteness is decided by one symmetric
-elimination (``_psd``).  The exact backend decides signs exactly: its
-difference table runs in integers, the prefix scaled once to numerators
-over the lcm of its denominators, so no entry is ever reduced and only a
-witness becomes a Fraction again; the elimination runs in Fractions.  The
-float backend runs the same steps in doubles and treats values within an
-absolute tolerance of zero as zero (``_zero``).
+The differences come from one difference table, shared by both backends,
+Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1): one
+subtraction per tested pair instead of a binomial sum.  Positive
+semidefiniteness is decided by symmetric elimination with one pivot rule
+and one witness rule.  The exact backend decides signs exactly and builds
+a Fraction only for a witness: its difference table runs in integers, the
+prefix scaled once to numerators over the lcm of its denominators, and
+its elimination (``_psd_exact``) on reduced integer pairs.  The float
+backend runs the table and ``_psd`` in doubles and treats values within
+an absolute tolerance of zero as zero (``_zero``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .rational import _as_fraction, format_rat, over_common_denominator, parse_rat
+from .rational import (
+    _add, _as_fraction, _mul, format_rat, over_common_denominator, parse_rat,
+)
 
 DEFAULT_FLOAT_TOL = 1e-10
 
@@ -194,7 +196,8 @@ def _hankel(values: Sequence, size: int, shift: int) -> list[list]:
 
 
 def _psd(matrix: list[list], tol: float) -> tuple:
-    """PSD decision by symmetric elimination: (ok, order, value).
+    """PSD decision by symmetric elimination: (ok, order, value).  The
+    float backend's route; on Fractions with tol = 0, ``_psd_exact``'s oracle.
 
     Pivots run in natural order while the pivot is nonzero; on a zero pivot
     a negative diagonal entry is taken if one exists, else a nonzero one.
@@ -232,6 +235,43 @@ def _psd(matrix: list[list], tol: float) -> tuple:
     return True, None, None
 
 
+def _psd_exact(matrix: list[list[tuple]]) -> tuple:
+    """``_psd(matrix, 0)`` on reduced (numerator, denominator) pairs: the
+    same pivots and witnesses, so the same (ok, order, value).  Exact Schur
+    complements stay exactly symmetric, so each step runs on the upper
+    triangle and mirrors it.  Entries stay reduced (``rational._mul`` and
+    ``_add``): unreduced, they grow at every step, which makes
+    fraction-free elimination far slower on wide entries.
+    """
+    a = [row[:] for row in matrix]
+    rest = list(range(len(a)))
+    det = (1, 1)
+    while rest:
+        done = len(a) - len(rest)
+        nonzero = [i for i in rest if a[i][i][0]]
+        if not nonzero:
+            for k, i in enumerate(rest):
+                for j in rest[k + 1:]:
+                    if a[i][j][0]:
+                        n, d = _mul(det, _mul(a[i][j], a[i][j]))
+                        return False, done + 2, Fraction(-n, d)
+            break
+        p = nonzero[0]
+        if p != rest[0]:
+            p = next((i for i in nonzero if a[i][i][0] < 0), p)
+        pivot = a[p][p]
+        if pivot[0] < 0:
+            return False, done + 1, Fraction(*_mul(det, pivot))
+        det = _mul(det, pivot)
+        rest.remove(p)
+        row, minus_inverse = a[p], (-pivot[1], pivot[0])  # the pivot is positive
+        for k, i in enumerate(rest):
+            factor, a_i = _mul(row[i], minus_inverse), a[i]
+            for j in rest[k:]:
+                a_i[j] = a[j][i] = _add(a_i[j], _mul(factor, row[j]))
+    return True, None, None
+
+
 def stieltjes_test(
     seq: MomentSeq, order: int, *, tol: float = DEFAULT_FLOAT_TOL
 ) -> MomentVerdict:
@@ -247,9 +287,11 @@ def stieltjes_test(
     if 2 * order > n:
         raise ValueError(f"prefix too short: need index {2 * order}, have {n}")
     shifted_size = order + 1 if 2 * order + 1 <= n else order
-    zero = _zero(seq, tol)
+    exact = seq.backend == EXACT
+    values = [(v.numerator, v.denominator) for v in seq.values] if exact else seq.values
     for shift, size in ((0, order + 1), (1, shifted_size)):
-        ok, k, value = _psd(_hankel(seq.values, size, shift), zero)
+        matrix = _hankel(values, size, shift)
+        ok, k, value = _psd_exact(matrix) if exact else _psd(matrix, _zero(seq, tol))
         if not ok:
             return MomentVerdict(
                 "fail", "stieltjes", order, n,

@@ -159,10 +159,6 @@ class SquaredWeights(Record):
         return min(values), max(values)
 
 
-def ones_weights() -> SquaredWeights:
-    return SquaredWeights((Fraction(1), Fraction(1)), ConstantTail(Fraction(1)))
-
-
 def h_of(w: SquaredWeights, n: int) -> Fraction:
     """Radon-Nikodym weight: alpha at the circuit point, sq(n+1) elsewhere."""
     if n < 0:

@@ -22,41 +22,18 @@ start, one fewer each step, whatever the fiber.
 
 Each entry is an exact rational held as a reduced (numerator, denominator)
 pair of integers; no square root and no sign convention is ever needed.
-Products and the two-term sum stay reduced as ``Fraction`` keeps them.  A
-product cancels crosswise: with a = an/ad and b = bn/bd reduced,
-a b = (an/g)(bn/h) / ((ad/h)(bd/g)) with g = gcd(an, bd) and
-h = gcd(bn, ad).  A sum a + b over g = gcd(ad, bd) is
-(an (bd/g) + bn (ad/g)) / ((ad/g) bd), whose only common factor divides
-g, so one more gcd with g reduces it.
+Products and the two-term sum stay reduced as ``Fraction`` keeps them, by
+the package's one pair arithmetic, ``rational._mul`` and ``rational._add``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from ._record import Record
 from .moments import MomentSeq
 from .operators import SquaredWeights
-
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    """Product of two reduced (numerator, denominator) pairs, reduced."""
-    an, ad = a
-    bn, bd = b
-    g, h = gcd(an, bd), gcd(bn, ad)
-    return (an // g) * (bn // h), (ad // h) * (bd // g)
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    """Sum of two reduced nonnegative (numerator, denominator) pairs, reduced."""
-    an, ad = a
-    bn, bd = b
-    g = gcd(ad, bd)
-    s = ad // g
-    n = an * (bd // g) + bn * s
-    g = gcd(n, g)
-    return n // g, s * (bd // g)
+from .rational import _add, _mul
 
 
 class BandedOp(Record):

@@ -1,9 +1,11 @@
 """Exact scalars, dense univariate polynomials, and rational functions over Q.
 
 Everything on the exact path lives in the rationals: scalars are
-``fractions.Fraction``, polynomials are dense coefficient tuples, and a
-rational function is one pair of integer coefficient tuples in lowest
-terms, with content 1 and a positive leading denominator coefficient.
+``fractions.Fraction``, or in the oracle and the exact Hankel elimination
+reduced integer pairs (``_mul``, ``_add``), polynomials are dense
+coefficient tuples, and a rational function is one pair of integer
+coefficient tuples in lowest terms, with content 1 and a positive leading
+denominator coefficient.
 That form is canonical, so equality of values and of functions is
 decidable, which is what the rest of the package relies on: every
 identity it checks is checked exactly, never to a tolerance.
@@ -38,6 +40,7 @@ import re
 from collections.abc import Iterable, Sequence
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from math import gcd
 
 
 class PoleError(ZeroDivisionError):
@@ -232,6 +235,28 @@ def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]
     that lcm (``balanced_lcm``): value i is numerators[i]/lcm."""
     lcm = balanced_lcm([v.denominator for v in values])
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Product of two reduced (numerator, denominator) pairs, reduced: with
+    g = gcd(an, bd) and h = gcd(bn, ad) it is (an/g)(bn/h) / ((ad/h)(bd/g))."""
+    an, ad = a
+    bn, bd = b
+    g, h = gcd(an, bd), gcd(bn, ad)
+    return (an // g) * (bn // h), (ad // h) * (bd // g)
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """Sum of two reduced pairs of signed numerator and positive denominator,
+    reduced: over g = gcd(ad, bd) it is (an (bd/g) + bn (ad/g)) / ((ad/g) bd),
+    and its only common factor divides g."""
+    an, ad = a
+    bn, bd = b
+    g = gcd(ad, bd)
+    s = ad // g
+    n = an * (bd // g) + bn * s
+    g = gcd(n, g)
+    return n // g, s * (bd // g)
 
 
 def _primitive_pair(a: Sequence[int], b: Sequence[int]) -> tuple:

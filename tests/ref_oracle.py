@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from circuitdual._record import Record
 from circuitdual.operators import SquaredWeights
-from circuitdual.oracle import _mul
-from circuitdual.rational import balanced_lcm
+from circuitdual.rational import _mul, balanced_lcm
 
 
 class BandedOp(Record):

@@ -19,6 +19,12 @@ from circuitdual import family, rational
 from circuitdual.cli import main
 from circuitdual.rational import format_rat
 
+
+def atomic(atoms, count):
+    """gamma_0..gamma_(count-1) of the measure sum(mass * delta_point)."""
+    return [sum(mass * point ** n for point, mass in atoms) for n in range(count)]
+
+
 SEQUENCES = {
     "uniform": [F(1, n + 1) for n in range(13)],
     "doubling": [2 ** n for n in range(5)],
@@ -29,6 +35,15 @@ SEQUENCES = {
     "two_atoms": [(F(1, 4) ** n + F(3, 4) ** n) / 2 for n in range(8)],
     # leading minors 0, 0, -1; the principal minor on {1, 2} is -4
     "zero_lead": [0, 0, 1, 2, 0],
+    # three atoms: both Hankels of order 8 have rank 3, a singular PASS
+    "three_atoms": atomic([(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)), (F(7, 8), F(1, 4))], 18),
+    # eleven atoms: both Hankels of order 8 are regular
+    "eleven_atoms": atomic([(F(k, 16), F(1, 11)) for k in range(1, 12)], 18),
+    # six atoms with gamma_10 lowered by 1/64: the last pivot of order 5 is negative
+    "six_atoms_lowered": [
+        v - (F(1, 64) if n == 10 else 0)
+        for n, v in enumerate(atomic([(F(k, 16), F(1, 6)) for k in (1, 3, 5, 8, 11, 15)], 11))
+    ],
 }
 
 CASES = [
@@ -52,6 +67,12 @@ CASES = [
     ('wco dual --spec @family --count 4', 0, "alpha=10/11\nnorm_sq=1\nlower_sq=10/11\nsq'(0)=50/121\nsq'(1)=60/121\nsq'(2)=12/13\nsq'(3)=13/14\n"),
     ('moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4\n'),
     ('--backend float moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4.0\n'),
+    ('moments check @three_atoms --mode stieltjes --order 8', 0, 'PASS order=8 n=17\n'),
+    ('--backend float moments check @three_atoms --mode stieltjes --order 8', 0, 'PASS order=8 n=17\n'),
+    ('moments check @eleven_atoms --mode stieltjes --order 8', 0, 'PASS order=8 n=17\n'),
+    ('--backend float moments check @eleven_atoms --mode stieltjes --order 8', 0, 'PASS order=8 n=17\n'),
+    ('moments check @six_atoms_lowered --mode stieltjes --order 5', 1, 'FAIL hankel=0 order=6 value=-1715697585529375/79228162514264337593543950336\n'),
+    ('--backend float moments check @six_atoms_lowered --mode stieltjes --order 5', 1, 'FAIL hankel=0 order=6 value=-2.1655148006389207e-14\n'),
     ('family taylor --m 11 --order 6', 0, '0 0 0 0 -9/64 -525/32 -33975/32\n'),
     ('family taylor --m 14 --order 8', 0, '0 0 0 0 -9/512 -165/64 -1665/8 -1682415/128 -28165095/32\n'),
     ('family scan --m 12 --xmax 3/5 --steps 60', 0, 'm=12 samples=60 negative=20 negative_prefix=20 first crossing in [647/3200, 81/400]\nsigns: --------------------++++++++++++++++++++++++++++++++++++++++\nfirst nonnegative sample at x=21/100\n'),

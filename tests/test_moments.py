@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from circuitdual.moments import (
     DEFAULT_FLOAT_TOL,
     MomentSeq,
     _psd,
+    _psd_exact,
     diff_transform,
     hausdorff_test,
     stieltjes_test,
@@ -336,10 +338,83 @@ def symmetric_matrices(draw):
     return a
 
 
+def exact_psd(matrix):
+    """The exact route on a Fraction matrix, its entries as reduced pairs."""
+    return _psd_exact([[(v.numerator, v.denominator) for v in row] for row in matrix])
+
+
+sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
+
+
+@st.composite
+def atomic_hankels(draw):
+    """Hankel of shift 0 or 1 and order 1..9 of a measure with 1 to 8
+    atoms at multiples of 1/16, singular past its atom count; some
+    entries are bumped by a multiple of 1/256."""
+    atoms = draw(st.lists(st.tuples(sixteenths, sixteenths), min_size=1, max_size=8))
+    order, shift = draw(st.integers(1, 9)), draw(st.integers(0, 1))
+    values = [sum(mass * point ** n for point, mass in atoms) for n in range(2 * order + 2)]
+    bumps = st.tuples(st.integers(0, 2 * order + 1), st.integers(-16, 16))
+    for n, k in draw(st.lists(bumps, max_size=2)):
+        values[n] += F(k, 256)
+    return [[values[i + j + shift] for j in range(order + 1)] for i in range(order + 1)]
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Entries in {-1, 0, 1}: zero pivots with a negative diagonal entry
+    behind them are common, which exercises the pivot rule."""
+    n = draw(st.integers(1, 6))
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = F(draw(st.integers(-1, 1)))
+    return a
+
+
+@given(st.one_of(symmetric_matrices(), atomic_hankels(), sparse_symmetric()))
+@settings(max_examples=150, deadline=None)
+def test_psd_exact_matches_psd(matrix):
+    assert exact_psd(matrix) == _psd(matrix, 0)
+
+
+def _fractions_built(call):
+    """call() and the number of Fraction.__new__ calls it made."""
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is F.__new__.__code__:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, built
+
+
+def test_exact_stieltjes_builds_only_the_witness():
+    # the prefix becomes integer pairs once; only a witness value is a
+    # Fraction again, and at most two Fractions form it
+    def atomic(points, count):
+        return [sum(F(t, 16) ** n for t in points) / len(points) for n in range(count)]
+
+    singular = MomentSeq.exact(atomic((2, 7, 13), 17))
+    lowered = atomic((1, 3, 5, 8, 11, 15), 17)
+    lowered[16] -= F(1, 64)
+    lowered = MomentSeq.exact(lowered)
+    passed, built = _fractions_built(lambda: stieltjes_test(singular, 8))
+    assert passed.passed and built <= 2
+    failed, built = _fractions_built(lambda: stieltjes_test(lowered, 8))
+    assert failed.witness == ("hankel", 0, 7) and failed.detail < 0 and built <= 2
+
+
 @given(symmetric_matrices())
 @settings(max_examples=200, deadline=None)
 def test_psd_matches_reference(matrix):
-    ok, order, value = _psd(matrix, 0)
+    ok, order, value = exact_psd(matrix)
     want = _reference_psd(matrix)
     assert ok == want[0]
     if not ok:

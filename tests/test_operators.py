@@ -20,7 +20,6 @@ from circuitdual.operators import (
     dual_weights,
     h_of,
     is_two_isometric,
-    ones_weights,
     operator_report,
     two_isometry_check,
 )
@@ -31,7 +30,7 @@ from ref_rational import (
     ref_tail_sup,
     ref_two_isometry_check,
 )
-from test_oracle import tailed_weights
+from test_oracle import ONES, tailed_weights
 
 small_rats = st.fractions(min_value=0, max_value=3, max_denominator=10)
 
@@ -102,14 +101,14 @@ def test_weights_validation():
 
 
 def test_h_of_examples():
-    assert h_of(ones_weights(), 0) == 2
-    assert h_of(ones_weights(), 5) == 1
+    assert h_of(ONES, 0) == 2
+    assert h_of(ONES, 5) == 1
     x = F(3, 7)
     assert h_of(family_weights(FamilyParam(x)), 0) == 1 + x
 
 
 def test_operator_report_all_ones():
-    report = operator_report(ones_weights())
+    report = operator_report(ONES)
     assert report.norm_sq == 2
     assert report.lower_bound_sq == 1
     assert report.bounded
@@ -128,7 +127,7 @@ def test_operator_report_family():
 
 
 def test_two_isometry_check_examples():
-    assert all(r == 0 for r in two_isometry_check(ones_weights(), 5))
+    assert all(r == 0 for r in two_isometry_check(ONES, 5))
     assert all(r == 0 for r in two_isometry_check(isometry_weights(), 5))
     fam = family_weights(FamilyParam(F(1, 2)))
     assert all(r == 0 for r in two_isometry_check(fam, 10))
@@ -162,7 +161,7 @@ def test_construct_rejects_impossible_head():
 
 
 def test_dual_weights_examples():
-    d = dual_weights(ones_weights())
+    d = dual_weights(ONES)
     assert d.prefix(4) == (F(1, 4), F(1, 4), F(1), F(1))
 
     iso = isometry_weights()
@@ -353,7 +352,7 @@ def test_the_certificate_reads_three_residuals_past_the_head(monkeypatch):
 
 
 def test_dual_moment_fiberk_examples():
-    assert dual_moment_fiberk(ones_weights(), 2, 7) == 1
+    assert dual_moment_fiberk(ONES, 2, 7) == 1
     fam = family_weights(FamilyParam(F(1, 2)))
     assert dual_moment_fiberk(fam, 1, 2) == F(2, 3)  # 1 / (5/4 * 6/5)
     assert dual_moment_fiberk(isometry_weights(), 1, 3) == 1

@@ -17,11 +17,14 @@ from circuitdual.operators import (
     dual_moment_fiberk,
     dual_weights,
     h_of,
-    ones_weights,
 )
 from circuitdual.oracle import BandedOp, gram_diagonal, hsequence
 from ref_oracle import BandedOp as ForwardOp
 from ref_oracle import _powers as forward_powers
+
+
+# unit weights everywhere: the plain circuit and shift
+ONES = SquaredWeights((F(1), F(1)), ConstantTail(1))
 
 
 def basis(size, k):
@@ -36,7 +39,7 @@ def pairs(values):
 
 
 def test_apply_basis_rules():
-    op = ForwardOp(ones_weights(), 4)
+    op = ForwardOp(ONES, 4)
     image = op.apply(basis(4, 0))
     assert image[0] == (1, 1)
     assert image[1] == (1, 1)
@@ -57,7 +60,7 @@ def test_apply_keeps_entries_reduced():
 
 
 def test_apply_support_overflow():
-    op = ForwardOp(ones_weights(), 3)
+    op = ForwardOp(ONES, 3)
     with pytest.raises(ValueError, match="overflow"):
         op.apply(basis(3, 2))
     with pytest.raises(ValueError, match="does not match"):
@@ -112,7 +115,7 @@ def test_adjoint_window_offset():
 
 
 def test_adjoint_window_precondition():
-    op = BandedOp(ones_weights(), 4)
+    op = BandedOp(ONES, 4)
     ones = [(1, 1)] * 4
     for window, start in ((ones[:1], 0), (ones + [(1, 1)], 0), (ones[:3], 2),
                           (ones[:2], -1)):
