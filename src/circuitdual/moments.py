@@ -15,13 +15,13 @@ explicit witness.
 The differences come from one difference table, shared by both backends,
 Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1): one
 subtraction per tested pair instead of a binomial sum.  Positive
-semidefiniteness is decided by symmetric elimination with one pivot rule
-and one witness rule.  The exact backend decides signs exactly and builds
-a Fraction only for a witness: its difference table runs in integers, the
+semidefiniteness is decided by one symmetric elimination (``_eliminate``),
+which holds the pivot rule and the witness rule; each backend brings only
+its arithmetic.  The exact backend decides signs exactly and builds a
+Fraction only for a witness: its difference table runs in integers, the
 prefix scaled once to numerators over the lcm of its denominators, and
-its elimination (``_psd_exact``) on reduced integer pairs.  The float
-backend runs the table and ``_psd`` in doubles and treats values within
-an absolute tolerance of zero as zero (``_zero``).
+its elimination on reduced integer pairs.  The float backend runs both in
+doubles and treats values within an absolute tolerance of zero as zero.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import reduce
+from operator import itemgetter
 
 from ._record import Record
 from .rational import (
@@ -74,11 +76,12 @@ class MomentSeq(Record):
         return cls(tuple(converted))
 
     @classmethod
-    def from_file(cls, path) -> "MomentSeq":
+    def from_file(cls, path, cap=None) -> "MomentSeq":
         """Load one value per line; '#' starts a comment.
 
         Entries may be 'p/q' strings, integers, or decimal literals, and
-        convert exactly: the prefix is always on the exact backend.
+        convert exactly: the prefix is always on the exact backend.  A file
+        of more than ``cap`` values is refused at value cap + 1, unparsed.
         """
         entries = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,6 +89,9 @@ class MomentSeq(Record):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                if len(entries) == cap:
+                    raise ValueError(f"a sequence file must hold at most {cap} "
+                                     f"values, got more than {cap}")
                 entries.append(parse_rat(line))
         if not entries:
             raise ValueError(f"no values in sequence file {path}")
@@ -150,31 +156,26 @@ def diff_transform(seq: MomentSeq, m: int, j: int):
     return total
 
 
-def _zero(seq: MomentSeq, tol: float):
-    """Values within this of zero count as zero: 0 on the exact backend,
-    abs(tol) on the float one."""
-    return 0 if seq.backend == EXACT else abs(tol)
-
-
 def hausdorff_test(
     seq: MomentSeq, depth: int, *, tol: float = DEFAULT_FLOAT_TOL
 ) -> MomentVerdict:
     """Check all differences with m <= depth and j + m <= N.
 
     The difference table runs in place, row by row, one subtraction per
-    tested pair, up to the first difference below -zero; an exact prefix
-    runs as integer numerators over the lcm of its denominators.  The
-    verdict records the depth actually reached, which is at most the top
-    index tested.  The first violation in lexicographic (m, j) order is
-    reported, so failures are deterministic and citable.  A pass certifies
-    only the tested range; to test a shorter range, pass a shorter prefix.
+    tested pair, up to the first negative one (below -tol on floats); an
+    exact prefix runs as integer numerators over the lcm of its
+    denominators.  The verdict records the depth actually reached, at most
+    the top index tested.  The first violation in lexicographic (m, j)
+    order is reported, so failures are deterministic and citable.  A pass
+    certifies only the tested range; to test a shorter range, pass a
+    shorter prefix.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     cap = seq.top_index
     depth = min(depth, cap)
-    floor = -_zero(seq, tol)
     exact = seq.backend == EXACT
+    floor = 0 if exact else -abs(tol)
     if exact:
         row, lcm = over_common_denominator(seq.values)
     else:
@@ -195,81 +196,76 @@ def _hankel(values: Sequence, size: int, shift: int) -> list[list]:
     return [[values[i + j + shift] for j in range(size)] for i in range(size)]
 
 
-def _psd(matrix: list[list], tol: float) -> tuple:
-    """PSD decision by symmetric elimination: (ok, order, value).  The
-    float backend's route; on Fractions with tol = 0, ``_psd_exact``'s oracle.
+def _eliminate(matrix: list[list], sign, product, step) -> tuple:
+    """PSD decision by symmetric elimination: (ok, order, value).
 
-    Pivots run in natural order while the pivot is nonzero; on a zero pivot
-    a negative diagonal entry is taken if one exists, else a nonzero one.
-    Every accepted pivot is positive, so each Schur-complement diagonal
-    entry times the product of the pivots is a principal minor, one size
-    larger than the number of pivots.  A negative one fails; when every
-    remaining diagonal entry is zero, a nonzero off-diagonal entry s_ij
-    fails through the principal minor -det * s_ij^2 two sizes larger.
-    Entries within ``tol`` of zero count as zero.  The square is a product,
-    so on floats it overflows to inf like every other product here.
+    Pivot rule: pivots run in natural order while nonzero; on a zero pivot a
+    negative diagonal entry is taken if one exists, else a nonzero one.
+    Every accepted pivot is positive, so a Schur-complement diagonal entry
+    times det, the product of the pivots, is a principal minor one size
+    larger than the number of pivots.  Witness rule: a negative pivot fails
+    with that minor; when every diagonal entry left is zero, the first
+    nonzero s_ij in row order fails with the minor -det * s_ij^2, two sizes
+    larger.  The backend brings its arithmetic: ``sign(v)``, a number of
+    v's sign under its zero rule; ``product(factors, start=1)``, as
+    ``math.prod``; ``step(a, p, rest)``, the Schur complement of pivot p.
     """
     a = [row[:] for row in matrix]
     rest = list(range(len(a)))
-    det = 1
+    pivots = []
     while rest:
-        done = len(a) - len(rest)
-        nonzero = [i for i in rest if abs(a[i][i]) > tol]
+        nonzero = [i for i in rest if sign(a[i][i])]
         if not nonzero:
-            for i in rest:
-                for j in rest:
-                    if abs(a[i][j]) > tol:
-                        return False, done + 2, -det * (a[i][j] * a[i][j])
-            break
+            s = next((a[i][j] for i in rest for j in rest if sign(a[i][j])), None)
+            if s is None:
+                break
+            return False, len(pivots) + 2, product([*pivots, product([s, s])], start=-1)
         p = nonzero[0]
         if p != rest[0]:
-            p = next((i for i in nonzero if a[i][i] < 0), p)
-        if a[p][p] < 0:
-            return False, done + 1, det * a[p][p]
-        det *= a[p][p]
+            p = next((i for i in nonzero if sign(a[i][i]) < 0), p)
+        if sign(a[p][p]) < 0:
+            return False, len(pivots) + 1, product([*pivots, a[p][p]])
+        pivots.append(a[p][p])
         rest.remove(p)
+        step(a, p, rest)
+    return True, None, None
+
+
+def _float_arithmetic(tol: float) -> tuple:
+    """Doubles: values within tol of zero count as zero, and so does NaN
+    (from inf - inf).  Products overflow to inf.  The step runs on the
+    whole matrix."""
+
+    def sign(v):
+        return v if abs(v) > tol else 0
+
+    def step(a, p, rest):
         for i in rest:
             factor = a[i][p] / a[p][p]
             for j in rest:
                 a[i][j] -= factor * a[p][j]
-    return True, None, None
+
+    return sign, math.prod, step
 
 
-def _psd_exact(matrix: list[list[tuple]]) -> tuple:
-    """``_psd(matrix, 0)`` on reduced (numerator, denominator) pairs: the
-    same pivots and witnesses, so the same (ok, order, value).  Exact Schur
-    complements stay exactly symmetric, so each step runs on the upper
-    triangle and mirrors it.  Entries stay reduced (``rational._mul`` and
-    ``_add``): unreduced, they grow at every step, which makes
-    fraction-free elimination far slower on wide entries.
-    """
-    a = [row[:] for row in matrix]
-    rest = list(range(len(a)))
-    det = (1, 1)
-    while rest:
-        done = len(a) - len(rest)
-        nonzero = [i for i in rest if a[i][i][0]]
-        if not nonzero:
-            for k, i in enumerate(rest):
-                for j in rest[k + 1:]:
-                    if a[i][j][0]:
-                        n, d = _mul(det, _mul(a[i][j], a[i][j]))
-                        return False, done + 2, Fraction(-n, d)
-            break
-        p = nonzero[0]
-        if p != rest[0]:
-            p = next((i for i in nonzero if a[i][i][0] < 0), p)
-        pivot = a[p][p]
-        if pivot[0] < 0:
-            return False, done + 1, Fraction(*_mul(det, pivot))
-        det = _mul(det, pivot)
-        rest.remove(p)
-        row, minus_inverse = a[p], (-pivot[1], pivot[0])  # the pivot is positive
-        for k, i in enumerate(rest):
-            factor, a_i = _mul(row[i], minus_inverse), a[i]
-            for j in rest[k:]:
-                a_i[j] = a[j][i] = _add(a_i[j], _mul(factor, row[j]))
-    return True, None, None
+def _exact_product(factors, start=1):
+    n, d = reduce(_mul, factors)
+    return start * n, d
+
+
+def _exact_step(a, p, rest):
+    """Exact Schur complements stay exactly symmetric, so the step runs on
+    the upper triangle and mirrors it.  Entries stay reduced (``_mul``,
+    ``_add``): unreduced, as in fraction-free elimination, they grow each step."""
+    row = a[p]
+    minus_inverse = (-row[p][1], row[p][0])  # the pivot is positive
+    for k, i in enumerate(rest):
+        factor, a_i = _mul(row[i], minus_inverse), a[i]
+        for j in rest[k:]:
+            a_i[j] = a[j][i] = _add(a_i[j], _mul(factor, row[j]))
+
+
+_EXACT_ARITHMETIC = (itemgetter(0), _exact_product, _exact_step)  # numerator's sign
 
 
 def stieltjes_test(
@@ -289,12 +285,13 @@ def stieltjes_test(
     shifted_size = order + 1 if 2 * order + 1 <= n else order
     exact = seq.backend == EXACT
     values = [(v.numerator, v.denominator) for v in seq.values] if exact else seq.values
+    arithmetic = _EXACT_ARITHMETIC if exact else _float_arithmetic(abs(tol))
     for shift, size in ((0, order + 1), (1, shifted_size)):
-        matrix = _hankel(values, size, shift)
-        ok, k, value = _psd_exact(matrix) if exact else _psd(matrix, _zero(seq, tol))
+        ok, k, value = _eliminate(_hankel(values, size, shift), *arithmetic)
         if not ok:
             return MomentVerdict(
                 "fail", "stieltjes", order, n,
-                witness=("hankel", shift, k), detail=value,
+                witness=("hankel", shift, k),
+                detail=Fraction(*value) if exact else value,
             )
     return MomentVerdict("pass", "stieltjes", order, n)

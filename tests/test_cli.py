@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from circuitdual import moments
 from circuitdual.cli import (
     MAX_COUNT,
     MAX_DEPTH,
@@ -17,6 +18,7 @@ from circuitdual.cli import (
     _build_parser,
     main,
 )
+from circuitdual.rational import parse_rat
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
 ALL_ONES = "kind = explicit\nsq = [1, 1]\ntail = ones\n"
@@ -452,7 +454,26 @@ def test_sequence_file_length_cap(tmp_path, capsys):
         code, out, err = run(capsys, "moments", "check", str(seq), "--mode", mode)
         assert (code, out) == (2, "")
         assert err == (f"error: a sequence file must hold at most {MAX_HORIZON + 1} "
-                       f"values, got {MAX_HORIZON + 2}\n")
+                       f"values, got more than {MAX_HORIZON + 1}\n")
+
+
+def test_sequence_file_read_only_up_to_its_cap(tmp_path, capsys, monkeypatch):
+    # a file far past the cap is refused at its first value past the cap:
+    # the values beyond it are never parsed
+    parsed = 0
+
+    def counting_parse(text):
+        nonlocal parsed
+        parsed += 1
+        return parse_rat(text)
+
+    monkeypatch.setattr(moments, "parse_rat", counting_parse)
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1/2\n" * 100_000)
+    code, out, err = run(capsys, "moments", "check", str(seq))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a sequence file must hold at most")
+    assert parsed == MAX_HORIZON + 1
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -44,6 +44,14 @@ SEQUENCES = {
         v - (F(1, 64) if n == 10 else 0)
         for n, v in enumerate(atomic([(F(k, 16), F(1, 6)) for k in (1, 3, 5, 8, 11, 15)], 11))
     ],
+    # the zero-pivot branches of the elimination, each after one pivot: the
+    # second pivot is 0 and the third positive, taken in its place
+    "swap_positive": [1, F(1, 2), F(1, 4), 1, F(5, 4)],
+    # the second pivot is 0, the third positive and the fourth negative:
+    # the negative one is taken and fails
+    "swap_negative": [1, 1, 1, F(-1, 4), F(7, 4), F(-3, 4), -1],
+    # every diagonal entry left is 0 beside a nonzero off-diagonal one
+    "off_diagonal": [1, 1, 1, F(-1, 4), 1],
 }
 
 CASES = [
@@ -73,6 +81,12 @@ CASES = [
     ('--backend float moments check @eleven_atoms --mode stieltjes --order 8', 0, 'PASS order=8 n=17\n'),
     ('moments check @six_atoms_lowered --mode stieltjes --order 5', 1, 'FAIL hankel=0 order=6 value=-1715697585529375/79228162514264337593543950336\n'),
     ('--backend float moments check @six_atoms_lowered --mode stieltjes --order 5', 1, 'FAIL hankel=0 order=6 value=-2.1655148006389207e-14\n'),
+    ('moments check @swap_positive --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=3 value=-49/64\n'),
+    ('--backend float moments check @swap_positive --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=3 value=-0.765625\n'),
+    ('moments check @swap_negative --mode stieltjes --order 3', 1, 'FAIL hankel=0 order=2 value=-17/16\n'),
+    ('--backend float moments check @swap_negative --mode stieltjes --order 3', 1, 'FAIL hankel=0 order=2 value=-1.0625\n'),
+    ('moments check @off_diagonal --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=3 value=-25/16\n'),
+    ('--backend float moments check @off_diagonal --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=3 value=-1.5625\n'),
     ('family taylor --m 11 --order 6', 0, '0 0 0 0 -9/64 -525/32 -33975/32\n'),
     ('family taylor --m 14 --order 8', 0, '0 0 0 0 -9/512 -165/64 -1665/8 -1682415/128 -28165095/32\n'),
     ('family scan --m 12 --xmax 3/5 --steps 60', 0, 'm=12 samples=60 negative=20 negative_prefix=20 first crossing in [647/3200, 81/400]\nsigns: --------------------++++++++++++++++++++++++++++++++++++++++\nfirst nonnegative sample at x=21/100\n'),

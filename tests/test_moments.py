@@ -4,15 +4,16 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circuitdual.family import FamilyParam, omega_eval
 from circuitdual.moments import (
     DEFAULT_FLOAT_TOL,
     MomentSeq,
-    _psd,
-    _psd_exact,
+    _EXACT_ARITHMETIC,
+    _eliminate,
+    _float_arithmetic,
     diff_transform,
     hausdorff_test,
     stieltjes_test,
@@ -265,9 +266,48 @@ def test_exact_float_agreement_away_from_zero(values, depth):
         assert exact_verdict.witness == float_verdict.witness
 
 
-# Reference PSD decision: every leading minor, then every principal minor
-# whenever a leading minor vanishes.  Exponential, but independent of the
-# elimination in ``_psd``; kept here as its oracle on small matrices.
+# Two references for the elimination of both backends.  ``_psd`` is the
+# elimination written once for any entries that support arithmetic, with
+# values within ``tol`` of zero counted as zero: each backend's routine
+# must return its (ok, order, value).  ``_reference_psd`` checks every
+# leading minor, then every principal minor whenever a leading minor
+# vanishes: exponential, but independent of any pivot rule, and the
+# oracle of verdicts and minors on small matrices.
+
+
+def _psd(matrix, tol):
+    """PSD decision by symmetric elimination: (ok, order, value).
+
+    Pivots run in natural order while the pivot is nonzero; on a zero pivot
+    a negative diagonal entry is taken if one exists, else a nonzero one.
+    A negative Schur-complement pivot fails with its minor, det times the
+    pivot; when every remaining diagonal entry is zero, a nonzero
+    off-diagonal entry s_ij fails through the minor -det * s_ij^2.
+    """
+    a = [row[:] for row in matrix]
+    rest = list(range(len(a)))
+    det = 1
+    while rest:
+        done = len(a) - len(rest)
+        nonzero = [i for i in rest if abs(a[i][i]) > tol]
+        if not nonzero:
+            for i in rest:
+                for j in rest:
+                    if abs(a[i][j]) > tol:
+                        return False, done + 2, -det * (a[i][j] * a[i][j])
+            break
+        p = nonzero[0]
+        if p != rest[0]:
+            p = next((i for i in nonzero if a[i][i] < 0), p)
+        if a[p][p] < 0:
+            return False, done + 1, det * a[p][p]
+        det *= a[p][p]
+        rest.remove(p)
+        for i in rest:
+            factor = a[i][p] / a[p][p]
+            for j in rest:
+                a[i][j] -= factor * a[p][j]
+    return True, None, None
 
 
 def _det(rows):
@@ -340,7 +380,14 @@ def symmetric_matrices(draw):
 
 def exact_psd(matrix):
     """The exact route on a Fraction matrix, its entries as reduced pairs."""
-    return _psd_exact([[(v.numerator, v.denominator) for v in row] for row in matrix])
+    pairs = [[(v.numerator, v.denominator) for v in row] for row in matrix]
+    ok, order, value = _eliminate(pairs, *_EXACT_ARITHMETIC)
+    return ok, order, None if ok else F(*value)
+
+
+def float_psd(matrix, tol):
+    """The float route on a float matrix."""
+    return _eliminate(matrix, *_float_arithmetic(tol))
 
 
 sixteenths = st.integers(0, 16).map(lambda k: F(k, 16))
@@ -375,6 +422,48 @@ def sparse_symmetric(draw):
 @given(st.one_of(symmetric_matrices(), atomic_hankels(), sparse_symmetric()))
 @settings(max_examples=150, deadline=None)
 def test_psd_exact_matches_psd(matrix):
+    assert exact_psd(matrix) == _psd(matrix, 0)
+
+
+@st.composite
+def overflowing_symmetric(draw):
+    """Entries 0 and +-10^k, |k| <= 300: in doubles, products overflow to
+    inf, and inf - inf makes NaN, which the float zero rule counts as 0."""
+    n = draw(st.integers(1, 5))
+    power = st.builds(lambda sign, k: sign * F(10) ** k, st.sampled_from([-1, 1]),
+                      st.integers(-300, 300))
+    entries = st.one_of(st.just(F(0)), power)
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entries)
+    return a
+
+
+def same_bits(x, y):
+    """x and y are the same float (-0.0 is not 0.0), or both NaN."""
+    if isinstance(x, float) and isinstance(y, float):
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1, x) == math.copysign(1, y)
+    return x == y and type(x) is type(y)
+
+
+@given(
+    st.one_of(symmetric_matrices(), atomic_hankels(), sparse_symmetric(),
+              overflowing_symmetric()),
+    st.sampled_from([DEFAULT_FLOAT_TOL, 0.0]),
+)
+# in doubles the last diagonal entry ends as NaN: counted as 0, as the
+# reference counts it, the matrix passes; counted as negative, it would fail
+@example([[F(1, 10 ** 200), F(0), F(-10 ** 300)],
+          [F(0), F(1), F(-1, 10 ** 200)],
+          [F(-10 ** 300), F(-1, 10 ** 200), F(0)]], 0.0)
+@settings(max_examples=200, deadline=None)
+def test_both_routes_match_the_reference_elimination(matrix, tol):
+    floats = [[float(v) for v in row] for row in matrix]
+    (ok, order, value), want = float_psd(floats, tol), _psd(floats, tol)
+    assert (ok, order) == want[:2] and same_bits(value, want[2])
     assert exact_psd(matrix) == _psd(matrix, 0)
 
 
@@ -434,7 +523,7 @@ def test_psd_matches_reference(matrix):
 def test_psd_float_agrees_with_eigenvalues(matrix):
     np = pytest.importorskip("numpy")
     floats = [[float(v) for v in row] for row in matrix]
-    ok = _psd(floats, DEFAULT_FLOAT_TOL)[0]
+    ok = float_psd(floats, DEFAULT_FLOAT_TOL)[0]
     lowest = float(np.linalg.eigvalsh(np.array(floats)).min())
     assert ok == _reference_psd(matrix)[0] == (lowest >= -DEFAULT_FLOAT_TOL)
 
