@@ -14,6 +14,12 @@ checks three floors itself, where its mode or source uses the flag
 (--depth, --order, --horizon).  A sequence file (MAX_HORIZON + 1 values)
 and every input rational written as p/q, in --x/--xmax and in weight-spec
 files (MAX_LITERAL characters), have caps too.  Each message names the flag.
+
+The argparse tree is built once, at import, and is the one source of the
+grammar, help, usage and error text.  ``main`` reads a plain argument list
+with ``_fast_parse``, from a table derived from that tree, and runs argparse
+only where the table cannot vouch for its result: help, a usage error, an
+abbreviation, --flag=value, --, a negative number or a repeated option.
 """
 
 from __future__ import annotations
@@ -243,8 +249,91 @@ def _cmd_family_figure(args) -> int:
 _PARSER = _build_parser()
 
 
+def _grammar(parser, path=()) -> dict:
+    """The table that ``_fast_parse`` reads: for ``parser`` and each parser
+    below it, by command path, (options, positionals, defaults, required
+    dests, subcommand dest).  Each option string and positional maps to
+    (dest, type, choices, store_true).  The defaults are argparse's: action
+    defaults first, then the parser's own for dests still unset.  It reads
+    only the kinds of argument the tree uses: store (one value), store_true,
+    help and one subparser action per parser.  Another kind needs a row
+    here; tests/test_cli_fast_parse.py draws from the tree's own grammar to
+    catch one that is missed."""
+    table, options, positionals, sub = {}, {}, [], None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            sub = action.dest
+            for name, child in action.choices.items():
+                table.update(_grammar(child, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            entry = (action.dest, action.type, action.choices,
+                     isinstance(action, argparse._StoreTrueAction))
+            options.update(dict.fromkeys(action.option_strings, entry))
+            positionals += [] if action.option_strings else [entry]
+    defaults = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
+    required = {a.dest for a in parser._actions if a.required}
+    table[path] = (options, positionals, parser._defaults | defaults, required, sub)
+    return table
+
+
+_GRAMMAR = _grammar(_PARSER)
+
+
+def _is_option(token: str) -> bool:
+    return token[:1] == "-" and token != "-"
+
+
+def _fast_parse(argv):
+    """What ``_PARSER.parse_args(argv)`` returns, read from ``_GRAMMAR``, or
+    None wherever argparse might act otherwise: a token starting with '-'
+    that is not an option string of its parser (help, an abbreviation,
+    --flag=value, --, a negative number), a repeated option, an unknown or
+    missing subcommand, a missing required option, an extra positional, or
+    a value that its type or choices refuse.  Only the lone '-' is a value."""
+    namespace, path, tokens = {}, (), iter(argv)
+    while True:
+        node = _GRAMMAR.get(path)
+        if node is None:
+            return None
+        options, positionals, defaults, required, sub = node
+        values, positionals = {}, iter(positionals)
+        for token in tokens:
+            if _is_option(token):
+                dest, kind, choices, store_true = options.get(token, (None,) * 4)
+                if dest is None or dest in values:
+                    return None
+                if store_true:
+                    values[dest] = True
+                    continue
+                token = next(tokens, None)
+                if token is None or _is_option(token):
+                    return None
+            elif sub is not None:
+                values[sub] = token
+                path += (token,)
+                break
+            else:
+                dest, kind, choices, _ = next(positionals, (None,) * 4)
+                if dest is None:
+                    return None
+            try:
+                values[dest] = token if kind is None else kind(token)
+            except (TypeError, ValueError):
+                return None
+            if choices is not None and values[dest] not in choices:
+                return None
+        if not required <= values.keys():
+            return None
+        # a subparser's values, defaults included, replace its parent's
+        namespace |= defaults
+        namespace |= values
+        if sub not in values:
+            return argparse.Namespace(**namespace)
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)  # both parsers may read it
+    args = _fast_parse(argv) or _PARSER.parse_args(argv)
     try:
         if args.backend == FLOAT and not 0 < args.tol < math.inf:
             raise ValueError(

@@ -528,6 +528,28 @@ def test_psd_float_agrees_with_eigenvalues(matrix):
     assert ok == _reference_psd(matrix)[0] == (lowest >= -DEFAULT_FLOAT_TOL)
 
 
+# positive semidefinite and singular (numpy's lowest eigenvalue is -2.7e-15),
+# yet in doubles the last Schur pivot reads -2.65e-10 after a pivot of 2.9e-5,
+# so the float route fails with (False, 4, -1.28e-14); confirming every float
+# FAIL exactly (ROADMAP direction 9) turns this test into an XPASS
+FLOAT_FALSE_FAIL = [
+    [F(497, 144), F(71, 12), F(-17, 6), F(-8, 3)],
+    [F(71, 12), F(85, 8), F(-73, 12), F(-9, 2)],
+    [F(-17, 6), F(-73, 12), F(49, 9), F(2)],
+    [F(-8, 3), F(-9, 2), F(2), F(4)],
+]
+
+
+def test_exact_psd_passes_the_float_false_fail():
+    assert exact_psd(FLOAT_FALSE_FAIL) == _reference_psd(FLOAT_FALSE_FAIL) == (True, None, None)
+
+
+@pytest.mark.xfail(strict=True, reason="float elimination's false FAIL (ROADMAP direction 9)")
+def test_float_psd_passes_where_the_exact_route_passes():
+    floats = [[float(v) for v in row] for row in FLOAT_FALSE_FAIL]
+    assert float_psd(floats, DEFAULT_FLOAT_TOL) == (True, None, None)
+
+
 # Reference Hausdorff scan: one binomial sum per (m, j) in lexicographic
 # order, the route the difference table replaced on both backends.
 
