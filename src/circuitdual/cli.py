@@ -8,25 +8,26 @@
 Exit codes: 0 success or pass, 1 a mathematical check failed, 2 input
 error.  All exact output renders rationals as 'p/q'; CSV output is decimal
 unless --exact is given.  Each size flag declares its floor and its cap
-(the MAX_* constants below) where it is added, and ``main`` checks every
+(the MAX_* constants below) in ``_COMMANDS``, and ``main`` checks every
 cap, then every floor, before the command runs; only ``moments check``
 checks three floors itself, where its mode or source uses the flag
 (--depth, --order, --horizon).  A sequence file (MAX_HORIZON + 1 values)
 and every input rational written as p/q, in --x/--xmax and in weight-spec
 files (MAX_LITERAL characters), have caps too.  Each message names the flag.
 
-The argparse tree is built once, at import, and is the one source of the
-grammar, help, usage and error text.  ``main`` reads a plain argument list
-with ``_fast_parse``, from a table derived from that tree, and runs argparse
-only where the table cannot vouch for its result: help, a usage error, an
-abbreviation, --flag=value, --, a negative number or a repeated option.
+``_COMMANDS`` declares the grammar once, as a plain table.  ``main`` reads
+a plain argument list from it with ``_fast_parse`` and builds an argparse
+tree from it, importing argparse, only where the table cannot vouch for its
+result: help, a usage error, an abbreviation, --flag=value, --, a negative
+number or a repeated option.  argparse stays the one source of help, usage
+and error text, and a plain command never imports it.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+import types
 
 from .family import (
     FamilyParam,
@@ -65,88 +66,6 @@ MAX_FIBER = 1000           # moments check --fiber
 def _check_floor(flag: str, value: int, floor: int):
     if value < floor:
         raise ValueError(f"{flag} must be at least {floor}, got {value}")
-
-
-def _size(parser, flag: str, floor: int | None, cap: int, **kwargs):
-    """Add the integer flag ``flag`` and record its limits in the parser's
-    ``sizes`` default; a floor of None is left to the command."""
-    parser.add_argument(flag, type=int, **kwargs)
-    sizes = parser.get_default("sizes") or ()
-    parser.set_defaults(sizes=sizes + ((flag, floor, cap),))
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cdl",
-        description="Exact analysis of weighted composition operators on the "
-        "one-circuit graph: 2-isometry checks, Cauchy duals, moment tests.",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=(EXACT, FLOAT),
-        default=EXACT,
-        help="numeric backend for moment checks (default: exact)",
-    )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_FLOAT_TOL,
-        help="absolute tolerance on the float backend, positive and finite "
-        "(ignored on exact)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    wco = sub.add_parser("wco", help="operator inspection")
-    wco_sub = wco.add_subparsers(dest="subcommand", required=True)
-    describe = wco_sub.add_parser("describe", help="norms, cyclicity, residuals")
-    describe.add_argument("--spec", required=True, help="weight-spec file")
-    _size(describe, "--depth", 2, MAX_RESIDUAL_DEPTH, default=10)
-    describe.set_defaults(run=_cmd_wco_describe)
-    dual = wco_sub.add_parser("dual", help="Cauchy dual weights")
-    dual.add_argument("--spec", required=True, help="weight-spec file")
-    _size(dual, "--count", 1, MAX_COUNT, default=10, help="entries to print")
-    dual.set_defaults(run=_cmd_wco_dual)
-
-    moments = sub.add_parser("moments", help="moment-sequence testing")
-    moments_sub = moments.add_subparsers(dest="subcommand", required=True)
-    check = moments_sub.add_parser("check", help="necessary-conditions test")
-    check.add_argument("sequence", nargs="?", help="sequence file, one value per line")
-    check.add_argument("--from-dual", metavar="SPEC", help="weight-spec file; "
-                       "test the dual moment sequence instead of a file")
-    check.add_argument("--mode", choices=("hausdorff", "stieltjes"), default="hausdorff")
-    _size(check, "--depth", None, MAX_DEPTH, default=6,
-          help="max difference order (hausdorff)")
-    _size(check, "--order", None, MAX_HANKEL_ORDER, default=4,
-          help="Hankel order (stieltjes)")
-    _size(check, "--horizon", None, MAX_HORIZON, default=12,
-          help="prefix length for --from-dual")
-    _size(check, "--fiber", 0, MAX_FIBER, default=0, help="fiber index for --from-dual")
-    check.set_defaults(run=_cmd_moments_check)
-
-    family = sub.add_parser("family", help="the parametric counterexample family")
-    family_sub = family.add_subparsers(dest="subcommand", required=True)
-    taylor = family_sub.add_parser("taylor", help="derivatives of D_m at 0")
-    _size(taylor, "--m", 0, MAX_M, required=True)
-    _size(taylor, "--order", 0, MAX_ORDER, default=4)
-    taylor.set_defaults(run=_cmd_family_taylor)
-    scan = family_sub.add_parser("scan", help="exact sign scan of D_m")
-    _size(scan, "--m", 0, MAX_M, required=True)
-    scan.add_argument("--xmax", default=str(FIGURE_X_MAX))
-    _size(scan, "--steps", 1, MAX_STEPS, default=FIGURE_STEPS)
-    scan.set_defaults(run=_cmd_family_scan)
-    verdict = family_sub.add_parser("verdict", help="full counterexample pipeline")
-    verdict.add_argument("--x", required=True)
-    _size(verdict, "--horizon", 0, MAX_HORIZON, default=12)
-    _size(verdict, "--depth", 1, MAX_DEPTH, default=5)
-    _size(verdict, "--residual-depth", 2, MAX_RESIDUAL_DEPTH, default=50)
-    verdict.set_defaults(run=_cmd_family_verdict)
-    figure = family_sub.add_parser("figure", help="CSV of D_4, D_5, D_6 samples")
-    figure.add_argument("--xmax", default=str(FIGURE_X_MAX))
-    _size(figure, "--steps", 1, MAX_STEPS, default=FIGURE_STEPS)
-    figure.add_argument("--out", required=True, help="output path, or - for stdout")
-    figure.add_argument("--exact", action="store_true", help="write p/q instead of decimals")
-    figure.set_defaults(run=_cmd_family_figure)
-    return parser
 
 
 def _cmd_wco_describe(args) -> int:
@@ -245,38 +164,109 @@ def _cmd_family_figure(args) -> int:
     return 0
 
 
-# holds no per-call state; built at import so that forked workers inherit it
-_PARSER = _build_parser()
+# Each command path, a group before its subcommands, maps to (help text,
+# arguments, handler or None for a group).  Each argument, in declaration
+# order, maps to the keyword arguments of argparse's add_argument; a size
+# flag also carries its floor (None: the command checks it) and its cap.
+_COMMANDS = {
+    (): ("Exact analysis of weighted composition operators on the one-circuit graph: "
+         "2-isometry checks, Cauchy duals, moment tests.", {
+        "--backend": dict(choices=(EXACT, FLOAT), default=EXACT,
+                          help="numeric backend for moment checks (default: exact)"),
+        "--tol": dict(type=float, default=DEFAULT_FLOAT_TOL, help="absolute tolerance on "
+                      "the float backend, positive and finite (ignored on exact)"),
+    }, None),
+    ("wco",): ("operator inspection", {}, None),
+    ("wco", "describe"): ("norms, cyclicity, residuals", {
+        "--spec": dict(required=True, help="weight-spec file"),
+        "--depth": dict(type=int, default=10, floor=2, cap=MAX_RESIDUAL_DEPTH),
+    }, _cmd_wco_describe),
+    ("wco", "dual"): ("Cauchy dual weights", {
+        "--spec": dict(required=True, help="weight-spec file"),
+        "--count": dict(type=int, default=10, help="entries to print", floor=1, cap=MAX_COUNT),
+    }, _cmd_wco_dual),
+    ("moments",): ("moment-sequence testing", {}, None),
+    ("moments", "check"): ("necessary-conditions test", {
+        "sequence": dict(nargs="?", help="sequence file, one value per line"),
+        "--from-dual": dict(metavar="SPEC", help="weight-spec file; test the dual "
+                            "moment sequence instead of a file"),
+        "--mode": dict(choices=("hausdorff", "stieltjes"), default="hausdorff"),
+        "--depth": dict(type=int, default=6, help="max difference order (hausdorff)",
+                        floor=None, cap=MAX_DEPTH),
+        "--order": dict(type=int, default=4, help="Hankel order (stieltjes)",
+                        floor=None, cap=MAX_HANKEL_ORDER),
+        "--horizon": dict(type=int, default=12, help="prefix length for --from-dual",
+                          floor=None, cap=MAX_HORIZON),
+        "--fiber": dict(type=int, default=0, help="fiber index for --from-dual",
+                        floor=0, cap=MAX_FIBER),
+    }, _cmd_moments_check),
+    ("family",): ("the parametric counterexample family", {}, None),
+    ("family", "taylor"): ("derivatives of D_m at 0", {
+        "--m": dict(type=int, required=True, floor=0, cap=MAX_M),
+        "--order": dict(type=int, default=4, floor=0, cap=MAX_ORDER),
+    }, _cmd_family_taylor),
+    ("family", "scan"): ("exact sign scan of D_m", {
+        "--m": dict(type=int, required=True, floor=0, cap=MAX_M),
+        "--xmax": dict(default=str(FIGURE_X_MAX)),
+        "--steps": dict(type=int, default=FIGURE_STEPS, floor=1, cap=MAX_STEPS),
+    }, _cmd_family_scan),
+    ("family", "verdict"): ("full counterexample pipeline", {
+        "--x": dict(required=True),
+        "--horizon": dict(type=int, default=12, floor=0, cap=MAX_HORIZON),
+        "--depth": dict(type=int, default=5, floor=1, cap=MAX_DEPTH),
+        "--residual-depth": dict(type=int, default=50, floor=2, cap=MAX_RESIDUAL_DEPTH),
+    }, _cmd_family_verdict),
+    ("family", "figure"): ("CSV of D_4, D_5, D_6 samples", {
+        "--xmax": dict(default=str(FIGURE_X_MAX)),
+        "--steps": dict(type=int, default=FIGURE_STEPS, floor=1, cap=MAX_STEPS),
+        "--out": dict(required=True, help="output path, or - for stdout"),
+        "--exact": dict(action="store_true", help="write p/q instead of decimals"),
+    }, _cmd_family_figure),
+}
+_DESTS = ("command", "subcommand")  # the dest of the subcommand at each depth
 
 
-def _grammar(parser, path=()) -> dict:
-    """The table that ``_fast_parse`` reads: for ``parser`` and each parser
-    below it, by command path, (options, positionals, defaults, required
-    dests, subcommand dest).  Each option string and positional maps to
-    (dest, type, choices, store_true).  The defaults are argparse's: action
-    defaults first, then the parser's own for dests still unset.  It reads
-    only the kinds of argument the tree uses: store (one value), store_true,
-    help and one subparser action per parser.  Another kind needs a row
-    here; tests/test_cli_fast_parse.py draws from the tree's own grammar to
-    catch one that is missed."""
-    table, options, positionals, sub = {}, {}, [], None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.dest
-            for name, child in action.choices.items():
-                table.update(_grammar(child, path + (name,)))
-        elif not isinstance(action, argparse._HelpAction):
-            entry = (action.dest, action.type, action.choices,
-                     isinstance(action, argparse._StoreTrueAction))
-            options.update(dict.fromkeys(action.option_strings, entry))
-            positionals += [] if action.option_strings else [entry]
-    defaults = {a.dest: a.default for a in parser._actions if a.default is not argparse.SUPPRESS}
-    required = {a.dest for a in parser._actions if a.required}
-    table[path] = (options, positionals, parser._defaults | defaults, required, sub)
-    return table
+def _build_parser():
+    """The argparse tree of ``_COMMANDS``, the one source of help, usage and
+    error text; ``main`` builds it only for a list ``_fast_parse`` leaves."""
+    import argparse
+
+    root, groups = argparse.ArgumentParser(prog="cdl", description=_COMMANDS[()][0]), {}
+    for path, (text, arguments, run) in _COMMANDS.items():
+        parser = groups[path[:-1]].add_parser(path[-1], help=text) if path else root
+        for name, spec in arguments.items():
+            parser.add_argument(name, **{key: value for key, value in spec.items()
+                                         if key not in ("floor", "cap")})
+        if run is None:
+            groups[path] = parser.add_subparsers(dest=_DESTS[len(path)], required=True)
+    return root
 
 
-_GRAMMAR = _grammar(_PARSER)
+def _node(path, arguments, run) -> tuple:
+    """What ``_fast_parse`` reads of one command: (options, positionals,
+    defaults, required dests, subcommand dest), each option string and
+    positional as (dest, type, choices, store_true).  It knows only the
+    kinds of argument the table uses: one value, a positional with nargs
+    '?', store_true; tests/test_cli_fast_parse.py checks it against argparse."""
+    options, positionals, defaults, required = {}, [], {}, set()
+    for name, spec in arguments.items():
+        dest = name.lstrip("-").replace("-", "_")
+        store_true = spec.get("action") == "store_true"
+        entry = (dest, spec.get("type"), spec.get("choices"), store_true)
+        if name[0] == "-":
+            options[name] = entry
+        else:
+            positionals.append(entry)
+        defaults[dest] = spec.get("default", False if store_true else None)
+        if spec.get("required"):
+            required.add(dest)
+    sub = None if run else _DESTS[len(path)]
+    if sub:
+        required.add(sub)
+    return options, positionals, defaults, required, sub
+
+
+_NODES = {path: _node(path, arguments, run) for path, (_, arguments, run) in _COMMANDS.items()}
 
 
 def _is_option(token: str) -> bool:
@@ -284,15 +274,15 @@ def _is_option(token: str) -> bool:
 
 
 def _fast_parse(argv):
-    """What ``_PARSER.parse_args(argv)`` returns, read from ``_GRAMMAR``, or
+    """``vars(_build_parser().parse_args(argv))``, read from ``_NODES``, or
     None wherever argparse might act otherwise: a token starting with '-'
-    that is not an option string of its parser (help, an abbreviation,
+    that is not an option string of its command (help, an abbreviation,
     --flag=value, --, a negative number), a repeated option, an unknown or
     missing subcommand, a missing required option, an extra positional, or
     a value that its type or choices refuse.  Only the lone '-' is a value."""
     namespace, path, tokens = {}, (), iter(argv)
     while True:
-        node = _GRAMMAR.get(path)
+        node = _NODES.get(path)
         if node is None:
             return None
         options, positionals, defaults, required, sub = node
@@ -324,30 +314,32 @@ def _fast_parse(argv):
                 return None
         if not required <= values.keys():
             return None
-        # a subparser's values, defaults included, replace its parent's
+        # a subcommand's values, defaults included, replace its parent's
         namespace |= defaults
         namespace |= values
         if sub not in values:
-            return argparse.Namespace(**namespace)
+            return namespace
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)  # both parsers may read it
-    args = _fast_parse(argv) or _PARSER.parse_args(argv)
+    values = _fast_parse(argv) or vars(_build_parser().parse_args(argv))
+    _, arguments, run = _COMMANDS[tuple([values[dest] for dest in _DESTS])]
     try:
-        if args.backend == FLOAT and not 0 < args.tol < math.inf:
+        if values["backend"] == FLOAT and not 0 < values["tol"] < math.inf:
             raise ValueError(
-                f"--tol must be positive and finite, got {args.tol!r}"
+                f"--tol must be positive and finite, got {values['tol']!r}"
             )
         # every cap of the command, then every floor, in declaration order
-        values = [getattr(args, flag[2:].replace("-", "_")) for flag, _, _ in args.sizes]
-        for (flag, _, cap), value in zip(args.sizes, values):
+        sizes = [(flag, spec["floor"], spec["cap"], values[flag[2:].replace("-", "_")])
+                 for flag, spec in arguments.items() if "cap" in spec]
+        for flag, _, cap, value in sizes:
             if value > cap:
                 raise ValueError(f"{flag} must be at most {cap}, got {value}")
-        for (flag, floor, _), value in zip(args.sizes, values):
+        for flag, floor, _, value in sizes:
             if floor is not None:
                 _check_floor(flag, value, floor)
-        return args.run(args)
+        return run(types.SimpleNamespace(**values))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

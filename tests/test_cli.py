@@ -1,4 +1,3 @@
-import argparse
 import sys
 
 import pytest
@@ -15,7 +14,7 @@ from circuitdual.cli import (
     MAX_ORDER,
     MAX_RESIDUAL_DEPTH,
     MAX_STEPS,
-    _build_parser,
+    _COMMANDS,
     main,
 )
 from circuitdual.rational import parse_rat
@@ -379,22 +378,13 @@ def test_which_size_error_wins(tmp_path, capsys, argv, message):
     assert err.startswith(message)
 
 
-def _parsers(parser):
-    """``parser`` and every subcommand parser below it."""
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                yield from _parsers(child)
-
-
 def test_every_integer_flag_has_a_cap():
-    for parser in _parsers(_build_parser()):
-        caps = {flag: cap for flag, _, cap in parser.get_default("sizes") or ()}
-        for action in parser._actions:
-            if action.type is int:
-                flag = action.option_strings[0]
-                assert type(caps.get(flag)) is int, (parser.prog, flag)
+    # and a floor, None where the command checks it itself
+    for path, (_, arguments, _) in _COMMANDS.items():
+        for flag, spec in arguments.items():
+            if spec.get("type") is int:
+                assert type(spec.get("cap")) is int, (path, flag)
+                assert "floor" in spec and type(spec["floor"]) in (int, type(None)), (path, flag)
 
 
 def test_floors_skip_unused_flags(tmp_path, capsys):

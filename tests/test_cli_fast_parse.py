@@ -1,16 +1,15 @@
-"""``cli._fast_parse`` reads plain argument lists from a table of the
-argparse tree and leaves every other list to argparse.
+"""``cli._fast_parse`` reads plain argument lists from the grammar table
+``cli._COMMANDS`` and leaves every other list to argparse.
 
-For any argument list it returns None or the Namespace that
-``_PARSER.parse_args`` returns, and None wherever argparse exits.  Every
-argument list of the four benchmark workloads takes the fast path, so a
-plain ``cdl`` command runs without argparse's parser.
+For any argument list it returns None or the values that the argparse tree
+built from the table returns, ``vars(_build_parser().parse_args(argv))``,
+and None wherever argparse exits.  Every argument list of the four
+benchmark workloads takes the fast path, so a plain ``cdl`` command runs
+without argparse.
 """
 
 import contextlib
 import io
-import os
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 from circuitdual import cli
 from test_cli_fuzz import RATIONALS, _argv
 from test_cli_golden import refuse_argparse
+from test_cli_parser_once import run_module
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
@@ -39,30 +39,30 @@ ODD = ["-h", "--help", "--", "-", "-1", "-0.5", "-1/20", "- 1", "--ord", "--ex",
        "--m=5", "--backend=float", "--tol=1e-3", "extra", "bogus"]
 # every option string and subcommand name, so that drawn lists repeat
 # options, misplace them and name unknown or missing subcommands
-NAMES = sorted({name for path in cli._GRAMMAR for name in path}
-               | {option for node in cli._GRAMMAR.values() for option in node[0]})
+NAMES = sorted({name for path in cli._COMMANDS for name in path}
+               | {name for _, arguments, _ in cli._COMMANDS.values()
+                  for name in arguments if name.startswith("-")})
 
 
-def argparse_result(argv):
-    """``_PARSER.parse_args(argv)``, or None where argparse exits."""
+def argparse_values(argv):
+    """``vars(_build_parser().parse_args(argv))``, or None where argparse exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return cli._PARSER.parse_args(argv)
+            return vars(cli._build_parser().parse_args(argv))
         except SystemExit:
             return None
 
 
-def plain(namespace):
-    """The Namespace's values, a NaN tolerance by its text (NaN != NaN)."""
-    return {key: repr(value) if value != value else value
-            for key, value in vars(namespace).items()}
+def plain(values):
+    """The values, a NaN tolerance by its text (NaN != NaN)."""
+    return {key: repr(value) if value != value else value for key, value in values.items()}
 
 
 @st.composite
 def edited_argvs(draw):
     """A list from the fuzz test's grammar with up to three edits: a token
     from ODD or NAMES inserted, a pair of tokens repeated, or one deleted."""
-    argv = _argv(draw, cli._build_parser(), POOLS)
+    argv = _argv(draw, (), POOLS)
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(argv)))
         edit = draw(st.sampled_from(("insert", "repeat", "delete")))
@@ -78,7 +78,7 @@ def edited_argvs(draw):
 @settings(max_examples=200, deadline=None)
 @given(edited_argvs())
 def test_fast_parse_is_argparse_or_none(argv):
-    fast, slow = cli._fast_parse(argv), argparse_result(argv)
+    fast, slow = cli._fast_parse(argv), argparse_values(argv)
     assert fast is None or slow is not None and plain(fast) == plain(slow), argv
 
 
@@ -106,7 +106,7 @@ def test_fast_parse_leaves_these_to_argparse(argv):
 
 def test_fast_parse_reads_the_lone_dash_as_a_value():
     for argv in (["family", "figure", "--out", "-", "--exact"], ["moments", "check", "-"]):
-        assert cli._fast_parse(argv) == cli._PARSER.parse_args(argv)
+        assert cli._fast_parse(argv) == argparse_values(argv)
 
 
 @pytest.fixture(scope="module")
@@ -124,15 +124,16 @@ def workloads():
 
 
 def test_every_workload_argv_takes_the_fast_path(workloads, tmp_path):
+    parser = cli._build_parser()
     for name in workloads.WORKLOADS:
         for seed in (1, 2, 3):
             for job in workloads.make_jobs(name, seed, tmp_path):
                 argv = job["argv"]
-                assert cli._fast_parse(argv) == cli._PARSER.parse_args(argv), argv
+                assert cli._fast_parse(argv) == vars(parser.parse_args(argv)), argv
 
 
 def test_workload_commands_run_without_argparse(workloads, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse_argparse)
+    monkeypatch.setattr(cli, "_build_parser", refuse_argparse)
     for name in workloads.WORKLOADS:
         jobs = workloads.make_jobs(name, 1, tmp_path, smoke=True)
         for shape in {tuple(a for a in job["argv"] if a.startswith("--")): job for job in jobs}.values():
@@ -151,20 +152,11 @@ CONSOLE = [
 
 @pytest.mark.parametrize("command, code, out, err", CONSOLE, ids=[c[0] for c in CONSOLE])
 def test_console_entry_reads_sys_argv(command, code, out, err):
-    run = run_module(command)
+    run = run_module(command.split())
     assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
 
 
 def test_console_help_exits_0():
-    run = run_module("family --help")
+    run = run_module(["family", "--help"])
     assert run.returncode == 0 and run.stdout.startswith("usage: cdl family ")
 
-
-def run_module(command):
-    """``python -m circuitdual.cli`` on this checkout's source."""
-    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run(
-        [sys.executable, "-m", "circuitdual.cli", *command.split()],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=path.rstrip(os.pathsep)),
-    )

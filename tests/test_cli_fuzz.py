@@ -1,24 +1,23 @@
-"""Random ``cdl`` argument lists drawn from the parser's own grammar.
+"""Random ``cdl`` argument lists drawn from the CLI's own grammar table.
 
 Whatever the input, ``main`` returns (or argparse exits with) 0, 1 or 2,
 and no traceback reaches stderr; an invalid tolerance on the float backend
-always exits 2.  Each argument list runs twice, with the parser that every
-``main`` call shares and with a freshly built one, which must agree on the
-exit code, stdout and stderr.  Sizes are drawn small (at most 20),
+always exits 2.  Each argument list runs twice, as ``main`` reads it and
+with ``cli._fast_parse`` patched to return None, so that argparse reads it:
+both routes must agree on the exit code, stdout and stderr.  Sizes are drawn small (at most 20),
 nonpositive (down to -2, below the floor of --count and --fiber) or beyond
 the cap that their own subcommand declares, so each example stays cheap.
 A second test draws only ``moments check`` on the float backend in
 Stieltjes mode, where the whole grammar rarely reaches the overflow file.
 """
 
-import argparse
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitdual.cli import MAX_LITERAL, _build_parser
-from test_cli_parser_once import run_alone, run_in_process
+from circuitdual import cli
+from circuitdual.cli import _COMMANDS, MAX_LITERAL
+from test_cli_parser_once import run_in_process
 
 # invalid literals include ones whose p/q form is beyond MAX_LITERAL
 RATIONALS = (
@@ -56,54 +55,59 @@ def files(tmp_path_factory):
     }
 
 
-def _value(draw, action, pools, caps):
-    """A valid value three times in four, else an invalid or over-cap one;
-    ``caps`` maps each size flag of the subcommand to its cap."""
+def _value(draw, name, spec, pools):
+    """A valid value three times in four, else an invalid or over-cap one."""
     valid = draw(st.integers(0, 3)) > 0
-    if action.type is int:
+    if spec.get("type") is int:
         if valid:
             return str(draw(st.integers(1, 20)))
         if draw(st.booleans()):
-            return str(caps[action.option_strings[0]] + draw(st.integers(1, 10 ** 6)))
+            return str(spec["cap"] + draw(st.integers(1, 10 ** 6)))
         return str(draw(st.integers(-2, 0)))
-    if action.choices is not None:
-        good, bad = list(action.choices), ["bogus"]
-    elif action.type is float:
+    if spec.get("choices") is not None:
+        good, bad = list(spec["choices"]), ["bogus"]
+    elif spec.get("type") is float:
         good, bad = TOLERANCES
     else:
-        key = {"from_dual": "spec", "xmax": "x"}.get(action.dest, action.dest)
+        key = {"--from-dual": "spec", "--xmax": "x"}.get(name, name.lstrip("-"))
         good, bad = pools[key]
     return draw(st.sampled_from(good if valid else bad))
 
 
-def _argv(draw, parser, pools, keep=(), drop=()):
-    """Arguments of ``parser``; those whose dest is in ``keep`` are kept as
-    often as required ones, those in ``drop`` never drawn."""
+def _argv(draw, path, pools, keep=(), drop=()):
+    """Arguments of the command at ``path`` of ``cli._COMMANDS``, then those
+    of a drawn subcommand; names in ``keep`` are kept as often as required
+    ones, those in ``drop`` never drawn."""
     options, positionals, tail = [], [], []
-    caps = {flag: cap for flag, _, cap in parser.get_default("sizes") or ()}
-    for action in parser._actions:
-        if isinstance(action, argparse._HelpAction) or action.dest in drop:
-            continue
-        if isinstance(action, argparse._SubParsersAction):
-            name = draw(st.sampled_from(sorted(action.choices)))
-            tail = [name] + _argv(draw, action.choices[name], pools)
-            continue
+    _, arguments, run = _COMMANDS[path]
+    for name, spec in arguments.items():
         # required arguments are left out now and then; optional ones often
-        if draw(st.integers(0, 9)) >= (9 if action.required or action.dest in keep else 5):
+        if name in drop or draw(st.integers(0, 9)) >= (
+                9 if spec.get("required") or name in keep else 5):
             continue
-        if not action.option_strings:
-            positionals.append(_value(draw, action, pools, caps))
-        elif action.nargs == 0:
-            options.append([action.option_strings[0]])
+        if name[0] != "-":
+            positionals.append(_value(draw, name, spec, pools))
+        elif spec.get("action") == "store_true":
+            options.append([name])
         else:
-            options.append([action.option_strings[0], _value(draw, action, pools, caps)])
+            options.append([name, _value(draw, name, spec, pools)])
+    if run is None:
+        name = draw(st.sampled_from([p[-1] for p in _COMMANDS if p and p[:-1] == path]))
+        tail = [name] + _argv(draw, path + (name,), pools)
     options = draw(st.permutations(options))
     return [token for option in options for token in option] + positionals + tail
 
 
 @st.composite
 def argvs(draw, pools):
-    return _argv(draw, _build_parser(), pools)
+    return _argv(draw, (), pools)
+
+
+def run_by_argparse(argv):
+    """``run_in_process`` with ``_fast_parse`` leaving every list to argparse."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_fast_parse", lambda argv: None)
+        return run_in_process(argv)
 
 
 def _check_exit(argv):
@@ -113,7 +117,7 @@ def _check_exit(argv):
     if options.get("--backend") == "float" and options.get("--tol") in TOLERANCES[1]:
         assert code == 2, argv
     assert "Traceback" not in err, argv
-    assert run_alone(argv) == (code, out, err), argv
+    assert run_by_argparse(argv) == (code, out, err), argv
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,14 +130,11 @@ def test_cli_never_escapes_its_exit_codes(files, data):
 def float_hankel_argvs(draw, pools):
     """``moments check`` on the float backend in Stieltjes mode, nearly always
     on a sequence file, the overflow file being the only valid one."""
-    check = _build_parser()
-    for name in ("moments", "check"):
-        sub = next(a for a in check._actions if isinstance(a, argparse._SubParsersAction))
-        check = sub.choices[name]
     valid, invalid = pools["sequence"]
     overflow = [path for path in valid if path.endswith("overflow.txt")]
     pools = dict(pools, sequence=(overflow, invalid))
-    drawn = _argv(draw, check, pools, keep={"sequence"}, drop={"from_dual", "mode"})
+    drawn = _argv(draw, ("moments", "check"), pools, keep={"sequence"},
+                  drop={"--from-dual", "--mode"})
     return ["--backend", "float", "moments", "check", "--mode", "stieltjes"] + drawn
 
 

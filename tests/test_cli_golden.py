@@ -6,8 +6,8 @@ expected output is a change of behaviour and belongs in CHANGES.md.  Every
 case runs with ``rational.poly_gcd``, ``rational.Poly.__init__`` and
 ``rational.RatFn.taylor_at_zero`` patched to raise, which pins that the
 commands run no polynomial gcd, build no Fraction polynomial and expand no
-rational function into a series.  ``cli._PARSER.parse_args`` is patched to
-raise as well: every case is a plain argument list, which ``cli._fast_parse``
+rational function into a series.  ``cli._build_parser`` is patched to raise
+as well: every case is a plain argument list, which ``cli._fast_parse``
 reads without argparse.
 """
 
@@ -130,7 +130,7 @@ def test_golden_cli(tmp_path, capsys, monkeypatch, command, code, stdout):
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
     monkeypatch.setattr(rational.Poly, "__init__", refuse_poly)
     monkeypatch.setattr(rational.RatFn, "taylor_at_zero", refuse_series)
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse_argparse)
+    monkeypatch.setattr(cli, "_build_parser", refuse_argparse)
     family.d_ratfn.cache_clear()
     for name, values in SEQUENCES.items():
         (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
@@ -150,7 +150,7 @@ def test_golden_taylor_at_cap(capsys, monkeypatch):
     # the series route builds no D_m and runs no rational series division
     monkeypatch.setattr(family, "d_ratfn", refuse_rational_route)
     monkeypatch.setattr(rational.RatFn, "taylor_at_zero", refuse_rational_route)
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse_argparse)
+    monkeypatch.setattr(cli, "_build_parser", refuse_argparse)
     assert main(["family", "taylor", "--m", "100", "--order", "100"]) == 0
     out = capsys.readouterr().out
     assert len(out) == CAP_TAYLOR_LENGTH
@@ -174,7 +174,7 @@ def test_golden_grid_at_scale(capsys, monkeypatch, command, length, digest):
     monkeypatch.setattr(rational, "poly_gcd", refuse_gcd)
     monkeypatch.setattr(rational.Poly, "__init__", refuse_poly)
     monkeypatch.setattr(rational.RatFn, "taylor_at_zero", refuse_series)
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse_argparse)
+    monkeypatch.setattr(cli, "_build_parser", refuse_argparse)
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert len(out) == length

@@ -1,16 +1,22 @@
-"""``main`` parses every call with the one argparse tree built at import.
-
-No call may build another parser, and no call may leave state in the shared
-one that changes what a later call prints or returns.
+"""``main`` builds no argparse parser for a plain argument list, and no
+call leaves state that changes what a later call prints or returns: a
+sequence of calls in one process prints what each call prints in a fresh
+``python -m circuitdual.cli`` process, as a one-shot ``cdl`` runs it.
 """
 
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from circuitdual import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_in_process(argv):
@@ -24,11 +30,20 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(argv):
+    """``python -m circuitdual.cli`` on this checkout's source."""
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "circuitdual.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path.rstrip(os.pathsep)),
+    )
+
+
 def run_alone(argv):
-    """What the call gives with a parser of its own, as in a one-shot ``cdl``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_PARSER", cli._build_parser())
-        return run_in_process(argv)
+    """(exit code, stdout, stderr) of ``argv`` in a process of its own."""
+    run = run_module(argv)
+    return run.returncode, run.stdout, run.stderr
 
 
 @pytest.fixture
@@ -58,7 +73,8 @@ def test_main_builds_no_parser(files, monkeypatch):
     )
 
 
-def test_calls_in_one_process_print_what_they_print_alone(files):
+def test_calls_in_one_process_print_what_they_print_alone(files, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width, in and out of process
     _, seq = files
     sequence = [
         ["--backend", "float", "--tol", "1e-6", "moments", "check", seq, "--depth", "3"],

@@ -2,8 +2,10 @@
 
 A fresh ``import circuitdual.cli`` is paid by every one-shot ``cdl``
 process, so the package keeps ``dataclasses`` (which imports ``inspect``)
-and ``typing`` off its import path.  The check runs ``python -S``, which
-skips the site hooks: those may import ``typing`` themselves.
+and ``typing`` off its import path, and ``argparse`` (with ``gettext`` and
+``locale``) too: ``cli`` imports it only to build the tree for help, usage
+and errors.  The check runs ``python -S``, which skips the site hooks:
+those may import ``typing`` themselves.
 """
 
 import subprocess
@@ -11,18 +13,32 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-AVOIDED = ("dataclasses", "inspect", "typing")
+AVOIDED = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 
 PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import circuitdual.cli; "
     f"print(*[m for m in {AVOIDED!r} if m in sys.modules])"
 )
+HELP = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import circuitdual.cli; "
+    "circuitdual.cli.main(sys.argv[2:])"
+)
+
+
+def probe(code, *argv):
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 def test_cli_import_avoids_dataclasses_inspect_and_typing():
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, str(SRC)],
-        capture_output=True, text=True, timeout=60,
-    )
+    run = probe(PROBE)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def test_help_imports_argparse_when_asked():
+    run = probe(HELP, "family", "--help")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: cdl family [-h] {taylor,scan,verdict,figure} ...\n")
