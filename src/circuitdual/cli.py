@@ -243,14 +243,17 @@ def _build_parser():
 
 
 def _node(path, arguments, run) -> tuple:
-    """What ``_fast_parse`` reads of one command: (options, positionals,
-    defaults, required dests, subcommand dest), each option string and
-    positional as (dest, type, choices, store_true).  It knows only the
-    kinds of argument the table uses: one value, a positional with nargs
-    '?', store_true; tests/test_cli_fast_parse.py checks it against argparse."""
-    options, positionals, defaults, required = {}, [], {}, set()
+    """What ``_fast_parse`` and ``main`` read of one command: (options,
+    positionals, defaults, required dests, subcommand dest, sizes), each
+    option string and positional as (dest, type, choices, store_true) and
+    each size flag as (flag, dest, floor, cap).  It knows only the kinds of
+    argument the table uses: one value, a positional with nargs '?',
+    store_true; tests/test_cli_fast_parse.py checks it against argparse."""
+    options, positionals, defaults, required, sizes = {}, [], {}, set(), []
     for name, spec in arguments.items():
         dest = name.lstrip("-").replace("-", "_")
+        if "cap" in spec:
+            sizes.append((name, dest, spec["floor"], spec["cap"]))
         store_true = spec.get("action") == "store_true"
         entry = (dest, spec.get("type"), spec.get("choices"), store_true)
         if name[0] == "-":
@@ -263,7 +266,7 @@ def _node(path, arguments, run) -> tuple:
     sub = None if run else _DESTS[len(path)]
     if sub:
         required.add(sub)
-    return options, positionals, defaults, required, sub
+    return options, positionals, defaults, required, sub, sizes
 
 
 _NODES = {path: _node(path, arguments, run) for path, (_, arguments, run) in _COMMANDS.items()}
@@ -285,7 +288,7 @@ def _fast_parse(argv):
         node = _NODES.get(path)
         if node is None:
             return None
-        options, positionals, defaults, required, sub = node
+        options, positionals, defaults, required, sub, _ = node
         values, positionals = {}, iter(positionals)
         for token in tokens:
             if _is_option(token):
@@ -324,21 +327,20 @@ def _fast_parse(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)  # both parsers may read it
     values = _fast_parse(argv) or vars(_build_parser().parse_args(argv))
-    _, arguments, run = _COMMANDS[tuple([values[dest] for dest in _DESTS])]
+    path = tuple([values[dest] for dest in _DESTS])
+    run, sizes = _COMMANDS[path][2], _NODES[path][-1]
     try:
         if values["backend"] == FLOAT and not 0 < values["tol"] < math.inf:
             raise ValueError(
                 f"--tol must be positive and finite, got {values['tol']!r}"
             )
         # every cap of the command, then every floor, in declaration order
-        sizes = [(flag, spec["floor"], spec["cap"], values[flag[2:].replace("-", "_")])
-                 for flag, spec in arguments.items() if "cap" in spec]
-        for flag, _, cap, value in sizes:
-            if value > cap:
-                raise ValueError(f"{flag} must be at most {cap}, got {value}")
-        for flag, floor, _, value in sizes:
+        for flag, dest, _, cap in sizes:
+            if values[dest] > cap:
+                raise ValueError(f"{flag} must be at most {cap}, got {values[dest]}")
+        for flag, dest, floor, _ in sizes:
             if floor is not None:
-                _check_floor(flag, value, floor)
+                _check_floor(flag, values[dest], floor)
         return run(types.SimpleNamespace(**values))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

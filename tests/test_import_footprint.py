@@ -4,7 +4,8 @@ A fresh ``import circuitdual.cli`` is paid by every one-shot ``cdl``
 process, so the package keeps ``dataclasses`` (which imports ``inspect``)
 and ``typing`` off its import path, and ``argparse`` (with ``gettext`` and
 ``locale``) too: ``cli`` imports it only to build the tree for help, usage
-and errors.  The check runs ``python -S``, which skips the site hooks:
+and errors (test_cli_fast_parse.py runs ``cdl family --help`` in a fresh
+process).  The check runs ``python -S``, which skips the site hooks:
 those may import ``typing`` themselves.
 """
 
@@ -19,26 +20,12 @@ PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import circuitdual.cli; "
     f"print(*[m for m in {AVOIDED!r} if m in sys.modules])"
 )
-HELP = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import circuitdual.cli; "
-    "circuitdual.cli.main(sys.argv[2:])"
-)
-
-
-def probe(code, *argv):
-    return subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC), *argv],
-        capture_output=True, text=True, timeout=60,
-    )
 
 
 def test_cli_import_avoids_dataclasses_inspect_and_typing():
-    run = probe(PROBE)
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
-
-
-def test_help_imports_argparse_when_asked():
-    run = probe(HELP, "family", "--help")
-    assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout.startswith("usage: cdl family [-h] {taylor,scan,verdict,figure} ...\n")
