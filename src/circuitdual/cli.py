@@ -36,7 +36,7 @@ from .family import (
     FIGURE_X_MAX,
     counterexample_verdict,
     d_taylor,
-    figure_rows,
+    figure_pairs,
     sign_scan,
 )
 from .files import load_weight_spec
@@ -50,7 +50,7 @@ from .moments import (
 )
 from .operators import dual_weights, operator_report
 from .oracle import hsequence
-from .rational import MAX_LITERAL, decimal_str, format_rat, parse_literal
+from .rational import MAX_LITERAL, decimal_pair, format_pair, format_rat, parse_literal
 
 MAX_M = 100                # family taylor|scan --m
 MAX_ORDER = 100            # family taylor --order
@@ -150,11 +150,11 @@ def _cmd_family_verdict(args) -> int:
 
 
 def _cmd_family_figure(args) -> int:
-    rows = figure_rows(parse_literal("--xmax", args.xmax), args.steps)
-    render = format_rat if args.exact else decimal_str
+    rows = figure_pairs(parse_literal("--xmax", args.xmax), args.steps)
+    render = format_pair if args.exact else decimal_pair
     lines = ["x," + ",".join(f"D{m}" for m in FIGURE_MS)]
     for x, values in rows:
-        lines.append(",".join([render(x)] + [render(v) for v in values]))
+        lines.append(",".join([render(*x)] + [render(*v) for v in values]))
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -65,7 +65,7 @@ recurrence serves both routes:
 The reduced denominator is a product of positive constants and factors
 (1 + jx), so all its coefficients are positive and it is positive for
 every x > 0.  There D_m has the sign of its stored numerator (M_m over a
-positive content), which sign_scan reads by homogenised Horner passes.
+positive content), which sign_scan reads by a binary search (see there).
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ class SignScanReport(Record):
     bracket: tuple | None             # (lo, hi): D_m(lo) < 0 <= D_m(hi)
 
     def summary(self) -> str:
-        neg = sum(1 for s in self.signs if s < 0)
+        neg = self.signs.count(-1)
         parts = [
             f"m={self.m} samples={self.steps} negative={neg}",
             f"negative_prefix={self.negative_prefix}",
@@ -332,8 +332,11 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
     """Exact signs of D_m on the grid k*x_max/steps, k = 1..steps.
 
     D_m's reduced denominator has only positive coefficients, so for x > 0
-    D_m has the sign of its integer numerator: each sign, on the grid and at
-    the bisection's midpoints, is one homogenised Horner pass over it.
+    D_m has the sign of its integer numerator.  With at most one sign
+    variation Descartes' rule leaves it one sign change for x > 0, found by
+    a binary search over k, one homogenised Horner pass per probe, from
+    which every sign follows.  The count is checked here, and an m with more
+    raises ValueError; every m <= 250 has at most one (README).
 
     When the samples change sign from negative to nonnegative, the first
     crossing is bisected down to a bracket of width x_max/1024 with
@@ -345,33 +348,40 @@ def sign_scan(m: int, x_max, steps: int) -> SignScanReport:
     if x_max <= 0:
         raise ValueError("x_max must be positive")
     a = d_ratfn(m).int_numerator
-    values = grid_horner(a, len(a) - 1, x_max, steps)
-    signs = tuple([-1 if v < 0 else (0 if v == 0 else 1) for v in values])
+    positive = [c > 0 for c in a if c]
+    variations = sum([u != v for u, v in zip(positive, positive[1:])])
+    if variations > 1:
+        raise ValueError(f"the numerator of D_{m} has {variations} sign variations")
+    low = (1 if positive[0] else -1) if positive else 0  # the sign near 0+
+
+    # the first k whose sign is not low lies in (lo, hi]; hi = steps + 1: none
+    p, big_q = x_max.numerator, x_max.denominator * steps
+    lo, hi, last = 0, steps + 1, 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = _homogeneous(a, mid * p, big_q)
+        sign = (v > 0) - (v < 0)
+        if sign == low:
+            lo = mid
+        else:
+            hi, last = mid, sign
+    signs = (low,) * lo + ((last,) + (-low,) * (steps - hi) if hi <= steps else ())
 
     prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
-    first_nonneg = x_max * (prefix + 1) / steps if prefix < steps else None
+    first_nonneg = Fraction((prefix + 1) * p, big_q) if prefix < steps else None
 
     bracket = None
     if 1 <= prefix < steps:
-        lo, hi = x_max * prefix / steps, first_nonneg
-        target = x_max / BRACKET_SHRINK
-        while hi - lo > target:
-            mid = (lo + hi) / 2
-            if _homogeneous(a, mid.numerator, mid.denominator) < 0:
-                lo = mid
-            else:
-                hi = mid
-        bracket = (lo, hi)
+        # [lo, lo + 1] * p/den, halved until the width is x_max/BRACKET_SHRINK
+        lo, den, width = prefix, big_q, steps
+        while width < BRACKET_SHRINK:
+            lo, den, width = 2 * lo, 2 * den, 2 * width
+            if _homogeneous(a, (lo + 1) * p, den) < 0:
+                lo += 1
+        bracket = (Fraction(lo * p, den), Fraction((lo + 1) * p, den))
 
-    return SignScanReport(
-        m=m,
-        x_max=x_max,
-        steps=steps,
-        signs=signs,
-        negative_prefix=prefix,
-        first_nonnegative=first_nonneg,
-        bracket=bracket,
-    )
+    return SignScanReport(m=m, x_max=x_max, steps=steps, signs=signs, negative_prefix=prefix,
+                          first_nonnegative=first_nonneg, bracket=bracket)
 
 
 FIGURE_MS = (4, 5, 6)
@@ -379,17 +389,26 @@ FIGURE_X_MAX = Fraction(3, 5)
 FIGURE_STEPS = 120
 
 
-def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
-    """Exact (x, D_m values for m in FIGURE_MS) rows for the sign-landscape
-    table."""
+def figure_pairs(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
+    """Rows (x, D_m for m in FIGURE_MS) of the sign-landscape table as unreduced
+    pairs: x = (k p, Q), Q = q steps, and (Q^d a(x), Q^d b(x)) for D_m = a/b,
+    where Q^d b(x) > 0 since b has only positive coefficients."""
     x_max = _as_fraction(x_max)
     if steps < 1 or x_max <= 0:
         raise ValueError("need steps >= 1 and x_max > 0")
-    columns = [d_ratfn(m).eval_grid(x_max, steps) for m in FIGURE_MS]
+    columns = []
+    for m in FIGURE_MS:
+        a, b = d_ratfn(m)._ints
+        d = max(len(a), len(b)) - 1
+        columns.append(zip(grid_horner(a, d, x_max, steps), grid_horner(b, d, x_max, steps)))
     p, big_q = x_max.numerator, x_max.denominator * steps
-    return [
-        (Fraction(k * p, big_q), row) for k, row in enumerate(zip(*columns), 1)
-    ]
+    return [((k * p, big_q), row) for k, row in enumerate(zip(*columns), 1)]
+
+
+def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
+    """``figure_pairs`` as exact Fractions: rows (x, D_m for m in FIGURE_MS)."""
+    return [(Fraction(*x), tuple([Fraction(*v) for v in row]))
+            for x, row in figure_pairs(x_max, steps)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ normalises the quotient with a single gcd, where a Fraction Horner pass
 would reduce a growing fraction at every coefficient.  A grid
 k*x_max/steps, k = 1..steps, shares one denominator, so ``grid_horner``
 homogenises an integer polynomial once per grid and runs one Horner pass
-per sample in the small integer k: ``eval_grid`` runs it on both halves
-of the pair and a sign scan of D_m on the numerator alone.
+per sample in the small integer k; the figure renders its unreduced pairs
+by ``format_pair`` or ``decimal_pair``, without building a Fraction.
 
 ``num`` and ``den``, the quotient as ``Poly``s of Fractions over a monic
 denominator, are views built on request for the tests and a benchmark
@@ -98,9 +98,14 @@ def format_rat(value: Fraction) -> str:
     the limit.
     """
     value = Fraction(value)
-    if value.denominator == 1:
-        return _digits(value.numerator)
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    return format_pair(value.numerator, value.denominator)
+
+
+def format_pair(n: int, d: int) -> str:
+    """``format_rat`` of n/d for d > 0, reduced or not: one gcd, no Fraction."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return _digits(n) if d == 1 else f"{_digits(n)}/{_digits(d)}"
 
 
 # shared by every call and thread: divide reads prec and rounding, and the
@@ -109,11 +114,14 @@ _DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def decimal_str(value: Fraction) -> str:
-    """Decimal rendering to 12 significant digits.
+    """Decimal rendering to 12 significant digits, rounded half-even, so
+    repeated runs produce identical bytes."""
+    return decimal_pair(value.numerator, value.denominator)
 
-    Rounding is half-even, so repeated runs produce identical bytes.
-    """
-    return str(_DECIMAL.divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+def decimal_pair(n: int, d: int) -> str:
+    """``decimal_str`` of n/d, d > 0, reduced or not: rounding reads the value."""
+    return str(_DECIMAL.divide(Decimal(n), Decimal(d)))
 
 
 def _as_fraction(value) -> Fraction:
@@ -365,20 +373,6 @@ class RatFn:
         return Fraction(a_h * q ** max(shift, 0), b_h * q ** max(-shift, 0))
 
     __call__ = eval
-
-    def eval_grid(self, x_max, steps: int) -> tuple:
-        """The values f(k x_max/steps) for k = 1..steps, as ``eval`` returns them.
-
-        Both passes of ``grid_horner`` run over the common degree d, so each
-        is Q^d times a value at the point and Q cancels.
-        """
-        x_max = _as_fraction(x_max)
-        a, b = self._ints
-        d = max(len(a), len(b)) - 1
-        b_k = grid_horner(b, d, x_max, steps)
-        if 0 in b_k:
-            raise PoleError(f"pole at x = {format_rat(x_max * (b_k.index(0) + 1) / steps)}")
-        return tuple(map(Fraction, grid_horner(a, d, x_max, steps), b_k))
 
     def taylor_at_zero(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients f^(l)(0)/l! for l = 0..order, by series division."""

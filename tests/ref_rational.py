@@ -13,6 +13,9 @@ on a small range:
   constructor replaced: it divides out the ``poly_gcd`` of numerator and
   denominator and hands the quotient to that constructor as an integer
   pair.  Every rational-function result goes through it.
+- ``eval_grid`` reduces the unreduced grid values of a ``RatFn``, the
+  integer pairs the figure renders, to ``Fraction``s: the reference for
+  that pair route, itself checked against ``RatFn.eval`` at each point.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
 - ``_canonical`` reduces an integer numerator over a known factored
@@ -220,6 +223,23 @@ class RatFn(rational.RatFn):
 def lift(f: rational.RatFn) -> RatFn:
     """A package rational function as a reference one, with its algebra."""
     return RatFn(f.num, f.den)
+
+
+def eval_grid(f: rational.RatFn, x_max, steps: int) -> tuple:
+    """The values f(k x_max/steps) for k = 1..steps, as ``f.eval`` returns
+    them, reduced from the unreduced pairs ``family.figure_pairs`` renders.
+
+    Both ``grid_horner`` passes run over the common degree d, so each is
+    Q^d times a value at the point and Q cancels.
+    """
+    x_max = rational._as_fraction(x_max)
+    a, b = f._ints
+    d = max(len(a), len(b)) - 1
+    b_k = rational.grid_horner(b, d, x_max, steps)
+    if 0 in b_k:
+        point = x_max * (b_k.index(0) + 1) / steps
+        raise rational.PoleError(f"pole at x = {rational.format_rat(point)}")
+    return tuple(map(Fraction, rational.grid_horner(a, d, x_max, steps), b_k))
 
 
 # Canonical form by trial division over a known factored denominator

@@ -164,6 +164,8 @@ def test_golden_taylor_at_cap(capsys, monkeypatch):
 AT_SCALE = [
     ("family scan --m 100 --xmax 2 --steps 500", 636,
      "6fa597441c5d1b42154fe77a01ce8b0d0872ff2c9929b042193ae5e40c5cf709"),
+    ("family scan --m 100 --xmax 3/5 --steps 10000", 10087,
+     "631c1c1fa15bae97307e2a98dffbe62c9151b9bea1b360b6c75ae1ed0ad0dab4"),
     ("family figure --xmax 9999999999/9999999997 --steps 1000 --out - --exact", 1014853,
      "60e14b0cd09b96b652a5c40b16e03b15315c80aaf3311d648f6f9200baae9cf2"),
 ]

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuitdual import family
+from circuitdual.cli import MAX_M, main
 from circuitdual.family import (
+    FIGURE_MS,
     FamilyParam,
     counterexample_verdict,
     d_ratfn,
@@ -15,6 +18,7 @@ from circuitdual.family import (
     domain_min,
     evaluate_d,
     family_weights,
+    figure_pairs,
     figure_rows,
     omega_eval,
     omega_prefix,
@@ -31,6 +35,7 @@ from circuitdual.operators import (
 from circuitdual.oracle import gram_diagonal
 from circuitdual.rational import RatFn
 from ref_rational import (
+    eval_grid,
     lift,
     omega_bracket_at_zero,
     omega_deriv_leibniz,
@@ -328,7 +333,7 @@ def test_sign_scan_m4_nonnegative():
 def test_sign_scan_m0_constant_one():
     report = sign_scan(0, F(1, 2), 10)
     assert all(s == 1 for s in report.signs)
-    assert all(v == 1 for v in d_ratfn(0).eval_grid(F(1, 2), 10))
+    assert all(v == 1 for v in eval_grid(d_ratfn(0), F(1, 2), 10))
 
 
 @pytest.mark.parametrize("m", range(101))
@@ -340,10 +345,20 @@ def test_d_denominator_coefficients_are_positive(m):
     assert all(c > 0 for c in den)
 
 
-def _scan_by_values(m, x_max, steps):
-    """Signs and bracket from the values of D_m, the route sign_scan replaced."""
-    f = d_ratfn(m)
-    values = f.eval_grid(x_max, steps)
+def _variations(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+@pytest.mark.parametrize("m", range(MAX_M + 1))
+def test_d_numerator_has_at_most_one_sign_variation(m):
+    # the certificate sign_scan rests on, for every m the CLI accepts
+    assert _variations(d_ratfn(m).int_numerator) <= 1
+
+
+def _scan_by_values(f, x_max, steps):
+    """Signs and bracket from the values of f, the route sign_scan replaced."""
+    values = eval_grid(f, x_max, steps)
     signs = tuple([-1 if v < 0 else (0 if v == 0 else 1) for v in values])
     prefix = next((k for k, s in enumerate(signs) if s >= 0), steps)
     if not 1 <= prefix < steps:
@@ -359,16 +374,69 @@ def _scan_by_values(m, x_max, steps):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 30), st.integers(1, 60), st.integers(1, 200))
+@given(
+    st.integers(0, 40),
+    st.integers(1, 30),
+    st.integers(1, 60),
+    st.one_of(st.integers(1, 200), st.sampled_from([512, 513, 1023, 1024, 1025, 2000])),
+)
 def test_sign_scan_matches_the_values_route(m, p, q, steps):
     report = sign_scan(m, F(p, q), steps)
-    assert (report.signs, report.bracket) == _scan_by_values(m, F(p, q), steps)
+    assert (report.signs, report.bracket) == _scan_by_values(d_ratfn(m), F(p, q), steps)
+
+
+@pytest.mark.parametrize("num, signs", [
+    ((-1, 2), "-0++"),   # one variation, the zero 1/2 on the grid
+    ((1, -3), "+---"),   # positive up to 1/3, then negative
+    ((-1, 0, 5), "-+++"),  # an irrational zero between grid points
+    ((-10, 1), "----"),  # one variation, the zero past the grid
+    ((-3, 8), "-+++"),   # the zero 3/8 on the bracket's first midpoint
+    ((3, 1), "++++"),    # no variation: no positive zero
+    ((), "0000"),        # the zero function
+])
+def test_scan_of_a_patched_d_follows_the_values_route(monkeypatch, capsys, num, signs):
+    f = RatFn(num, (1, 1))
+    monkeypatch.setattr(family, "d_ratfn", lambda m: f)
+    report = sign_scan(5, F(1), 4)
+    assert (report.signs, report.bracket) == _scan_by_values(f, F(1), 4)
+    assert main(["family", "scan", "--m", "5", "--xmax", "1", "--steps", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "signs: " + signs
+
+
+def test_sign_scan_refuses_two_variations(monkeypatch):
+    # (x - 1)(x - 2): the grid's signs are +, -, + and no binary search holds
+    monkeypatch.setattr(family, "d_ratfn", lambda m: RatFn((2, -3, 1), (1,)))
+    with pytest.raises(ValueError, match="2 sign variations"):
+        sign_scan(5, F(3), 6)
+
+
+@pytest.mark.parametrize("m, x_max, steps", [
+    (12, F(3, 5), 60), (6, F(1, 10), 1), (5, F(1, 100), 7), (100, F(3, 5), 10000),
+    (9, F(1, 2), 1024), (9, F(1, 2), 1025), (4, F(1, 10), 100),
+])
+def test_sign_scan_probes_a_logarithmic_number_of_points(monkeypatch, m, x_max, steps):
+    probes = []
+    original = family._homogeneous
+
+    def counting(coeffs, p, q):
+        probes.append(q)
+        return original(coeffs, p, q)
+
+    monkeypatch.setattr(family, "_homogeneous", counting)
+    report = sign_scan(m, x_max, steps)
+    big_q = x_max.denominator * steps
+    grid = sum(1 for q in probes if q == big_q)
+    assert grid <= math.ceil(math.log2(steps + 1)) + 1
+    midpoints = len(probes) - grid
+    shrink = max(0, math.ceil(math.log2(family.BRACKET_SHRINK / steps)))
+    assert midpoints == (shrink if report.bracket is not None else 0)
 
 
 def test_family_entry_points_refuse_floats():
     for call in (
         lambda: sign_scan(5, 0.1, 4),
         lambda: figure_rows(0.5, 4),
+        lambda: figure_pairs(0.5, 4),
         lambda: evaluate_d(5, 0.1),
         lambda: FamilyParam(0.1),
     ):
@@ -430,7 +498,16 @@ def test_eval_grid_of_d_matches_pointwise(m):
     for i, steps in enumerate(range(60, 150, 5)):
         x_max = F(2 + i % 10, 19)
         expected = [f.eval(x_max * k / steps) for k in range(1, steps + 1)]
-        assert list(f.eval_grid(x_max, steps)) == expected
+        assert list(eval_grid(f, x_max, steps)) == expected
+
+
+@pytest.mark.parametrize("x_max, steps", [(F(3, 5), 120), (F(2, 19), 7), (F(7), 1)])
+def test_figure_pairs_reduce_to_the_grid_values(x_max, steps):
+    pairs = figure_pairs(x_max, steps)
+    columns = [eval_grid(d_ratfn(m), x_max, steps) for m in FIGURE_MS]
+    expected = [(x_max * k / steps, row) for k, row in enumerate(zip(*columns), 1)]
+    assert figure_rows(x_max, steps) == expected
+    assert all(d > 0 for x, row in pairs for _, d in (x, *row))
 
 
 def test_scan_reads_signs_without_evaluating_d(monkeypatch):
@@ -449,7 +526,7 @@ def test_scan_reads_signs_without_evaluating_d(monkeypatch):
         raise AssertionError("sign_scan evaluated D_m")
 
     monkeypatch.setattr(RatFn, "eval", refuse)
-    monkeypatch.setattr(RatFn, "eval_grid", refuse)
+    monkeypatch.setattr(family, "grid_horner", refuse)
     report = sign_scan(12, F(3, 5), 60)
     assert report.bracket == (F(647, 3200), F(81, 400))
     assert sign_scan(4, F(1, 10), 100).bracket is None

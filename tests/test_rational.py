@@ -12,7 +12,9 @@ from circuitdual.rational import (
     PoleError,
     Poly,
     RatFn,
+    decimal_pair,
     decimal_str,
+    format_pair,
     format_rat,
     over_common_denominator,
     parse_rat,
@@ -69,6 +71,16 @@ def test_decimal_str_half_even_deterministic():
     assert decimal_str(F(1000000000005, 10 ** 13)) == "0.100000000000"
     assert decimal_str(F(1000000000015, 10 ** 13)) == "0.100000000002"
     assert decimal_str(F(0)) == "0"
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30), st.integers(1, 10**20))
+@example(0, 7, 3)
+@example(1000000000005, 10**13, 6)  # a tie at the 13th significant digit
+@example(2 * 10**15, 10**15, 10**20)  # an exact quotient: no trailing zeros
+def test_pair_renderers_match_the_fraction_ones(n, d, g):
+    # the figure renders unreduced pairs; the bytes are those of the Fraction
+    assert format_pair(n * g, d * g) == format_rat(F(n, d))
+    assert decimal_pair(n * g, d * g) == decimal_str(F(n, d))
 
 
 def test_poly_canonical_and_degree():
@@ -253,18 +265,18 @@ def test_eval_grid_matches_pointwise_eval(f, x_max, steps):
         expected = [f.eval(x_max * k / steps) for k in range(1, steps + 1)]
     except PoleError as exc:
         with pytest.raises(PoleError, match=f"^{re.escape(str(exc))}$"):
-            f.eval_grid(x_max, steps)
+            ref.eval_grid(f, x_max, steps)
         return
-    assert list(f.eval_grid(x_max, steps)) == expected
+    assert list(ref.eval_grid(f, x_max, steps)) == expected
 
 
 def test_eval_grid_pole_and_floats():
     f = RatFn((1,), (-1, 3))  # 1/(3x - 1), a pole at the grid point 1/3
     with pytest.raises(PoleError, match=r"pole at x = 1/3"):
-        f.eval_grid(1, 3)
-    assert f.eval_grid(1, 2) == (F(2), F(1, 2))
+        ref.eval_grid(f, 1, 3)
+    assert ref.eval_grid(f, 1, 2) == (F(2), F(1, 2))
     with pytest.raises(TypeError):
-        f.eval_grid(0.5, 3)
+        ref.eval_grid(f, 0.5, 3)
 
 
 def test_taylor_geometric_series():
