@@ -10,7 +10,6 @@ rational arithmetic.
 from .rational import (
     PoleError,
     RatFn,
-    decimal_str,
     format_rat,
     parse_rat,
 )
@@ -30,7 +29,6 @@ from .operators import (
     construct_2isometry,
     dual_moment_fiber0,
     dual_moments_fiber0,
-    dual_moment_fiberk,
     dual_weights,
     h_of,
     is_two_isometric,
@@ -46,7 +44,6 @@ from .family import (
     d_ratfn,
     d_taylor,
     domain_min,
-    evaluate_d,
     family_weights,
     figure_rows,
     omega_eval,

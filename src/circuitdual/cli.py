@@ -11,9 +11,10 @@ unless --exact is given.  Each size flag declares its floor and its cap
 (the MAX_* constants below) in ``_COMMANDS``, and ``main`` checks every
 cap, then every floor, before the command runs; only ``moments check``
 checks three floors itself, where its mode or source uses the flag
-(--depth, --order, --horizon).  A sequence file (MAX_HORIZON + 1 values)
-and every input rational written as p/q, in --x/--xmax and in weight-spec
-files (MAX_LITERAL characters), have caps too.  Each message names the flag.
+(--depth, --order, --horizon).  A sequence file (MAX_HORIZON + 1 values),
+a weight-spec file (MAX_SPEC_CHARS characters) and every input rational
+written as p/q, in --x/--xmax and in weight-spec files (MAX_LITERAL
+characters), have caps too.  Each message names the flag.
 
 ``_COMMANDS`` declares the grammar once, as a plain table.  ``main`` reads
 a plain argument list from it with ``_fast_parse`` and builds an argparse

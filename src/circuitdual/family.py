@@ -222,12 +222,6 @@ def d_ratfn(m: int) -> RatFn:
     return RatFn(_d_numerator(m), den)
 
 
-def evaluate_d(m: int, x) -> Fraction:
-    x = _as_fraction(x)
-    _check_domain(m, x)
-    return d_ratfn(m).eval(x)
-
-
 def _s_series(m: int, terms: int) -> list:
     """S_0..S_m as integer power series at 0, truncated to `terms` coefficients."""
     s, power = [0] * terms, [1] + [0] * (terms - 1)  # power = 2^j (1+x)^(2j)

@@ -11,7 +11,8 @@ Two kinds:
 
 Rationals use the 'p/q' syntax everywhere; '#' starts a comment.  The tail
 defaults to ones when omitted.  Every rational is capped at MAX_LITERAL
-characters written as p/q, as the CLI's --x is.
+characters written as p/q, as the CLI's --x is, and a file at
+MAX_SPEC_CHARS characters: the cost of reading one grows with its length.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .operators import ConstantTail, SquaredWeights, XiTail
 from .rational import parse_literal
 
 _XI_RE = re.compile(r"^xi\(\s*w2sq\s*=\s*([^)]+)\)$")
+MAX_SPEC_CHARS = 65536
 
 
 def parse_weight_spec(text: str) -> SquaredWeights:
@@ -73,4 +75,8 @@ def parse_weight_spec(text: str) -> SquaredWeights:
 
 def load_weight_spec(path) -> SquaredWeights:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_weight_spec(fh.read())
+        text = fh.read(MAX_SPEC_CHARS + 1)
+    if len(text) > MAX_SPEC_CHARS:
+        raise ValueError(f"a weight-spec file must hold at most {MAX_SPEC_CHARS} "
+                         f"characters, got more than {MAX_SPEC_CHARS}")
+    return parse_weight_spec(text)

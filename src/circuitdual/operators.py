@@ -323,18 +323,3 @@ def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
 def dual_moment_fiber0(w: SquaredWeights, n: int) -> Fraction:
     """|C'^n e_0|^2 by the closed form of ``dual_moments_fiber0``."""
     return dual_moments_fiber0(w, n)[n]
-
-
-def dual_moment_fiberk(w: SquaredWeights, k: int, n: int) -> Fraction:
-    """|C'^n e_k|^2 for k >= 1: the reciprocal product of sq(k+1)..sq(k+n)."""
-    if k < 1:
-        raise ValueError("fiber index must be at least 1")
-    if n < 0:
-        raise ValueError("power must be nonnegative")
-    total = Fraction(1)
-    for j in range(1, n + 1):
-        v = w.sq(k + j)
-        if v == 0:
-            raise ValueError(f"zero weight sq({k + j}) in the product range")
-        total /= v
-    return total

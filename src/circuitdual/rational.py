@@ -113,14 +113,10 @@ def format_pair(n: int, d: int) -> str:
 _DECIMAL = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
-def decimal_str(value: Fraction) -> str:
-    """Decimal rendering to 12 significant digits, rounded half-even, so
-    repeated runs produce identical bytes."""
-    return decimal_pair(value.numerator, value.denominator)
-
-
 def decimal_pair(n: int, d: int) -> str:
-    """``decimal_str`` of n/d, d > 0, reduced or not: rounding reads the value."""
+    """n/d, d > 0, reduced or not, in decimal to 12 significant digits,
+    rounded half-even, so repeated runs produce identical bytes: rounding
+    reads the value."""
     return str(_DECIMAL.divide(Decimal(n), Decimal(d)))
 
 
@@ -136,7 +132,7 @@ class Poly:
 
     ``coeffs[k]`` is the coefficient of x^k; trailing zeros are stripped so
     the representation is canonical.  The zero polynomial has an empty
-    coefficient tuple and degree -1.
+    coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -149,10 +145,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -345,9 +337,6 @@ class RatFn:
     def int_numerator(self) -> tuple:
         """The integer numerator of the stored pair, lowest degree first."""
         return self._ints[0]
-
-    def is_zero(self) -> bool:
-        return not self._ints[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFn):

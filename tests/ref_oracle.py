@@ -6,6 +6,10 @@ operator to the basis vector e_k itself and sums the squared moduli of
 each image over the lcm of their denominators.  It is kept here, as it
 was, as the adjoint route's oracle: ``BandedOp.apply`` is the forward
 action, and ``_powers`` the lcm-summed powers on a block of a given size.
+
+``dual_moment_fiberk`` is the closed form of the dual's moments on a fiber
+k >= 1, a reciprocal product of weights that no command runs; it is the
+fiber-k oracle of ``hsequence``.
 """
 
 from __future__ import annotations
@@ -59,3 +63,18 @@ def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
         lcm = balanced_lcm([d for _, d in v])
         values.append(Fraction(sum([a * (lcm // d) for a, d in v]), lcm))
     return values
+
+
+def dual_moment_fiberk(w: SquaredWeights, k: int, n: int) -> Fraction:
+    """|C'^n e_k|^2 for k >= 1: the reciprocal product of sq(k+1)..sq(k+n)."""
+    if k < 1:
+        raise ValueError("fiber index must be at least 1")
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    total = Fraction(1)
+    for j in range(1, n + 1):
+        v = w.sq(k + j)
+        if v == 0:
+            raise ValueError(f"zero weight sq({k + j}) in the product range")
+        total /= v
+    return total

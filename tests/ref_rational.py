@@ -6,13 +6,13 @@ evaluates it; its derivatives at 0 come from the same recurrence,
 truncated.  The tests keep the routes those builders replaced, as oracles
 on a small range:
 
-- ``Poly`` and ``RatFn`` are the package's classes with evaluation,
-  division with remainder, scaling, sums, products, quotients, powers and
-  exact derivatives on top.  ``RatFn`` is built from two ``Poly``s or
-  scalars by the canonicalising route the package's integer-pair
-  constructor replaced: it divides out the ``poly_gcd`` of numerator and
-  denominator and hands the quotient to that constructor as an integer
-  pair.  Every rational-function result goes through it.
+- ``Poly`` and ``RatFn`` are the package's classes with a degree, a zero
+  test, evaluation, division with remainder, scaling, sums, products,
+  quotients, powers and exact derivatives on top.  ``RatFn`` is built
+  from two ``Poly``s or scalars by the canonicalising route the package's
+  integer-pair constructor replaced: it divides out the ``poly_gcd`` of
+  numerator and denominator and hands the quotient to that constructor
+  as an integer pair.  Every rational-function result goes through it.
 - ``eval_grid`` reduces the unreduced grid values of a ``RatFn``, the
   integer pairs the figure renders, to ``Fraction``s: the reference for
   that pair route, itself checked against ``RatFn.eval`` at each point.
@@ -81,6 +81,11 @@ class Poly(rational.Poly):
     @classmethod
     def const(cls, value) -> "Poly":
         return cls((value,))
+
+    @property
+    def degree(self) -> int:
+        """-1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def __call__(self, point) -> Fraction:
         point = rational._as_fraction(point)
@@ -169,7 +174,7 @@ class RatFn(rational.RatFn):
                     for p in (num, den))
         if den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
-        g = rational.poly_gcd(num, den)
+        g = _lift(rational.poly_gcd(num, den))
         if g.degree >= 1:
             num, den = num.divmod(g)[0], den.divmod(g)[0]
         scaled, _ = rational.over_common_denominator(num.coeffs + den.coeffs)
@@ -187,6 +192,9 @@ class RatFn(rational.RatFn):
     @classmethod
     def const(cls, value) -> "RatFn":
         return cls(Poly.const(value))
+
+    def is_zero(self) -> bool:
+        return not self.int_numerator
 
     def __add__(self, other: "RatFn") -> "RatFn":
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)

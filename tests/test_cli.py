@@ -17,6 +17,7 @@ from circuitdual.cli import (
     _COMMANDS,
     main,
 )
+from circuitdual.files import MAX_SPEC_CHARS
 from circuitdual.rational import parse_rat
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
@@ -464,6 +465,21 @@ def test_sequence_file_read_only_up_to_its_cap(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error: a sequence file must hold at most")
     assert parsed == MAX_HORIZON + 1
+
+
+def test_weight_spec_file_length_cap(tmp_path, capsys):
+    # reading and parsing a spec costs time linear in its length: a spec of
+    # MAX_SPEC_CHARS characters loads, one character more is refused by
+    # every command that reads a spec
+    path = spec_file(tmp_path, ALL_ONES + "#" * (MAX_SPEC_CHARS - len(ALL_ONES)))
+    assert run(capsys, "wco", "describe", "--spec", path)[0] == 0
+    path = spec_file(tmp_path, ALL_ONES + "#" * (MAX_SPEC_CHARS + 1 - len(ALL_ONES)))
+    for argv in (["wco", "describe", "--spec", path], ["wco", "dual", "--spec", path],
+                 ["moments", "check", "--from-dual", path]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: a weight-spec file must hold at most {MAX_SPEC_CHARS} "
+                       f"characters, got more than {MAX_SPEC_CHARS}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -56,6 +56,13 @@ SEQUENCES = {
     "off_diagonal": [1, 1, 1, F(-1, 4), 1],
 }
 
+# weight-spec files: the family, and one explicit head under each tail kind
+SPECS = {
+    "family": "kind = family\nx = 1/10\n",
+    "explicit_ones": "kind = explicit\nsq = [1/2, 1, 5/4]\ntail = ones\n",
+    "explicit_xi": "kind = explicit\nsq = [1/2, 1, 5/4]\ntail = xi(w2sq=5/4)\n",
+}
+
 CASES = [
     ('family taylor --m 5 --order 4', 0, '0 0 0 0 -9\n'),
     ('family scan --m 5 --xmax 1/100 --steps 12', 0, 'm=5 samples=12 negative=4 negative_prefix=4 first crossing in [131/38400, 7/2048]\nsigns: ----++++++++\nfirst nonnegative sample at x=1/240\n'),
@@ -75,6 +82,12 @@ CASES = [
     ('moments check --from-dual @family --fiber 1 --mode stieltjes --order 5', 0, 'PASS order=5 n=12\n'),
     ('wco describe --spec @family', 0, 'norm_sq=11/10\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 10)\n'),
     ('wco dual --spec @family --count 4', 0, "alpha=10/11\nnorm_sq=1\nlower_sq=10/11\nsq'(0)=50/121\nsq'(1)=60/121\nsq'(2)=12/13\nsq'(3)=13/14\n"),
+    ('wco describe --spec @explicit_ones', 0, 'norm_sq=3/2\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: first nonzero at n=1 value=-1/4 (depth 10)\n'),
+    ('wco dual --spec @explicit_ones', 0, "alpha=2/3\nnorm_sq=1\nlower_sq=2/3\nsq'(0)=2/9\nsq'(1)=4/9\nsq'(2)=4/5\nsq'(3)=1\nsq'(4)=1\nsq'(5)=1\nsq'(6)=1\nsq'(7)=1\nsq'(8)=1\nsq'(9)=1\n"),
+    ('moments check --from-dual @explicit_ones', 1, 'FAIL m=4 j=0 value=-601/10935\n'),
+    ('wco describe --spec @explicit_xi', 0, 'norm_sq=3/2\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 10)\n'),
+    ('wco dual --spec @explicit_xi', 0, "alpha=2/3\nnorm_sq=1\nlower_sq=2/3\nsq'(0)=2/9\nsq'(1)=4/9\nsq'(2)=4/5\nsq'(3)=5/6\nsq'(4)=6/7\nsq'(5)=7/8\nsq'(6)=8/9\nsq'(7)=9/10\nsq'(8)=10/11\nsq'(9)=11/12\n"),
+    ('moments check --from-dual @explicit_xi', 0, 'PASS depth=6 n=12\n'),
     ('moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4\n'),
     ('--backend float moments check @zero_lead --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=2 value=-4.0\n'),
     ('moments check @three_atoms --mode stieltjes --order 8', 0, 'PASS order=8 n=17\n'),
@@ -134,7 +147,8 @@ def test_golden_cli(tmp_path, capsys, monkeypatch, command, code, stdout):
     family.d_ratfn.cache_clear()
     for name, values in SEQUENCES.items():
         (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
-    (tmp_path / "family").write_text("kind = family\nx = 1/10\n")
+    for name, text in SPECS.items():
+        (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in command.split()]
     assert main(argv) == code
     assert capsys.readouterr().out == stdout

