@@ -85,7 +85,7 @@ from .operators import (
     dual_weights,
     operator_report,
 )
-from .oracle import hsequence
+from .oracle import _powers
 from .rational import RatFn, _as_fraction, _homogeneous, format_rat, grid_horner
 
 
@@ -423,7 +423,7 @@ class CounterexampleVerdict(Record):
 
     @property
     def residuals_all_zero(self) -> bool:
-        return all(r == 0 for r in self.report.two_isometry_residuals)
+        return not any(self.report.two_isometry_residuals)
 
     @property
     def confirmed(self) -> bool:
@@ -475,10 +475,11 @@ def counterexample_verdict(
     w = family_weights(p)
     report = operator_report(w, probe_depth=residual_depth)
 
+    # reduced pairs with positive denominators: equal exactly as rationals
     moments = omega_prefix(horizon, p)
     closed = dual_moments_fiber0(w, horizon)
-    brute = hsequence(dual_weights(w), 0, horizon).values
-    agrees = moments == closed == brute
+    brute = tuple(_powers(dual_weights(w), 0, horizon))
+    agrees = tuple([m.as_integer_ratio() for m in moments]) == closed == brute
 
     verdict = hausdorff_test(MomentSeq.exact(moments), depth)
     return CounterexampleVerdict(

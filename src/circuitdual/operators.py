@@ -34,7 +34,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .rational import _as_fraction, format_rat
+from .rational import _add, _as_fraction, _mul, format_rat
+
+_ZERO = Fraction(0)
 
 
 class ConstantTail(Record):
@@ -177,7 +179,7 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
     certificate for every depth.
 
     With sq(n+1) = p/q and sq(n+2) = r/s the residual at n >= 1 is
-    ((q - 2p) s + pr) / (qs), built in integers as one Fraction.
+    ((q - 2p) s + pr) / (qs), built in integers; every zero is one shared 0.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -185,7 +187,7 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
     out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
     pairs = w.pairs(depth + 3)[2:]
     out.extend([
-        Fraction((q - 2 * p) * s + p * r, q * s)
+        Fraction(num, q * s) if (num := (q - 2 * p) * s + p * r) else _ZERO
         for (p, q), (r, s) in zip(pairs, pairs[1:])
     ])
     return tuple(out)
@@ -202,7 +204,7 @@ def is_two_isometric(w: SquaredWeights) -> bool:
     rule's, n = L-1, L, L+1; a quadratic with three zeros is zero, so the
     residuals then vanish at every depth.
     """
-    return all(r == 0 for r in two_isometry_check(w, max(len(w.head), 2) + 1))
+    return not any(two_isometry_check(w, max(len(w.head), 2) + 1))
 
 
 class OperatorReport(Record):
@@ -286,8 +288,8 @@ def dual_weights(w: SquaredWeights) -> SquaredWeights:
 
 
 def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
-    """Closed form for |C'^n e_0|^2, n = 0..horizon, when the operator is
-    2-isometric.
+    """Closed form for |C'^n e_0|^2, n = 0..horizon, as reduced (numerator,
+    denominator) pairs, when the operator is 2-isometric.
 
     The value at n is
 
@@ -299,27 +301,28 @@ def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
     + sq(1) / (alpha^2 (1 + (n-1)(sq(2) - 1))): one pass over the horizon.
     The derivation uses 2-isometricity (partial tail products telescope to
     1 + j (sq(2) - 1)), hence the residual precondition on the points
-    0..horizon.  With sq(1)/alpha^2 = s/t and sq(2) - 1 = a/b the second
-    term is s b / (t (b + (n-1) a)), built as one Fraction.
+    0..horizon.  With sq(2) - 1 = a/b the second term is
+    (b sq(1)/alpha^2) / (b + (n-1) a).  The recurrence runs on pairs by
+    ``rational._mul`` and ``_add``, which cancel as ``Fraction`` does.
     """
     if horizon < 0:
         raise ValueError("power must be nonnegative")
     if horizon == 0:
-        return (Fraction(1),)
-    if any(r != 0 for r in two_isometry_check(w, horizon)):
+        return ((1, 1),)
+    if any(two_isometry_check(w, horizon)):
         raise ValueError(
             "the fiber-0 closed form requires 2-isometry residuals to "
             f"vanish to depth {horizon}"
         )
-    alpha_sq = w.alpha ** 2
-    ratio, sq1, step = w.sq(0) / alpha_sq, w.sq(1) / alpha_sq, w.sq(2) - 1
-    s, t, a, b = sq1.numerator, sq1.denominator, step.numerator, step.denominator
-    out = [Fraction(1)]
+    alpha_sq, (a, b) = w.alpha ** 2, (w.sq(2) - 1).as_integer_ratio()
+    ratio = (w.sq(0) / alpha_sq).as_integer_ratio()
+    lead = (w.sq(1) / alpha_sq * b).as_integer_ratio()
+    out = [(1, 1)]
     for j in range(horizon):
-        out.append(ratio * out[-1] + Fraction(s * b, t * (b + j * a)))
+        out.append(_add(_mul(ratio, out[-1]), _mul(lead, (1, b + j * a))))
     return tuple(out)
 
 
 def dual_moment_fiber0(w: SquaredWeights, n: int) -> Fraction:
     """|C'^n e_0|^2 by the closed form of ``dual_moments_fiber0``."""
-    return dual_moments_fiber0(w, n)[n]
+    return Fraction(*dual_moments_fiber0(w, n)[n])

@@ -21,9 +21,10 @@ j carries only indices k..k+n-j (0..n-j for k = 0): n + 1 entries at the
 start, one fewer each step, whatever the fiber.
 
 Each entry is an exact rational held as a reduced (numerator, denominator)
-pair of integers; no square root and no sign convention is ever needed.
-Products and the two-term sum stay reduced as ``Fraction`` keeps them, by
-the package's one pair arithmetic, ``rational._mul`` and ``rational._add``.
+pair of integers, kept reduced by ``rational._mul`` and ``rational._add``
+as ``Fraction`` keeps them; no square root or sign convention is needed.
+``_powers`` returns the pairs, ``hsequence`` and ``gram_diagonal`` their
+``Fraction`` views.
 """
 
 from __future__ import annotations
@@ -71,16 +72,16 @@ class BandedOp(Record):
 
 
 def _powers(w: SquaredWeights, k: int, n: int) -> list:
-    """|C^j e_k|^2 for j = 0..n, as the first entry of each window."""
+    """|C^j e_k|^2 for j = 0..n, as the first pair of each window."""
     size = max(k + n + 1, 2)
     if k < 0:
         raise ValueError(f"basis index {k} outside 0..{size - 1}")
     op = BandedOp(w, size)
     u = [(1, 1)] * (n + 1)
-    values = [Fraction(1)]
+    values = [(1, 1)]
     for _ in range(n):
         u = op.apply(u, k)
-        values.append(Fraction(*u[0]))
+        values.append(u[0])
     return values
 
 
@@ -89,11 +90,11 @@ def gram_diagonal(w: SquaredWeights, k: int, n: int) -> Fraction:
     holds C^n e_k; exact, no truncation error."""
     if k < 0 or n < 0:
         raise ValueError("fiber and power must be nonnegative")
-    return _powers(w, k, n)[-1]
+    return Fraction(*_powers(w, k, n)[-1])
 
 
 def hsequence(w: SquaredWeights, k: int, n_max: int = 12) -> MomentSeq:
     """Moment prefix {|C^n e_k|^2} for n = 0..n_max, ready for testing."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
-    return MomentSeq.exact(_powers(w, k, n_max))
+    return MomentSeq.exact([Fraction(*v) for v in _powers(w, k, n_max)])

@@ -57,17 +57,21 @@ def parse_rat(text: str) -> Fraction:
 
     Unreduced inputs such as '-288/32' are accepted and canonicalized.  A
     decimal exponent beyond MAX_EXPONENT is refused before its power of ten
-    is built: '1e999999999' would otherwise allocate a billion digits.
+    is built: '1e999999999' would otherwise allocate a billion digits.  An
+    error shows a refused literal whole up to 40 characters, else its first
+    20 characters and its length, so that a line of any size stays short.
     """
     exponent = _EXPONENT.search(text)
-    if exponent:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    digits = exponent and exponent.group(1).replace("_", "").lstrip("0")
+    if digits and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        problem = f"exponent beyond {MAX_EXPONENT} in"
+    else:
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            problem = "not a rational literal:"
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise ValueError(f"{problem} {shown}")
 
 
 def parse_literal(name: str, text: str) -> Fraction:

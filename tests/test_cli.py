@@ -503,6 +503,22 @@ def test_literal_cap_exit_two(capsys, argv, flag):
     assert err == "error: exponent beyond 4300 in '1e999999999'\n"
 
 
+def test_refused_literal_is_echoed_short(tmp_path, capsys):
+    # the sequence file caps its values, not the characters of one value;
+    # the error shows a long literal's first 20 characters and its length
+    path = tmp_path / "long.txt"
+    path.write_text("1" * 100_000 + "\n")
+    code, out, err = run(capsys, "moments", "check", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 200
+    assert err == f"error: not a rational literal: {'1' * 20!r}... (100000 characters)\n"
+    # up to 40 characters the literal is shown whole
+    code, _, err = run(capsys, "family", "verdict", "--x", "1e" + "9" * 38)
+    assert (code, err) == (2, f"error: exponent beyond 4300 in '1e{'9' * 38}'\n")
+    code, _, err = run(capsys, "family", "verdict", "--x", "1e" + "9" * 39)
+    assert (code, err) == (2, f"error: exponent beyond 4300 in '1e{'9' * 18}'... (41 characters)\n")
+
+
 def test_literal_cap_admits_the_limit(capsys):
     # a value of exactly MAX_LITERAL characters as p/q passes, however typed
     limit = "1/" + "9" * (MAX_LITERAL - 3) + "7"

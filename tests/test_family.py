@@ -476,6 +476,24 @@ def test_counterexample_confirmed_inside_window():
     assert "counterexample confirmed" in verdict.render()
 
 
+@pytest.mark.parametrize("route", ["_powers", "dual_moments_fiber0"])
+def test_verdict_catches_a_route_off_by_one_over_its_denominator(monkeypatch, capsys, route):
+    # the routes are compared as reduced pairs; one value moved by 1/den,
+    # kept reduced and in the route's own container type, must disagree
+    original = getattr(family, route)
+
+    def broken(*args):
+        values = original(*args)
+        n, d = values[5]
+        return type(values)([*values[:5], F(n + 1, d).as_integer_ratio(), *values[6:]])
+
+    monkeypatch.setattr(family, route, broken)
+    assert main(["family", "verdict", "--x", "1/500"]) == 1
+    out = capsys.readouterr().out
+    assert "\nmoment_routes_agree = false (n <= 12)\n" in out
+    assert out.endswith("\nverdict = not confirmed\n")
+
+
 def test_counterexample_outside_window_needs_deeper_test():
     shallow = counterexample_verdict(FamilyParam(F(1, 10)))
     assert not shallow.confirmed

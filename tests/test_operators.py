@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitdual import operators
+from circuitdual import operators, oracle
 from circuitdual.family import FamilyParam, family_weights
 from circuitdual.moments import MomentSeq
 from circuitdual.operators import (
@@ -22,6 +23,7 @@ from circuitdual.operators import (
     operator_report,
     two_isometry_check,
 )
+from ref_oracle import _powers as forward_powers
 from ref_oracle import dual_moment_fiberk
 from ref_rational import (
     ref_cyclic_sufficient,
@@ -228,20 +230,21 @@ def _fiber0_per_j_sum(w, n):
         "xi-1/2-1", "isometry"])
 def test_closed_form_prefix_matches_per_j_sum(w):
     prefix = dual_moments_fiber0(w, 40)
-    assert prefix == tuple(_fiber0_per_j_sum(w, n) for n in range(41))
-    assert all(dual_moment_fiber0(w, n) == prefix[n] for n in (0, 1, 17, 40))
+    expected = [_fiber0_per_j_sum(w, n) for n in range(41)]
+    assert prefix == tuple((v.numerator, v.denominator) for v in expected)
+    assert all(dual_moment_fiber0(w, n) == expected[n] for n in (0, 1, 17, 40))
 
 
 def test_closed_form_prefix_guard_and_messages():
     crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
-    assert dual_moments_fiber0(crooked, 0) == (1,)
+    assert dual_moments_fiber0(crooked, 0) == ((1, 1),)
     assert dual_moment_fiber0(SquaredWeights((F(0), F(0)), ConstantTail(1)), 0) == 1
     for n in (1, 3):
         with pytest.raises(ValueError, match=f"vanish to depth {n}$"):
             dual_moment_fiber0(crooked, n)
     # residuals vanish to depth 2 only: the guard looks at exactly 0..H
     late = SquaredWeights((F(1), F(0), F(1), F(1), F(1), F(2)), ConstantTail(1))
-    assert dual_moments_fiber0(late, 2) == (1, 1, 1)
+    assert dual_moments_fiber0(late, 2) == ((1, 1), (1, 1), (1, 1))
     with pytest.raises(ValueError, match="vanish to depth 3$"):
         dual_moments_fiber0(late, 3)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -434,3 +437,35 @@ def test_xi_tail_telescoping(s, n):
     for j in range(n):
         product *= w.sq(j + 2)
     assert product == 1 + n * (s - 1)
+
+
+@st.composite
+def two_isometric_heads(draw):
+    """The 2-isometric completion of a random head: sq(0) in [0, 1] and
+    sq(1) >= 1 - sq(0), which is when the forced sq(2) is at least 1."""
+    sq0 = draw(st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4))
+    extra = draw(st.fractions(min_value=0, max_value=3, max_denominator=10 ** 4))
+    return construct_2isometry(sq0, 1 - sq0 + extra)
+
+
+def _reduced(pairs):
+    return all(d > 0 and gcd(n, d) == 1 for n, d in pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_isometric_heads() | tailed_weights() | near_two_isometries(), st.integers(0, 12))
+def test_moment_routes_return_reduced_pairs(w, n):
+    # the verdict compares the routes as pairs, which is sound only when each
+    # is reduced with a positive denominator: an unreduced pair raises
+    # nothing, it reads as a disagreement of the routes
+    bounded_below = min(w.alpha, w.tail_bounds()[0]) > 0
+    for v in [w, dual_weights(w)] if bounded_below else [w]:
+        for k in range(4):
+            pairs = oracle._powers(v, k, n)
+            assert _reduced(pairs)
+            expected = forward_powers(v, k, n, max(k + n + 1, 2))
+            assert pairs == [value.as_integer_ratio() for value in expected]
+    if is_two_isometric(w):
+        closed = dual_moments_fiber0(w, n)
+        assert _reduced(closed)
+        assert closed == tuple(_fiber0_per_j_sum(w, j).as_integer_ratio() for j in range(n + 1))

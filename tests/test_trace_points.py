@@ -80,3 +80,6 @@ def test_traced_verdict_counts_the_oracle_and_the_residuals():
     assert metrics["oracle.apply_calls"] == 12
     # residuals 0..50 in the report, 0..12 behind the closed form
     assert metrics["operators.residual_checks"] == 51 + 13
+    # the verdict spans that still see work
+    assert metrics["family.verdict_s"] > 0
+    assert metrics["operators.report_s"] > 0
