@@ -9,7 +9,8 @@ Two kinds:
     kind = family
     x = 1/10
 
-Rationals use the 'p/q' syntax everywhere; '#' starts a comment.  The tail
+Rationals use the 'p/q' syntax everywhere, read by ``parse_literal`` (a
+plain p/q by int(), see ``parse_rat``); '#' starts a comment.  The tail
 defaults to ones when omitted.  Every rational is capped at MAX_LITERAL
 characters written as p/q, as the CLI's --x is, and a file at
 MAX_SPEC_CHARS characters: the cost of reading one grows with its length.

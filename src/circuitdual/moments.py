@@ -45,20 +45,17 @@ FLOAT = "float"
 
 class MomentSeq(Record):
     """Finite prefix gamma_0..gamma_N under moment testing.  The entries
-    give the backend: all Fraction is exact, all float is float."""
+    give ``backend``, read once: all Fraction is exact, all float is float."""
 
     values: tuple
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("a moment prefix needs at least one entry")
-        self.backend  # raises TypeError on any other mix of entries
-
-    @property
-    def backend(self) -> str:
         for kind, backend in ((Fraction, EXACT), (float, FLOAT)):
             if all(isinstance(v, kind) for v in self.values):
-                return backend
+                object.__setattr__(self, "backend", backend)
+                return
         raise TypeError("moment entries must be all Fraction or all float")
 
     @classmethod
@@ -69,8 +66,9 @@ class MomentSeq(Record):
     def floats(cls, values) -> "MomentSeq":
         converted = []
         for n, v in enumerate(values):
-            try:
-                converted.append(float(v))
+            try:  # n / d is a Fraction's float(), without its Python-level __float__
+                converted.append(v.numerator / v.denominator if type(v) is Fraction
+                                 else float(v))
             except OverflowError:
                 raise ValueError(f"entry {n} is beyond the float range") from None
         return cls(tuple(converted))

@@ -47,6 +47,7 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
+_PLAIN = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 MAX_EXPONENT = 4300  # the default limit of int() on a digit string
 MAX_LITERAL = 21  # characters of an input x, xmax or weight, written as p/q
@@ -56,11 +57,20 @@ def parse_rat(text: str) -> Fraction:
     """Parse a rational from 'p/q', an integer, or a decimal literal.
 
     Unreduced inputs such as '-288/32' are accepted and canonicalized.  A
+    plain 'p/q' or integer in ASCII digits, signed and padded or not, is
+    read by int(); any other form, a zero denominator or a numeral past
+    int()'s digit limit goes to Fraction's parser, with the same result.  A
     decimal exponent beyond MAX_EXPONENT is refused before its power of ten
     is built: '1e999999999' would otherwise allocate a billion digits.  An
     error shows a refused literal whole up to 40 characters, else its first
     20 characters and its length, so that a line of any size stays short.
     """
+    plain = _PLAIN.fullmatch(text)
+    if plain:
+        try:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass  # refused by the general route, with its message
     exponent = _EXPONENT.search(text)
     digits = exponent and exponent.group(1).replace("_", "").lstrip("0")
     if digits and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):

@@ -49,11 +49,16 @@ The operators read one linear-fractional tail rule; the per-kind answers
 it replaced stay here: ``ref_tail_sup``, ``ref_tail_inf``,
 ``ref_cyclic_sufficient`` and ``ref_is_two_isometric`` each ask which tail
 class the weights carry.
+
+``ref_parse_rat`` is ``parse_rat`` without its plain-literal branch: every
+text goes through ``Fraction``'s string parser behind the exponent guard,
+the route that branch must agree with in value and in error text.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -487,3 +492,17 @@ def ref_is_two_isometric(w) -> bool:
     if isinstance(w.tail, ConstantTail):
         return w.tail.value == 1
     return w.tail.w2sq == 1
+
+
+def ref_parse_rat(text: str) -> Fraction:
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", text)
+    digits = exponent and exponent.group(1).replace("_", "").lstrip("0")
+    if digits and (len(digits) > 4 or int(digits) > rational.MAX_EXPONENT):
+        problem = f"exponent beyond {rational.MAX_EXPONENT} in"
+    else:
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            problem = "not a rational literal:"
+    shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise ValueError(f"{problem} {shown}")

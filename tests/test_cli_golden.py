@@ -56,6 +56,15 @@ SEQUENCES = {
     "off_diagonal": [1, 1, 1, F(-1, 4), 1],
 }
 
+# sequence files written as text: every form a line may take, one per line
+# (reduced, unreduced, signed, padded, decimal, exponent, underscored), for
+# the moments 1/(n+1) of the uniform measure with gamma_8 lowered to 0.111
+TEXT_SEQUENCES = {
+    "mixed": "# 1/(n+1), each line in another form, gamma_8 lowered\n1\n  +1/2  \n2/6\n"
+             "0.25\n2e-1\n\t+3/18\n1/7  # reduced\n125E-3\n0.111\n+0010/100\n"
+             "1_1/1_21\n4/48\t\n",
+}
+
 # weight-spec files: the family, and one explicit head under each tail kind
 SPECS = {
     "family": "kind = family\nx = 1/10\n",
@@ -102,6 +111,10 @@ CASES = [
     ('--backend float moments check @swap_negative --mode stieltjes --order 3', 1, 'FAIL hankel=0 order=2 value=-1.0625\n'),
     ('moments check @off_diagonal --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=3 value=-25/16\n'),
     ('--backend float moments check @off_diagonal --mode stieltjes --order 2', 1, 'FAIL hankel=0 order=3 value=-1.5625\n'),
+    ('moments check @mixed --depth 11', 1, 'FAIL m=4 j=6 value=-9/38500\n'),
+    ('--backend float moments check @mixed --depth 11', 1, 'FAIL m=4 j=6 value=-0.00023376623376625272\n'),
+    ('moments check @mixed --mode stieltjes --order 5', 1, 'FAIL hankel=0 order=5 value=-13/889056000000\n'),
+    ('--backend float moments check @mixed --mode stieltjes --order 5', 1, 'FAIL hankel=0 order=5 value=-1.4622251016806007e-11\n'),
     ('family taylor --m 11 --order 6', 0, '0 0 0 0 -9/64 -525/32 -33975/32\n'),
     ('family taylor --m 14 --order 8', 0, '0 0 0 0 -9/512 -165/64 -1665/8 -1682415/128 -28165095/32\n'),
     ('family scan --m 12 --xmax 3/5 --steps 60', 0, 'm=12 samples=60 negative=20 negative_prefix=20 first crossing in [647/3200, 81/400]\nsigns: --------------------++++++++++++++++++++++++++++++++++++++++\nfirst nonnegative sample at x=21/100\n'),
@@ -147,7 +160,7 @@ def test_golden_cli(tmp_path, capsys, monkeypatch, command, code, stdout):
     family.d_ratfn.cache_clear()
     for name, values in SEQUENCES.items():
         (tmp_path / name).write_text("".join(format_rat(F(v)) + "\n" for v in values))
-    for name, text in SPECS.items():
+    for name, text in {**TEXT_SEQUENCES, **SPECS}.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in command.split()]
     assert main(argv) == code

@@ -156,6 +156,42 @@ def test_float_conversion_overflow_names_the_entry():
         MomentSeq.exact([1, F(10) ** 400]).to_floats()
 
 
+# entries at the edges of the double range, each with float() as the truth
+FLOAT_EDGES = [
+    F(2 ** 1024 - 2 ** 970 - 1),  # just below the rounding threshold: the largest double
+    -F(2 ** 1024 - 2 ** 970 - 1),
+    F(1, 2 ** 1074),  # the least subnormal
+    F(1, 2 ** 1075),  # half of it: ties to even, 0.0
+    F(1, 2 ** 1075 - 1),  # just above half: the least subnormal
+    F(-1, 2 ** 1080),  # -0.0
+    F(3 ** 1000, 2 * 3 ** 999),  # numerator and denominator past the range, 3/2
+    F(2 ** 53 + 1),  # ties to even
+    F(1, 3),
+    F(0),
+]
+
+
+def test_to_floats_is_float_of_each_entry():
+    got = MomentSeq.exact(FLOAT_EDGES).to_floats().values
+    assert [v.hex() for v in got] == [float(v).hex() for v in FLOAT_EDGES]
+    for beyond in (F(2 ** 1024 - 2 ** 970), -F(2 ** 1024 - 2 ** 970), F(2 ** 2000, 3)):
+        with pytest.raises(ValueError, match="^entry 2 is beyond the float range$"):
+            MomentSeq.exact([1, F(1, 2), beyond]).to_floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-(2 ** 1100), 2 ** 1100), st.integers(1, 2 ** 1100)),
+                min_size=1, max_size=6))
+def test_to_floats_matches_float_on_wide_fractions(values):
+    try:
+        want = [float(v).hex() for v in values]
+    except OverflowError:
+        with pytest.raises(ValueError, match="is beyond the float range"):
+            MomentSeq.exact(values).to_floats()
+        return
+    assert [v.hex() for v in MomentSeq.exact(values).to_floats().values] == want
+
+
 def test_float_backend_agrees_on_clear_cases():
     doubling = MomentSeq.floats([2.0 ** n for n in range(5)])
     verdict = hausdorff_test(doubling, 1)

@@ -44,6 +44,63 @@ def test_parse_bounds_the_exponent():
             parse_rat(text)
 
 
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as error:
+        return type(error), str(error)
+    return type(value), value
+
+
+# parse_rat's plain-literal branch and the inputs next to it, each with the
+# general route's value or ValueError text
+PARSE_NAMED = [
+    ("+7", F(7)),
+    ("007/010", F(7, 10)),
+    ("-0", F(0)),
+    ("0/5", F(0)),
+    ("3/0", "not a rational literal: '3/0'"),
+    ("1/-2", "not a rational literal: '1/-2'"),
+    ("1 /2", "not a rational literal: '1 /2'"),
+    ("1_000/3", F(1000, 3)),
+    ("\u0663/\u0664", F(3, 4)),  # Arabic-Indic digits
+    ("\t7\n", F(7)),
+    ("1" * 4301, f"not a rational literal: {'1' * 20!r}... (4301 characters)"),
+    ("1e4301", "exponent beyond 4300 in '1e4301'"),
+    ("1" * 41, F(int("1" * 41))),
+    # the echo boundary, on a plain literal with a zero denominator
+    ("3/" + "0" * 38, f"not a rational literal: '3/{'0' * 38}'"),
+    ("3/" + "0" * 39, "not a rational literal: '3/000000000000000000'... (41 characters)"),
+]
+
+
+@pytest.mark.parametrize("text, want", PARSE_NAMED, ids=[repr(t)[:24] for t, _ in PARSE_NAMED])
+def test_parse_rat_named_literals(text, want):
+    got = _outcome(parse_rat, text)
+    assert got == ((ValueError, want) if isinstance(want, str) else (F, want))
+    assert _outcome(ref.ref_parse_rat, text) == got
+    if not isinstance(want, str):
+        assert want == F(text.strip())
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_PADS = st.text(" \t\n\x0c\u2003", max_size=2)
+_PLAIN_TEXTS = st.builds(
+    lambda a, sign, n, d, b: f"{a}{sign}{n}{'' if d is None else '/' + d}{b}",
+    _PADS, st.sampled_from(["", "+", "-"]), _DIGITS, st.none() | _DIGITS, _PADS,
+)
+# one character away from a plain literal: decimals, exponents, underscores,
+# inner spaces, doubled signs and slashes, non-ASCII digits
+_NEAR_TEXTS = st.text("0123456789+-/ _.eE\t\u0663x", max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_PLAIN_TEXTS, _NEAR_TEXTS))
+def test_parse_rat_agrees_with_the_general_route(text):
+    # the general route is Fraction(text.strip()) behind the exponent guard
+    assert _outcome(parse_rat, text) == _outcome(ref.ref_parse_rat, text)
+
+
 def test_format_beyond_the_int_digit_limit():
     # 3^10000 has 4,772 digits and 2^16000 has 4,817, beyond the default 4300
     limit = sys.get_int_max_str_digits()
