@@ -43,11 +43,9 @@ from .family import (
     counterexample_verdict,
     d_ratfn,
     d_taylor,
-    domain_min,
     family_weights,
     figure_rows,
     omega_eval,
-    omega_prefix,
     s_closed_form,
     s_derivatives_at_zero,
     sign_scan,

@@ -100,26 +100,13 @@ class FamilyParam(Record):
             raise ValueError("the weight family is defined for x >= 0")
 
 
-def domain_min(n: int) -> Fraction:
-    """Left endpoint of the domain of omega_n (and of D_n): -1/(n+1)."""
-    return Fraction(-1, n + 1)
-
-
-def _check_domain(n: int, x: Fraction):
-    if x <= domain_min(n):
-        raise ValueError(
-            f"x = {format_rat(x)} is outside the domain "
-            f"({format_rat(domain_min(n))}, oo) at index {n}"
-        )
-
-
 def family_weights(p: FamilyParam) -> SquaredWeights:
     """The 2-isometric completion of the head sq(0) = 1/2, sq(1) = 1/2 + x."""
     return construct_2isometry(Fraction(1, 2), Fraction(1, 2) + p.x)
 
 
-def omega_prefix(horizon: int, p: FamilyParam) -> tuple:
-    """omega_0..omega_horizon, the fiber-0 dual moments, in one pass.
+def _omega_terms(horizon: int, p: FamilyParam) -> tuple:
+    """omega_0..omega_horizon, the fiber-0 dual moments, as unreduced pairs.
 
     With x = a/b write B = 2(a+b)^2, L = (b+2a)^2, c_j = b + (j+2)a and
     P_n = prod_{j<n} c_j, so 2^n (1+x)^(2n) = B^n / b^(2n).  Then
@@ -130,28 +117,26 @@ def omega_prefix(horizon: int, p: FamilyParam) -> tuple:
 
     The numerator's first term and the denominator are carried as running
     products as well, so each further index costs a few products with
-    small integers and one Fraction.
+    small integers and no gcd.  Each B^n P_n > 0 divides the last one.
     """
     if horizon < 0:
         raise ValueError("index must be nonnegative")
-    x = p.x
-    _check_domain(horizon, x)
-    a, b = x.numerator, x.denominator
+    a, b = p.x.numerator, p.x.denominator  # x >= 0: in the domain of every omega_n
     big_b, lift, b_sq = 2 * (a + b) ** 2, (b + 2 * a) ** 2, b * b
-    out, t = [Fraction(1)], 0
+    out, t = [(1, 1)], 0
     head, den = 1, 1  # b^(2n) P_n and B^n P_n
     for j in range(horizon):
         c = b + (j + 2) * a
         t = b_sq * c * t + b * den
         head *= b_sq * c
         den *= big_b * c
-        out.append(Fraction(head + lift * t, den))
+        out.append((head + lift * t, den))
     return tuple(out)
 
 
 def omega_eval(n: int, p: FamilyParam) -> Fraction:
     """Direct rational evaluation of omega_n, the fiber-0 dual moment."""
-    return omega_prefix(n, p)[n]
+    return Fraction(*_omega_terms(n, p)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +402,7 @@ class CounterexampleVerdict(Record):
     x: Fraction
     report: OperatorReport
     residual_depth: int
-    moments: tuple                 # omega route, n = 0..horizon
+    moments: tuple                 # omega route as unreduced pairs, n = 0..horizon
     closed_form_agrees: bool       # omega == fiber-0 closed form == oracle
     hausdorff: MomentVerdict
 
@@ -475,13 +460,17 @@ def counterexample_verdict(
     w = family_weights(p)
     report = operator_report(w, probe_depth=residual_depth)
 
-    # reduced pairs with positive denominators: equal exactly as rationals
-    moments = omega_prefix(horizon, p)
+    # pairs with positive denominators, reduced but for omega's (n, d)
+    moments = _omega_terms(horizon, p)
     closed = dual_moments_fiber0(w, horizon)
     brute = tuple(_powers(dual_weights(w), 0, horizon))
-    agrees = tuple([m.as_integer_ratio() for m in moments]) == closed == brute
-
-    verdict = hausdorff_test(MomentSeq.exact(moments), depth)
+    agrees = closed == brute and all([n * q == u * d for (n, d), (u, q) in zip(moments, closed)])
+    # the table over B^H P_H, a positive multiple of each d, has the same witness
+    big = moments[-1][1]
+    verdict = hausdorff_test(MomentSeq.exact([n * (big // d) for n, d in moments]), depth)
+    if not verdict.passed:
+        verdict = MomentVerdict("fail", "hausdorff", verdict.depth, verdict.top_index,
+                                witness=verdict.witness, detail=verdict.detail / big)
     return CounterexampleVerdict(
         x=p.x,
         report=report,

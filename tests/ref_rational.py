@@ -44,6 +44,12 @@ The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
 - ``ref_omega_prefix`` runs S_n and 2^n (1+x)^(2n) as running ``Fraction``
   sums and products, the route the integer numerators over their known
   denominators replaced.
+- ``domain_min`` is the left end -1/(n+1) of the domain of omega_n and
+  D_n.  The package no longer checks it: ``FamilyParam`` refuses x < 0.
+- ``ref_counterexample_verdict`` is the verdict on ``Fraction``s: omega
+  by ``ref_omega_prefix``, the difference table over the lcm of their
+  reduced denominators, and the three routes compared as reduced pairs,
+  the route the table over omega's known common denominator replaced.
 
 The operators read one linear-fractional tail rule; the per-kind answers
 it replaced stay here: ``ref_tail_sup``, ``ref_tail_inf``,
@@ -64,13 +70,24 @@ from functools import lru_cache
 
 from circuitdual import rational
 from circuitdual.family import (
+    CounterexampleVerdict,
     _add,
     _mul,
     _s_series,
     _series_div,
+    family_weights,
     s_derivatives_at_zero,
 )
-from circuitdual.operators import ConstantTail, ReciprocalXiTail, XiTail
+from circuitdual.moments import MomentSeq, hausdorff_test
+from circuitdual.operators import (
+    ConstantTail,
+    ReciprocalXiTail,
+    XiTail,
+    dual_moments_fiber0,
+    dual_weights,
+    operator_report,
+)
+from circuitdual.oracle import _powers
 
 
 def _lift(p: rational.Poly) -> "Poly":
@@ -445,6 +462,11 @@ def ref_two_isometry_check(w, depth: int) -> tuple:
     return tuple(out)
 
 
+def domain_min(n: int) -> Fraction:
+    """Left endpoint of the domain of omega_n (and of D_n): -1/(n+1)."""
+    return Fraction(-1, n + 1)
+
+
 def ref_omega_prefix(horizon: int, x) -> tuple:
     """omega_0..omega_horizon with S_n and 2^n (1+x)^(2n) running in Fractions."""
     x = Fraction(x)
@@ -455,6 +477,26 @@ def ref_omega_prefix(horizon: int, x) -> tuple:
         power *= base
         out.append((1 + lift * s) / power)
     return tuple(out)
+
+
+def ref_counterexample_verdict(p, depth: int, horizon: int, residual_depth: int = 50):
+    """``counterexample_verdict`` with omega as ``Fraction``s: the routes
+    compared as reduced pairs, the table over the lcm of omega's reduced
+    denominators."""
+    w = family_weights(p)
+    report = operator_report(w, probe_depth=residual_depth)
+    moments = ref_omega_prefix(horizon, p.x)
+    closed = dual_moments_fiber0(w, horizon)
+    brute = tuple(_powers(dual_weights(w), 0, horizon))
+    agrees = tuple([m.as_integer_ratio() for m in moments]) == closed == brute
+    return CounterexampleVerdict(
+        x=p.x,
+        report=report,
+        residual_depth=residual_depth,
+        moments=moments,
+        closed_form_agrees=agrees,
+        hausdorff=hausdorff_test(MomentSeq.exact(moments), depth),
+    )
 
 
 def ref_tail_sup(w) -> Fraction:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import warnings
@@ -12,15 +14,14 @@ from circuitdual.cli import MAX_M, main
 from circuitdual.family import (
     FIGURE_MS,
     FamilyParam,
+    _omega_terms,
     counterexample_verdict,
     d_ratfn,
     d_taylor,
-    domain_min,
     family_weights,
     figure_pairs,
     figure_rows,
     omega_eval,
-    omega_prefix,
     s_closed_form,
     s_derivatives_at_zero,
     sign_scan,
@@ -32,13 +33,15 @@ from circuitdual.operators import (
     two_isometry_check,
 )
 from circuitdual.oracle import gram_diagonal
-from circuitdual.rational import PoleError, RatFn
+from circuitdual.rational import MAX_LITERAL, PoleError, RatFn, format_rat
 from ref_rational import (
+    domain_min,
     eval_grid,
     lift,
     omega_bracket_at_zero,
     omega_deriv_leibniz,
     omega_ratfn,
+    ref_counterexample_verdict,
     ref_d,
     ref_d_table,
     ref_d_taylor,
@@ -97,12 +100,12 @@ def _omega_per_n_sum(n, x):
 @pytest.mark.parametrize("x", [F(0), F(1, 500), F(37, 101), F(1), F(10 ** 6)])
 def test_omega_prefix_matches_per_n_sum(x):
     p = FamilyParam(x)
-    prefix = omega_prefix(40, p)
+    prefix = tuple(F(*t) for t in _omega_terms(40, p))
     assert prefix == tuple(_omega_per_n_sum(n, x) for n in range(41))
     assert all(omega_eval(n, p) == prefix[n] for n in (0, 1, 17, 40))
-    assert omega_prefix(0, p) == (1,)
+    assert _omega_terms(0, p) == ((1, 1),)
     with pytest.raises(ValueError, match="nonnegative"):
-        omega_prefix(-1, p)
+        _omega_terms(-1, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,7 +114,10 @@ def test_omega_prefix_matches_per_n_sum(x):
     st.integers(0, 40),
 )
 def test_omega_prefix_matches_the_fraction_route(x, horizon):
-    assert omega_prefix(horizon, FamilyParam(x)) == ref_omega_prefix(horizon, x)
+    terms = _omega_terms(horizon, FamilyParam(x))
+    assert tuple(F(*t) for t in terms) == ref_omega_prefix(horizon, x)
+    # the known common denominator: every B^n P_n is positive and divides B^H P_H
+    assert all(d > 0 and terms[-1][1] % d == 0 for _, d in terms)
 
 
 def test_symbolics_conventions_and_table():
@@ -211,7 +217,7 @@ def test_d_one_positive_term_identity(x, m):
     # D_m and against the m-th differences of the dual moments
     expected = _d_one_positive_term(m, x)
     assert d_ratfn(m)(x) == expected
-    row = list(omega_prefix(m, FamilyParam(x)))
+    row = [F(*t) for t in _omega_terms(m, FamilyParam(x))]
     for _ in range(m):
         row = [a - b for a, b in zip(row, row[1:])]
     assert row == [expected]
@@ -476,22 +482,53 @@ def test_counterexample_confirmed_inside_window():
     assert "counterexample confirmed" in verdict.render()
 
 
-@pytest.mark.parametrize("route", ["_powers", "dual_moments_fiber0"])
+@pytest.mark.parametrize("route", ["_powers", "dual_moments_fiber0", "_omega_terms"])
 def test_verdict_catches_a_route_off_by_one_over_its_denominator(monkeypatch, capsys, route):
-    # the routes are compared as reduced pairs; one value moved by 1/den,
-    # kept reduced and in the route's own container type, must disagree
+    # one value moved by 1/den, in the route's own container type, must
+    # disagree: kept reduced on the two reduced routes, unreduced on omega's
     original = getattr(family, route)
 
     def broken(*args):
         values = original(*args)
         n, d = values[5]
-        return type(values)([*values[:5], F(n + 1, d).as_integer_ratio(), *values[6:]])
+        moved = (n + 1, d) if route == "_omega_terms" else F(n + 1, d).as_integer_ratio()
+        return type(values)([*values[:5], moved, *values[6:]])
 
     monkeypatch.setattr(family, route, broken)
     assert main(["family", "verdict", "--x", "1/500"]) == 1
     out = capsys.readouterr().out
     assert "\nmoment_routes_agree = false (n <= 12)\n" in out
     assert out.endswith("\nverdict = not confirmed\n")
+
+
+_WIDE = st.integers(10 ** 19, 10 ** 25)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.one_of(
+        st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6, max_denominator=10 ** 6),
+        st.builds(F, st.integers(10 ** 19, 10 ** 21 - 1)),  # at the literal cap
+        st.builds(F, st.just(1), st.integers(10 ** 18, 10 ** 19 - 1)),
+        st.builds(F, _WIDE, _WIDE),  # past the cap: the library call only
+    ),
+    horizon=st.integers(0, 40),
+    data=st.data(),
+)
+def test_verdict_matches_the_fraction_route(x, horizon, data):
+    # the verdict on omega's known common denominator against the route it
+    # replaced: omega as Fractions, its table over their lcm, reduced pairs
+    depth = data.draw(st.integers(1, max(horizon, 1)))
+    p = FamilyParam(x)
+    want = ref_counterexample_verdict(p, depth, horizon)
+    got = counterexample_verdict(p, depth, horizon)
+    assert (got.render(), got.confirmed) == (want.render(), want.confirmed)
+    if len(format_rat(x)) <= MAX_LITERAL:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["family", "verdict", "--x", format_rat(x),
+                         "--horizon", str(horizon), "--depth", str(depth)])
+        assert (out.getvalue(), code) == (want.render() + "\n", 0 if want.confirmed else 1)
 
 
 def test_counterexample_outside_window_needs_deeper_test():

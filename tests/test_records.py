@@ -53,7 +53,7 @@ CASES = [
             "x": F(1, 10),
             "report": REPORT,
             "residual_depth": 10,
-            "moments": (F(1), F(2, 3)),
+            "moments": ((1, 1), (2, 3)),
             "closed_form_agrees": True,
             "hausdorff": VERDICT,
         },

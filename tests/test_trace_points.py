@@ -83,3 +83,4 @@ def test_traced_verdict_counts_the_oracle_and_the_residuals():
     # the verdict spans that still see work
     assert metrics["family.verdict_s"] > 0
     assert metrics["operators.report_s"] > 0
+    assert metrics["moments.hausdorff_s"] > 0
