@@ -50,7 +50,7 @@ division-free recurrence,
     M_{k+1} = (1+4x+2x^2)(1+(k+2)x) M_k - k! 2^k x^k (1+2x)(1+x)^(2k-1),
 
 each step one product with a cubic, so M_m costs O(m^2) operations.  The
-recurrence serves both routes:
+recurrence serves three routes:
 
 - d_ratfn puts M_m over the reduced denominator, built as
   prod_{j=3}^{m+1} (1+jx) and then one product with the binomial row of
@@ -61,6 +61,9 @@ recurrence serves both routes:
   truncated synthetic division each.  The only division of integers is the
   final one by 2^m, so D_m^{(l)}(0) for l <= order costs O(m * order)
   operations on integers.
+- figure_pairs runs it on integers at each grid point x = a/b,
+  homogenised by b^(3m-2), with the denominator as a running product:
+  no RatFn and no Horner pass.
 
 The reduced denominator is a product of positive constants and factors
 (1 + jx), so all its coefficients are positive and it is positive for
@@ -74,6 +77,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from ._record import Record
 from .moments import MomentSeq, MomentVerdict, hausdorff_test
@@ -86,7 +90,7 @@ from .operators import (
     operator_report,
 )
 from .oracle import _powers
-from .rational import RatFn, _as_fraction, _homogeneous, format_rat, grid_horner
+from .rational import RatFn, _as_fraction, _homogeneous, format_rat
 
 
 class FamilyParam(Record):
@@ -368,20 +372,37 @@ FIGURE_X_MAX = Fraction(3, 5)
 FIGURE_STEPS = 120
 
 
+def _d_at(a: int, b: int, top: int) -> list:
+    """D_0..D_top at x = a/b >= 0, top >= 1, as integer pairs: D_0 = (1, 1)
+    and, for m >= 1, b^(3m-2) times M_m and D_m's reduced denominator at a/b.
+
+    Homogenised, M's recurrence reads H_{k+1} = C (b + (k+2)a) H_k - T_k
+    with C = b^2 + 4ab + 2a^2 and T_k = k! 2^k a^k (b+2a) (a+b)^(2k-1) b.
+    T_k and the denominator 2^m (a+b)^(2m-1) prod_{j=3}^{m+1} (b+ja) are
+    running products, so each m costs a few products with small integers.
+    """
+    s, cubic = (a + b) ** 2, b * b + 4 * a * b + 2 * a * a
+    num, term, den = 2 * a, 2 * a * (b + 2 * a) * (a + b) * b, 2 * (a + b)
+    out = [(1, 1), (num, den)]
+    for k in range(1, top):
+        c = b + (k + 2) * a
+        num = cubic * c * num - term
+        term *= 2 * (k + 1) * a * s
+        den *= 2 * s * c
+        out.append((num, den))
+    return out
+
+
 def figure_pairs(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):
     """Rows (x, D_m for m in FIGURE_MS) of the sign-landscape table as unreduced
-    pairs: x = (k p, Q), Q = q steps, and (Q^d a(x), Q^d b(x)) for D_m = a/b,
-    where Q^d b(x) > 0 since b has only positive coefficients."""
+    pairs: x = (k p, Q) with p/q = x_max and Q = q steps, and D_m's pair from
+    ``_d_at`` at that point, whose second entry is positive for x > 0."""
     x_max = _as_fraction(x_max)
     if steps < 1 or x_max <= 0:
         raise ValueError("need steps >= 1 and x_max > 0")
-    columns = []
-    for m in FIGURE_MS:
-        a, b = d_ratfn(m)._ints
-        d = max(len(a), len(b)) - 1
-        columns.append(zip(grid_horner(a, d, x_max, steps), grid_horner(b, d, x_max, steps)))
     p, big_q = x_max.numerator, x_max.denominator * steps
-    return [((k * p, big_q), row) for k, row in enumerate(zip(*columns), 1)]
+    pick, top = itemgetter(*FIGURE_MS), max(FIGURE_MS)
+    return [((a, big_q), pick(_d_at(a, big_q, top))) for a in range(p, p * steps + 1, p)]
 
 
 def figure_rows(x_max=FIGURE_X_MAX, steps: int = FIGURE_STEPS):

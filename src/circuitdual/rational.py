@@ -15,11 +15,10 @@ D_m's denominator in closed form and hand the constructor a coprime
 integer numerator and denominator, so no command runs a polynomial gcd.
 Evaluation at p/q runs homogenised Horner passes over the integers and
 normalises the quotient with a single gcd, where a Fraction Horner pass
-would reduce a growing fraction at every coefficient.  A grid
-k*x_max/steps, k = 1..steps, shares one denominator, so ``grid_horner``
-homogenises an integer polynomial once per grid and runs one Horner pass
-per sample in the small integer k; the figure renders its unreduced pairs
-by ``format_pair`` or ``decimal_pair``, without building a Fraction.
+would reduce a growing fraction at every coefficient.  The figure builds
+no ``RatFn``: it takes unreduced integer pairs from D_m's recurrence at
+each grid point and renders them by ``format_pair`` or ``decimal_pair``,
+without building a Fraction.
 
 ``num`` and ``den``, the quotient as ``Poly``s of Fractions over a monic
 denominator, are views built on request for the tests and a benchmark
@@ -298,22 +297,6 @@ def _homogeneous(coeffs: Sequence[int], p: int, q: int) -> int:
         acc = acc * p + c * qpow
         qpow *= q
     return acc
-
-
-def grid_horner(coeffs: Sequence[int], d: int, x_max: Fraction, steps: int) -> list[int]:
-    """Q^d c(k x_max/steps) for k = 1..steps, c an integer polynomial of
-    degree at most d.  Each grid point is k p/Q with p/q = x_max and
-    Q = q steps, so c_i is homogenised once to c_i p^i Q^(d-i) and a sample
-    is one Horner pass in the small integer k."""
-    p, big_q = x_max.numerator, x_max.denominator * steps
-    hom = [c * p**i * big_q ** (d - i) for i, c in enumerate(coeffs)][::-1]
-    values = []
-    for k in range(1, steps + 1):
-        acc = 0
-        for c in hom:
-            acc = acc * k + c
-        values.append(acc)
-    return values
 
 
 class RatFn:

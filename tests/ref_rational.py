@@ -13,9 +13,12 @@ on a small range:
   integer-pair constructor replaced: it divides out the ``poly_gcd`` of
   numerator and denominator and hands the quotient to that constructor
   as an integer pair.  Every rational-function result goes through it.
-- ``eval_grid`` reduces the unreduced grid values of a ``RatFn``, the
-  integer pairs the figure renders, to ``Fraction``s: the reference for
-  that pair route, itself checked against ``RatFn.eval`` at each point.
+- ``grid_horner`` homogenises an integer polynomial once per grid
+  k*x_max/steps and runs one Horner pass per sample in the small integer
+  k, the route the figure's recurrence at each grid point replaced.
+  ``eval_grid`` reduces its values of a ``RatFn``'s pair to ``Fraction``s:
+  the figure's reference, itself checked against ``RatFn.eval`` at each
+  point.
 - ``ref_s``, ``ref_omega`` and ``ref_d`` build S_n, omega_n and D_m as
   sums of such rational functions, each reduced by ``poly_gcd``.
 - ``_canonical`` reduces an integer numerator over a known factored
@@ -255,21 +258,37 @@ def lift(f: rational.RatFn) -> RatFn:
     return RatFn(f.num, f.den)
 
 
+def grid_horner(coeffs, d: int, x_max: Fraction, steps: int) -> list:
+    """Q^d c(k x_max/steps) for k = 1..steps, c an integer polynomial of
+    degree at most d.  Each grid point is k p/Q with p/q = x_max and
+    Q = q steps, so c_i is homogenised once to c_i p^i Q^(d-i) and a sample
+    is one Horner pass in the small integer k."""
+    p, big_q = x_max.numerator, x_max.denominator * steps
+    hom = [c * p**i * big_q ** (d - i) for i, c in enumerate(coeffs)][::-1]
+    values = []
+    for k in range(1, steps + 1):
+        acc = 0
+        for c in hom:
+            acc = acc * k + c
+        values.append(acc)
+    return values
+
+
 def eval_grid(f: rational.RatFn, x_max, steps: int) -> tuple:
     """The values f(k x_max/steps) for k = 1..steps, as ``f.eval`` returns
-    them, reduced from the unreduced pairs ``family.figure_pairs`` renders.
+    them, reduced from two ``grid_horner`` passes over f's integer pair.
 
-    Both ``grid_horner`` passes run over the common degree d, so each is
-    Q^d times a value at the point and Q cancels.
+    Both passes run over the common degree d, so each is Q^d times a value
+    at the point and Q cancels.
     """
     x_max = rational._as_fraction(x_max)
     a, b = f._ints
     d = max(len(a), len(b)) - 1
-    b_k = rational.grid_horner(b, d, x_max, steps)
+    b_k = grid_horner(b, d, x_max, steps)
     if 0 in b_k:
         point = x_max * (b_k.index(0) + 1) / steps
         raise rational.PoleError(f"pole at x = {rational.format_rat(point)}")
-    return tuple(map(Fraction, rational.grid_horner(a, d, x_max, steps), b_k))
+    return tuple(map(Fraction, grid_horner(a, d, x_max, steps), b_k))
 
 
 # Canonical form by trial division over a known factored denominator

@@ -184,10 +184,12 @@ def test_golden_taylor_at_cap(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == CAP_TAYLOR_SHA256
 
 
-# the largest outputs of the grid routes, pinned by length and digest as
-# recorded with per-point evaluation: a scan at the cap of --m whose first
-# crossing, in [1553/1000, 777/500], is bisected, and an exact figure at a
-# 21-character --xmax
+# the largest outputs of the grid routes, pinned by length and digest: a
+# scan at the cap of --m whose first crossing, in [1553/1000, 777/500], is
+# bisected, and an exact figure at a 21-character --xmax, as recorded with
+# per-point evaluation of D_m; then two decimal figures, at the cap of
+# --steps and at the 21-character --xmax, as recorded with one homogenised
+# Horner pass of D_m's integer pair per grid point
 AT_SCALE = [
     ("family scan --m 100 --xmax 2 --steps 500", 636,
      "6fa597441c5d1b42154fe77a01ce8b0d0872ff2c9929b042193ae5e40c5cf709"),
@@ -195,6 +197,10 @@ AT_SCALE = [
      "631c1c1fa15bae97307e2a98dffbe62c9151b9bea1b360b6c75ae1ed0ad0dab4"),
     ("family figure --xmax 9999999999/9999999997 --steps 1000 --out - --exact", 1014853,
      "60e14b0cd09b96b652a5c40b16e03b15315c80aaf3311d648f6f9200baae9cf2"),
+    ("family figure --xmax 3/5 --steps 10000 --out -", 581292,
+     "c2d7c367db822273c9dc285e4f1c912d36ad8713544c8106c3cde19957b01d76"),
+    ("family figure --xmax 9999999999/9999999997 --steps 1000 --out -", 63683,
+     "ee582d7f5c7a2a2c136d1203b17293cdfc6334e63f6f535bb51e6090da5874e3"),
 ]
 
 

@@ -14,6 +14,7 @@ from circuitdual.cli import MAX_M, main
 from circuitdual.family import (
     FIGURE_MS,
     FamilyParam,
+    _d_at,
     _omega_terms,
     counterexample_verdict,
     d_ratfn,
@@ -33,7 +34,7 @@ from circuitdual.operators import (
     two_isometry_check,
 )
 from circuitdual.oracle import gram_diagonal
-from circuitdual.rational import MAX_LITERAL, PoleError, RatFn, format_rat
+from circuitdual.rational import MAX_LITERAL, PoleError, RatFn, _homogeneous, format_rat
 from ref_rational import (
     domain_min,
     eval_grid,
@@ -564,6 +565,48 @@ def test_figure_pairs_reduce_to_the_grid_values(x_max, steps):
     assert all(d > 0 for x, row in pairs for _, d in (x, *row))
 
 
+_DIGITS_21 = st.one_of(st.integers(1, 1000), st.integers(10 ** 20, 10 ** 21 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.just(0), _DIGITS_21), _DIGITS_21)
+def test_d_at_matches_the_homogeneous_pair(a, b):
+    # the pair _d_at carries at x = a/b is b^(3m-2) (M_m, den_m) exactly;
+    # d_ratfn stores it divided by its content 2^m / den_m(0)
+    pairs = _d_at(a, b, 30)
+    assert pairs[0] == (1, 1)
+    for m in range(1, 31):
+        num, den = d_ratfn(m)._ints
+        n = _homogeneous(num, a, b) * b ** (len(den) - len(num))
+        d = _homogeneous(den, a, b)
+        assert F(*pairs[m]) == F(n, d)
+        assert pairs[m][1] > 0
+        assert (pairs[m][0] * den[0], pairs[m][1] * den[0]) == (2 ** m * n, 2 ** m * d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_DIGITS_21, _DIGITS_21, st.integers(1, 300))
+def test_figure_pairs_match_the_grid_horner_route(p, q, steps):
+    x_max = F(p, q)
+    pairs = figure_pairs(x_max, steps)
+    columns = [eval_grid(d_ratfn(m), x_max, steps) for m in FIGURE_MS]
+    assert [tuple([F(*v) for v in row]) for _, row in pairs] == list(zip(*columns))
+    assert all(d > 0 for _, row in pairs for _, d in row)
+
+
+def test_figure_builds_no_rational_function(monkeypatch):
+    # so the check against eval_grid compares two independent routes
+    want = figure_pairs(F(10, 19), 130)
+
+    def refuse(*args):
+        raise AssertionError("figure_pairs built or evaluated a RatFn")
+
+    monkeypatch.setattr(family, "d_ratfn", refuse)
+    monkeypatch.setattr(RatFn, "__init__", refuse)
+    monkeypatch.setattr(RatFn, "eval", refuse)
+    assert figure_pairs(F(10, 19), 130) == want
+
+
 def test_scan_reads_signs_without_evaluating_d(monkeypatch):
     calls = []
     original = RatFn.eval
@@ -580,7 +623,7 @@ def test_scan_reads_signs_without_evaluating_d(monkeypatch):
         raise AssertionError("sign_scan evaluated D_m")
 
     monkeypatch.setattr(RatFn, "eval", refuse)
-    monkeypatch.setattr(family, "grid_horner", refuse)
+    monkeypatch.setattr(family, "_d_at", refuse)
     report = sign_scan(12, F(3, 5), 60)
     assert report.bracket == (F(647, 3200), F(81, 400))
     assert sign_scan(4, F(1, 10), 100).bracket is None
