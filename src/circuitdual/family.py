@@ -468,8 +468,9 @@ def counterexample_verdict(
     """Run the whole pipeline at parameter x and bundle the evidence.
 
     Confirmation requires: bounded, the cyclicity condition, residuals
-    identically zero, exact agreement of the three moment routes, and a
-    Hausdorff failure within the tested depth.  x = 0 is rejected: there
+    identically zero (decided, so ``residual_depth`` only labels the
+    line), exact agreement of the three moment routes, and a Hausdorff
+    failure within the tested depth.  x = 0 is rejected: there
     the operator is an isometry, its dual is an isometry as well, hence
     subnormal, and no counterexample exists.
     """
@@ -479,19 +480,26 @@ def counterexample_verdict(
             "the construction needs x > 0"
         )
     w = family_weights(p)
-    report = operator_report(w, probe_depth=residual_depth)
+    # residuals 0..L+1, L = max(len(head), 2), vanish exactly when every
+    # residual does (``is_two_isometric``), so they back the depth line
+    report = operator_report(w, probe_depth=max(len(w.head), 2) + 1)
 
-    # pairs with positive denominators, reduced but for omega's (n, d)
+    # three routes as pairs with positive denominators, compared crosswise
     moments = _omega_terms(horizon, p)
     closed = dual_moments_fiber0(w, horizon)
-    brute = tuple(_powers(dual_weights(w), 0, horizon))
-    agrees = closed == brute and all([n * q == u * d for (n, d), (u, q) in zip(moments, closed)])
-    # the table over B^H P_H, a positive multiple of each d, has the same witness
-    big = moments[-1][1]
-    verdict = hausdorff_test(MomentSeq.exact([n * (big // d) for n, d in moments]), depth)
+    brute = _powers(dual_weights(w), 0, horizon)
+    agrees = all([n * q == u * d and n * s == r * d
+                  for (n, d), (u, q), (r, s) in zip(moments, closed, brute)])
+    # the table over d_H = B^H P_H has the same witness: each numerator times
+    # d_H / d_n, a product of the small quotients d_(j+1) / d_j = B c_j
+    column, cofactor = [moments[-1][0]], 1
+    for j in range(horizon - 1, -1, -1):
+        cofactor *= moments[j + 1][1] // moments[j][1]
+        column.append(moments[j][0] * cofactor)
+    verdict = hausdorff_test(MomentSeq.exact(column[::-1]), depth)
     if not verdict.passed:
         verdict = MomentVerdict("fail", "hausdorff", verdict.depth, verdict.top_index,
-                                witness=verdict.witness, detail=verdict.detail / big)
+                                witness=verdict.witness, detail=verdict.detail / moments[-1][1])
     return CounterexampleVerdict(
         x=p.x,
         report=report,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .rational import _add, _as_fraction, _mul, format_rat
+from .rational import _as_fraction, format_rat
 
 _ZERO = Fraction(0)
 
@@ -288,41 +288,35 @@ def dual_weights(w: SquaredWeights) -> SquaredWeights:
 
 
 def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
-    """Closed form for |C'^n e_0|^2, n = 0..horizon, as reduced (numerator,
-    denominator) pairs, when the operator is 2-isometric.
+    """|C'^n e_0|^2 for n = 0..horizon as (numerator, denominator) pairs
+    over a known positive denominator, for every operator bounded below.
 
-    The value at n is
+    With s0 = sq'(0), s1 = sq'(1) the dual's circuit weights and
+    gamma_1(j) = sq'(2) ... sq'(j+1), the fiber-0 identity is
 
-        sq(0)^n / alpha^(2n)
-        + sum_{j=0}^{n-1} sq(0)^(n-j-1) sq(1)
-            / (alpha^(2(n-j)) (1 + j (sq(2) - 1))),
+        gamma_0(n) = s0 gamma_0(n-1) + s1 gamma_1(n-1),   gamma_0(0) = 1:
 
-    so T_0 = 1 and T_n = (sq(0)/alpha^2) T_{n-1}
-    + sq(1) / (alpha^2 (1 + (n-1)(sq(2) - 1))): one pass over the horizon.
-    The derivation uses 2-isometricity (partial tail products telescope to
-    1 + j (sq(2) - 1)), hence the residual precondition on the points
-    0..horizon.  With sq(2) - 1 = a/b the second term is
-    (b sq(1)/alpha^2) / (b + (n-1) a).  The recurrence runs on pairs by
-    ``rational._mul`` and ``_add``, which cancel as ``Fraction`` does.
+    C'^n e_0 is a_n e_0 plus terms on distinct e_i, i >= 1, so no cross
+    term enters and no 2-isometry is used.  With s0 = r0/e0, s1 = r1/e1
+    and sq'(t) = q_t/p_t its denominator is E_n = e0^n e1 p_2 ... p_n, so
+    E_n = e0 Q_n E_{n-1} and N_n = r0 Q_n N_{n-1} + r1 e0^n q_2 ... q_n,
+    with Q_1 = e1, Q_n = p_n: a few products with small integers per n and
+    no gcd.  A spec not bounded below has no dual and is refused.
     """
     if horizon < 0:
         raise ValueError("power must be nonnegative")
-    if horizon == 0:
-        return ((1, 1),)
-    if any(two_isometry_check(w, horizon)):
-        raise ValueError(
-            "the fiber-0 closed form requires 2-isometry residuals to "
-            f"vanish to depth {horizon}"
-        )
-    alpha_sq, (a, b) = w.alpha ** 2, (w.sq(2) - 1).as_integer_ratio()
-    ratio = (w.sq(0) / alpha_sq).as_integer_ratio()
-    lead = (w.sq(1) / alpha_sq * b).as_integer_ratio()
+    dual = dual_weights(w).pairs(max(horizon + 1, 2))
+    (r0, e0), (r1, e1) = dual[:2]
+    num = den = run = 1  # run = e0^n q_2 ... q_n
     out = [(1, 1)]
-    for j in range(horizon):
-        out.append(_add(_mul(ratio, out[-1]), _mul(lead, (1, b + j * a))))
+    for q, p in [(1, e1), *dual[2:]][:horizon]:
+        run *= e0 * q
+        num = r0 * p * num + r1 * run
+        den *= e0 * p
+        out.append((num, den))
     return tuple(out)
 
 
 def dual_moment_fiber0(w: SquaredWeights, n: int) -> Fraction:
-    """|C'^n e_0|^2 by the closed form of ``dual_moments_fiber0``."""
+    """|C'^n e_0|^2 by the fiber-0 recurrence of ``dual_moments_fiber0``."""
     return Fraction(*dual_moments_fiber0(w, n)[n])

@@ -20,9 +20,10 @@ so the only sum has two terms.  For k >= 1 index 0 is never read, so step
 j carries only indices k..k+n-j (0..n-j for k = 0): n + 1 entries at the
 start, one fewer each step, whatever the fiber.
 
-Each entry is an exact rational held as a reduced (numerator, denominator)
-pair of integers, kept reduced by ``rational._mul`` and ``rational._add``
-as ``Fraction`` keeps them; no square root or sign convention is needed.
+Each entry is an exact rational held as a (numerator, denominator) pair of
+integers with a positive denominator, unreduced: index 0 takes sq(0) and
+sq(1) over one denominator and reduces only the pair u[1] it adds, a
+product sq(2) ... sq(j) that telescopes to a small pair on xi-style tails.
 ``_powers`` returns the pairs, ``hsequence`` and ``gram_diagonal`` their
 ``Fraction`` views.
 """
@@ -30,11 +31,12 @@ as ``Fraction`` keeps them; no square root or sign convention is needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
 
 from ._record import Record
 from .moments import MomentSeq
 from .operators import SquaredWeights
-from .rational import _add, _mul
 
 
 class BandedOp(Record):
@@ -46,14 +48,19 @@ class BandedOp(Record):
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("need at least span{e_0, e_1}")
-        object.__setattr__(self, "_sq", tuple(self.weights.pairs(self.size)))
+        sq = tuple(self.weights.pairs(self.size))
+        (a, b), (c, d) = sq[0], sq[1]
+        m = lcm(b, d)
+        object.__setattr__(self, "_sq", sq)
+        object.__setattr__(self, "_circuit", (a * (m // b), c * (m // d), m))
 
     def apply(self, u: list, start: int = 0) -> list:
         """One step of the adjoint action, u -> A^T u, on a window.
 
-        ``u`` holds reduced (numerator, denominator) pairs at the indices
-        start..start+len(u)-1; the image is returned on the same window
-        less its last index, which would need an entry past it.
+        ``u`` holds (numerator, denominator) pairs with positive
+        denominators at the indices start..start+len(u)-1; the image is
+        returned on the same window less its last index, which would need
+        an entry past it.  Only the pair that index 0 adds is reduced.
         """
         end = start + len(u)
         if len(u) < 2 or start < 0 or end > self.size:
@@ -61,13 +68,14 @@ class BandedOp(Record):
                 f"window {start}..{end - 1} is not two or more indices "
                 f"inside the block 0..{self.size - 1}"
             )
-        sq = self._sq
         # lists and no tuple slices: CPython 3.11 files every freed 20-item
         # tuple on a free list that no allocation takes from, up to 2,000 of
         # them until a full collection, and the windows take every length
-        out = [_mul(a, sq[i]) for i, a in enumerate(u[1:], start + 1)]
+        out = [(n * p, d * q) for (n, d), (p, q) in zip(u[1:], islice(self._sq, start + 1, None))]
         if start == 0:
-            out[0] = _add(_mul(u[0], sq[0]), out[0])
+            (n0, d0), (n1, d1) = u[0], u[1]
+            g, (c0, c1, m) = gcd(n1, d1), self._circuit
+            out[0] = (c0 * (d1 // g) * n0 + c1 * (n1 // g) * d0, m * (d1 // g) * d0)
         return out
 
 

@@ -7,6 +7,13 @@ each image over the lcm of their denominators.  It is kept here, as it
 was, as the adjoint route's oracle: ``BandedOp.apply`` is the forward
 action, and ``_powers`` the lcm-summed powers on a block of a given size.
 
+``reduced_adjoint_powers`` is the adjoint window as it ran before its
+entries were left unreduced: every product and the index-0 sum kept
+reduced by ``rational._mul`` and ``rational._add``.  ``two_isometric_fiber0``
+is the fiber-0 closed form the package ran before the general fiber-0
+recurrence, valid only for 2-isometries and guarded by their residuals.
+Both are oracles of the package's routes on a small range.
+
 ``dual_moment_fiberk`` is the closed form of the dual's moments on a fiber
 k >= 1, a reciprocal product of weights that no command runs; it is the
 fiber-k oracle of ``hsequence``.
@@ -17,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from circuitdual._record import Record
-from circuitdual.operators import SquaredWeights
-from circuitdual.rational import _mul, balanced_lcm
+from circuitdual.operators import SquaredWeights, two_isometry_check
+from circuitdual.rational import _add, _mul, balanced_lcm
 
 
 class BandedOp(Record):
@@ -63,6 +70,45 @@ def _powers(w: SquaredWeights, k: int, n: int, size: int) -> list:
         lcm = balanced_lcm([d for _, d in v])
         values.append(Fraction(sum([a * (lcm // d) for a, d in v]), lcm))
     return values
+
+
+def reduced_adjoint_powers(w: SquaredWeights, k: int, n: int) -> list:
+    """|C^j e_k|^2 for j = 0..n as reduced pairs: u -> A^T u on the window
+    k..k+n-j, each entry one reduced product, index 0 a reduced sum."""
+    sq = w.pairs(max(k + n + 1, 2))
+    u = [(1, 1)] * (n + 1)
+    values = [(1, 1)]
+    for _ in range(n):
+        out = [_mul(a, sq[i]) for i, a in enumerate(u[1:], k + 1)]
+        if k == 0:
+            out[0] = _add(_mul(u[0], sq[0]), out[0])
+        u = out
+        values.append(u[0])
+    return values
+
+
+def two_isometric_fiber0(w: SquaredWeights, horizon: int) -> tuple:
+    """|C'^n e_0|^2 for n = 0..horizon as reduced pairs, for a 2-isometry:
+    T_0 = 1 and T_n = (sq(0)/alpha^2) T_{n-1}
+    + sq(1) / (alpha^2 (1 + (n-1)(sq(2) - 1))), since the tail's partial
+    products telescope to 1 + j (sq(2) - 1); hence the residual check on
+    the points 0..horizon."""
+    if horizon < 0:
+        raise ValueError("power must be nonnegative")
+    if horizon == 0:
+        return ((1, 1),)
+    if any(two_isometry_check(w, horizon)):
+        raise ValueError(
+            "the fiber-0 closed form requires 2-isometry residuals to "
+            f"vanish to depth {horizon}"
+        )
+    alpha_sq, (a, b) = w.alpha ** 2, (w.sq(2) - 1).as_integer_ratio()
+    ratio = (w.sq(0) / alpha_sq).as_integer_ratio()
+    lead = (w.sq(1) / alpha_sq * b).as_integer_ratio()
+    out = [(1, 1)]
+    for j in range(horizon):
+        out.append(_add(_mul(ratio, out[-1]), _mul(lead, (1, b + j * a))))
+    return tuple(out)
 
 
 def dual_moment_fiberk(w: SquaredWeights, k: int, n: int) -> Fraction:

@@ -51,8 +51,9 @@ The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
   D_n.  The package no longer checks it: ``FamilyParam`` refuses x < 0.
 - ``ref_counterexample_verdict`` is the verdict on ``Fraction``s: omega
   by ``ref_omega_prefix``, the difference table over the lcm of their
-  reduced denominators, and the three routes compared as reduced pairs,
-  the route the table over omega's known common denominator replaced.
+  reduced denominators, and the three routes compared as values, with the
+  closed form by the 2-isometric recurrence and the oracle by the forward
+  lcm route of ``ref_oracle``: the routes the verdict's own replaced.
 
 The operators read one linear-fractional tail rule; the per-kind answers
 it replaced stay here: ``ref_tail_sup``, ``ref_tail_inf``,
@@ -86,11 +87,11 @@ from circuitdual.operators import (
     ConstantTail,
     ReciprocalXiTail,
     XiTail,
-    dual_moments_fiber0,
     dual_weights,
     operator_report,
 )
-from circuitdual.oracle import _powers
+from ref_oracle import _powers as forward_powers
+from ref_oracle import two_isometric_fiber0
 
 
 def _lift(p: rational.Poly) -> "Poly":
@@ -499,15 +500,15 @@ def ref_omega_prefix(horizon: int, x) -> tuple:
 
 
 def ref_counterexample_verdict(p, depth: int, horizon: int, residual_depth: int = 50):
-    """``counterexample_verdict`` with omega as ``Fraction``s: the routes
-    compared as reduced pairs, the table over the lcm of omega's reduced
+    """``counterexample_verdict`` with every route on ``Fraction``s: the
+    routes compared as values, the table over the lcm of omega's reduced
     denominators."""
     w = family_weights(p)
     report = operator_report(w, probe_depth=residual_depth)
     moments = ref_omega_prefix(horizon, p.x)
-    closed = dual_moments_fiber0(w, horizon)
-    brute = tuple(_powers(dual_weights(w), 0, horizon))
-    agrees = tuple([m.as_integer_ratio() for m in moments]) == closed == brute
+    closed = tuple([Fraction(*v) for v in two_isometric_fiber0(w, horizon)])
+    brute = tuple(forward_powers(dual_weights(w), 0, horizon, max(horizon + 1, 2)))
+    agrees = moments == closed == brute
     return CounterexampleVerdict(
         x=p.x,
         report=report,

@@ -483,23 +483,43 @@ def test_counterexample_confirmed_inside_window():
     assert "counterexample confirmed" in verdict.render()
 
 
-@pytest.mark.parametrize("route", ["_powers", "dual_moments_fiber0", "_omega_terms"])
-def test_verdict_catches_a_route_off_by_one_over_its_denominator(monkeypatch, capsys, route):
-    # one value moved by 1/den, in the route's own container type, must
-    # disagree: kept reduced on the two reduced routes, unreduced on omega's
+ROUTES = ["_powers", "dual_moments_fiber0", "_omega_terms"]
+
+
+def _change_one_pair(monkeypatch, route, index, change):
+    # the route's pair at n = index replaced by change(n, d), in the
+    # route's own container type
     original = getattr(family, route)
 
-    def broken(*args):
+    def changed(*args):
         values = original(*args)
-        n, d = values[5]
-        moved = (n + 1, d) if route == "_omega_terms" else F(n + 1, d).as_integer_ratio()
-        return type(values)([*values[:5], moved, *values[6:]])
+        return type(values)([*values[:index], change(*values[index]), *values[index + 1:]])
 
-    monkeypatch.setattr(family, route, broken)
-    assert main(["family", "verdict", "--x", "1/500"]) == 1
-    out = capsys.readouterr().out
-    assert "\nmoment_routes_agree = false (n <= 12)\n" in out
-    assert out.endswith("\nverdict = not confirmed\n")
+    monkeypatch.setattr(family, route, changed)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_verdict_catches_a_route_off_by_one_over_its_denominator(monkeypatch, capsys, route):
+    # the routes are compared crosswise as the pairs come: one value moved
+    # by 1/den at any n must disagree
+    for index in range(13):
+        with monkeypatch.context() as patch:
+            _change_one_pair(patch, route, index, lambda n, d: (n + 1, d))
+            assert main(["family", "verdict", "--x", "1/500"]) == 1
+        out = capsys.readouterr().out
+        assert "\nmoment_routes_agree = false (n <= 12)\n" in out
+        assert out.endswith("\nverdict = not confirmed\n")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_verdict_routes_agree_on_pairs_scaled_by_a_common_factor(monkeypatch, route):
+    # the comparison reads values, not pairs: any pair of any route times a
+    # common factor still agrees
+    for index in range(13):
+        for factor in (2, 3 ** 40):
+            with monkeypatch.context() as patch:
+                _change_one_pair(patch, route, index, lambda n, d: (n * factor, d * factor))
+                assert counterexample_verdict(FamilyParam(F(1, 500))).closed_form_agrees
 
 
 _WIDE = st.integers(10 ** 19, 10 ** 25)

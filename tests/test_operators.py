@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from circuitdual.operators import (
     two_isometry_check,
 )
 from ref_oracle import _powers as forward_powers
-from ref_oracle import dual_moment_fiberk
+from ref_oracle import dual_moment_fiberk, reduced_adjoint_powers, two_isometric_fiber0
 from ref_rational import (
     ref_cyclic_sufficient,
     ref_is_two_isometric,
@@ -199,10 +198,27 @@ def test_dual_moment_fiber0_flat_tail_closed_form(t_sq):
         assert dual_moment_fiber0(w, n) == expected
 
 
-def test_dual_moment_fiber0_requires_two_isometry():
+def test_dual_moment_fiber0_needs_no_two_isometry():
+    # the fiber-0 recurrence holds for every operator bounded below: a spec
+    # that is not 2-isometric gets the moments the oracle reads
     crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
-    with pytest.raises(ValueError):
-        dual_moment_fiber0(crooked, 3)
+    assert any(two_isometry_check(crooked, 3))
+    expected = forward_powers(dual_weights(crooked), 0, 3, 4)
+    assert [dual_moment_fiber0(crooked, n) for n in range(4)] == expected
+    with pytest.raises(ValueError, match="vanish to depth 3$"):
+        two_isometric_fiber0(crooked, 3)
+
+
+@pytest.mark.parametrize("w", [
+    SquaredWeights((F(0), F(0)), ConstantTail(1)),
+    SquaredWeights((F(1), F(1)), ConstantTail(0)),
+    SquaredWeights((F(1), F(1), F(2), F(0)), ConstantTail(1)),
+], ids=["alpha-0", "tail-0", "head-0"])
+def test_dual_moments_fiber0_refuses_a_spec_not_bounded_below(w):
+    # no Cauchy dual, so no moments, at any horizon
+    for horizon in (0, 1, 6):
+        with pytest.raises(ValueError, match="bounded from below"):
+            dual_moments_fiber0(w, horizon)
 
 
 def _fiber0_per_j_sum(w, n):
@@ -231,22 +247,25 @@ def _fiber0_per_j_sum(w, n):
 def test_closed_form_prefix_matches_per_j_sum(w):
     prefix = dual_moments_fiber0(w, 40)
     expected = [_fiber0_per_j_sum(w, n) for n in range(41)]
-    assert prefix == tuple((v.numerator, v.denominator) for v in expected)
+    assert all(d > 0 for _, d in prefix)
+    assert [F(*v) for v in prefix] == expected
+    assert [F(*v) for v in two_isometric_fiber0(w, 40)] == expected
     assert all(dual_moment_fiber0(w, n) == expected[n] for n in (0, 1, 17, 40))
 
 
 def test_closed_form_prefix_guard_and_messages():
     crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
     assert dual_moments_fiber0(crooked, 0) == ((1, 1),)
-    assert dual_moment_fiber0(SquaredWeights((F(0), F(0)), ConstantTail(1)), 0) == 1
-    for n in (1, 3):
-        with pytest.raises(ValueError, match=f"vanish to depth {n}$"):
-            dual_moment_fiber0(crooked, n)
-    # residuals vanish to depth 2 only: the guard looks at exactly 0..H
+    with pytest.raises(ValueError, match="bounded from below"):
+        dual_moment_fiber0(SquaredWeights((F(0), F(0)), ConstantTail(1)), 0)
+    # residuals vanish to depth 2 only: the recurrence reads on past them,
+    # where the 2-isometric closed form stopped
     late = SquaredWeights((F(1), F(0), F(1), F(1), F(1), F(2)), ConstantTail(1))
-    assert dual_moments_fiber0(late, 2) == ((1, 1), (1, 1), (1, 1))
+    expected = forward_powers(dual_weights(late), 0, 6, 7)
+    assert [F(*v) for v in dual_moments_fiber0(late, 6)] == expected
+    assert two_isometric_fiber0(late, 2) == ((1, 1), (1, 1), (1, 1))
     with pytest.raises(ValueError, match="vanish to depth 3$"):
-        dual_moments_fiber0(late, 3)
+        two_isometric_fiber0(late, 3)
     with pytest.raises(ValueError, match="nonnegative"):
         dual_moment_fiber0(crooked, -1)
 
@@ -448,24 +467,36 @@ def two_isometric_heads(draw):
     return construct_2isometry(sq0, 1 - sq0 + extra)
 
 
-def _reduced(pairs):
-    return all(d > 0 and gcd(n, d) == 1 for n, d in pairs)
-
-
 @settings(max_examples=30, deadline=None)
 @given(two_isometric_heads() | tailed_weights() | near_two_isometries(), st.integers(0, 12))
-def test_moment_routes_return_reduced_pairs(w, n):
-    # the verdict compares the routes as pairs, which is sound only when each
-    # is reduced with a positive denominator: an unreduced pair raises
-    # nothing, it reads as a disagreement of the routes
-    bounded_below = min(w.alpha, w.tail_bounds()[0]) > 0
+def test_moment_routes_return_pairs_over_positive_denominators(w, n):
+    # the verdict compares the routes crosswise, unreduced: each pair must
+    # carry its value with a positive denominator
+    bounded_below = _bounded_below(w)
     for v in [w, dual_weights(w)] if bounded_below else [w]:
         for k in range(4):
             pairs = oracle._powers(v, k, n)
-            assert _reduced(pairs)
+            assert all(d > 0 for _, d in pairs)
             expected = forward_powers(v, k, n, max(k + n + 1, 2))
-            assert pairs == [value.as_integer_ratio() for value in expected]
-    if is_two_isometric(w):
+            assert [F(*p) for p in pairs] == expected
+            assert reduced_adjoint_powers(v, k, n) == [x.as_integer_ratio() for x in expected]
+    if bounded_below:
         closed = dual_moments_fiber0(w, n)
-        assert _reduced(closed)
-        assert closed == tuple(_fiber0_per_j_sum(w, j).as_integer_ratio() for j in range(n + 1))
+        assert all(d > 0 for _, d in closed)
+        assert [F(*v) for v in closed] == forward_powers(dual_weights(w), 0, n, max(n + 1, 2))
+        if is_two_isometric(w):
+            assert [F(*v) for v in closed] == [F(*v) for v in two_isometric_fiber0(w, n)]
+
+
+def _bounded_below(w):
+    return min(w.alpha, w.tail_bounds()[0]) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given((tailed_weights() | near_two_isometries() | two_isometric_heads()).filter(_bounded_below),
+       st.integers(0, 20))
+def test_fiber0_recurrence_matches_the_forward_oracle(w, n):
+    # one recurrence for every spec bounded below, under every tail kind,
+    # 2-isometric or not, against the forward oracle on the dual's block
+    expected = forward_powers(dual_weights(w), 0, n, max(n + 1, 2))
+    assert [F(*v) for v in dual_moments_fiber0(w, n)] == expected

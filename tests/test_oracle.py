@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuitdual.family import FamilyParam, family_weights
+from circuitdual.files import parse_weight_spec
 from circuitdual.moments import hausdorff_test
 from circuitdual.operators import (
     ConstantTail,
@@ -18,6 +20,7 @@ from circuitdual.operators import (
     h_of,
 )
 from circuitdual.oracle import BandedOp, gram_diagonal, hsequence
+from circuitdual.rational import format_rat
 from ref_oracle import BandedOp as ForwardOp
 from ref_oracle import _powers as forward_powers
 from ref_oracle import dual_moment_fiberk
@@ -70,27 +73,32 @@ def test_apply_support_overflow():
 # the package's adjoint step u -> A^T u on a window
 
 
+def values(pairs):
+    return [F(*p) for p in pairs]
+
+
 def test_adjoint_index_zero_rule_has_two_terms():
     w = SquaredWeights((F(2, 3), F(5, 7), F(3)), ConstantTail(F(1, 2)))
     u = (F(4, 5), F(9, 11), F(13, 2), F(1, 3))
     image = BandedOp(w, 4).apply(pairs(u))
     assert len(image) == 3
-    assert image[0] == pairs([w.sq(0) * u[0] + w.sq(1) * u[1]])[0]
+    assert F(*image[0]) == w.sq(0) * u[0] + w.sq(1) * u[1]
 
 
 def test_adjoint_shift_rule():
     w = SquaredWeights((F(2, 3), F(5, 7), F(3), F(7, 5)), ConstantTail(F(1, 2)))
     u = (F(4, 5), F(9, 11), F(13, 2), F(1, 3), F(6))
     image = BandedOp(w, 5).apply(pairs(u))
-    assert image[1:] == pairs([w.sq(i + 1) * u[i + 1] for i in range(1, 4)])
+    assert values(image[1:]) == [w.sq(i + 1) * u[i + 1] for i in range(1, 4)]
 
 
-def test_adjoint_step_keeps_entries_reduced():
-    # 1/6 + 1/3 = 3/6 reduces through the denominators' common factor 3,
-    # and (3/2)(4/9) cancels crosswise to 2/3
+def test_adjoint_step_multiplies_unreduced_pairs():
+    # sq(0) = 1/2 and sq(1) = 1/3 sit over 6 as 3/6 and 2/6; index 0 reduces
+    # the pair it adds, 2/2, and sums 3/6 * 1/3 + 2/6 * 1/1 over 18; the
+    # shift multiplies 3/2 by 4/9 as they come
     w = SquaredWeights((F(1, 2), F(1, 3)), ConstantTail(F(4, 9)))
-    image = BandedOp(w, 3).apply(pairs([F(1, 3), F(1), F(3, 2)]))
-    assert image == [(1, 2), (2, 3)]
+    image = BandedOp(w, 3).apply([(1, 3), (2, 2), (3, 2)])
+    assert image == [(9, 18), (12, 18)]
     rng = random.Random(2121)
     for _ in range(50):
         w = SquaredWeights(
@@ -98,9 +106,12 @@ def test_adjoint_step_keeps_entries_reduced():
             ConstantTail(F(rng.randint(1, 30), rng.randint(1, 30))),
         )
         u = [F(rng.randint(0, 30), rng.randint(1, 30)) for _ in range(5)]
+        scaled = [(n * c, d * c) for (n, d), c in zip(pairs(u), rng.choices(range(1, 9), k=5))]
         expected = [w.sq(0) * u[0] + w.sq(1) * u[1]]
         expected += [w.sq(i + 1) * u[i + 1] for i in range(1, 4)]
-        assert BandedOp(w, 5).apply(pairs(u)) == pairs(expected)
+        image = BandedOp(w, 5).apply(scaled)
+        assert all(d > 0 for _, d in image)
+        assert values(image) == expected
 
 
 def test_adjoint_window_offset():
@@ -111,7 +122,7 @@ def test_adjoint_window_offset():
     # a window from index 2 reads the shift rule only, at sq(3), sq(4), ...
     assert op.apply(u[2:], 2) == full[2:]
     window = op.apply(u[1:], 2)
-    assert window == pairs([w.sq(3) * F(13, 2), w.sq(4) * F(1, 3), w.sq(5) * 6])
+    assert values(window) == [w.sq(3) * F(13, 2), w.sq(4) * F(1, 3), w.sq(5) * 6]
 
 
 def test_adjoint_window_precondition():
@@ -286,3 +297,26 @@ def test_adjoint_route_matches_the_forward_reference(w, k, n, extra):
     assert forward_powers(w, k, n, size + extra) == expected
     assert hsequence(w, k, n).values == tuple(expected)
     assert gram_diagonal(w, k, n) == expected[-1]
+
+
+# hsequence(dual, k, 100) written one p/q a line, as recorded with the window
+# on reduced pairs: a spec that is not 2-isometric, and the family at a
+# 21-digit x, whose window entries reach about 21,000 bits
+HSEQUENCE_AT_SCALE = [
+    ("kind = explicit\nsq = [1/2, 1, 5/4]\ntail = ones\n", 0, 9915,
+     "417040ecf5e0e5f1232554daa2d537c254d40280a5264b3bac42573a597d2896"),
+    ("kind = explicit\nsq = [1/2, 1, 5/4]\ntail = ones\n", 3, 202,
+     "ff9aba721f53de76e2079fada1c20689f508ddc9cdaac91c69d4d36c052354af"),
+    ("kind = family\nx = 999999999999999999997\n", 0, 630627,
+     "e18653f1b65b9f64fa30af7449f005d6a6b9f17af53699591b6ae7aa9469dcba"),
+    ("kind = family\nx = 999999999999999999997\n", 3, 4697,
+     "5897102c81064dedf3d09a05f0d68cdf167c2d26d943517e4ac045acf341c789"),
+]
+
+
+@pytest.mark.parametrize("spec, k, length, digest", HSEQUENCE_AT_SCALE)
+def test_hsequence_bytes_at_scale(spec, k, length, digest):
+    seq = hsequence(dual_weights(parse_weight_spec(spec)), k, 100)
+    text = "".join(format_rat(v) + "\n" for v in seq.values)
+    assert len(text) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
