@@ -28,8 +28,8 @@ from .operators import (
     XiTail,
     construct_2isometry,
     dual_moment_fiber0,
-    dual_moments_fiber0,
     dual_weights,
+    fiber0_moments,
     h_of,
     is_two_isometric,
     operator_report,

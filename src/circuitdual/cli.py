@@ -59,7 +59,8 @@ MAX_STEPS = 10000          # family scan|figure --steps
 MAX_DEPTH = 100            # family verdict --depth, moments check --depth
 MAX_HORIZON = 100          # family verdict --horizon, moments check --horizon
 MAX_HANKEL_ORDER = 50      # moments check --order
-MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth
+MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth: kept
+                           # for its exit code, bounds no cost (residuals stop once decided)
 MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
 

@@ -85,8 +85,8 @@ from .operators import (
     OperatorReport,
     SquaredWeights,
     construct_2isometry,
-    dual_moments_fiber0,
     dual_weights,
+    fiber0_moments,
     operator_report,
 )
 from .oracle import _powers
@@ -468,8 +468,8 @@ def counterexample_verdict(
     """Run the whole pipeline at parameter x and bundle the evidence.
 
     Confirmation requires: bounded, the cyclicity condition, residuals
-    identically zero (decided, so ``residual_depth`` only labels the
-    line), exact agreement of the three moment routes, and a Hausdorff
+    zero to ``residual_depth`` (``operator_report`` stops where they are
+    decided), exact agreement of the three moment routes, and a Hausdorff
     failure within the tested depth.  x = 0 is rejected: there
     the operator is an isometry, its dual is an isometry as well, hence
     subnormal, and no counterexample exists.
@@ -480,14 +480,13 @@ def counterexample_verdict(
             "the construction needs x > 0"
         )
     w = family_weights(p)
-    # residuals 0..L+1, L = max(len(head), 2), vanish exactly when every
-    # residual does (``is_two_isometric``), so they back the depth line
-    report = operator_report(w, probe_depth=max(len(w.head), 2) + 1)
+    dual = dual_weights(w)
+    report = operator_report(w, residual_depth)
 
     # three routes as pairs with positive denominators, compared crosswise
     moments = _omega_terms(horizon, p)
-    closed = dual_moments_fiber0(w, horizon)
-    brute = _powers(dual_weights(w), 0, horizon)
+    closed = fiber0_moments(dual, horizon)
+    brute = _powers(dual, 0, horizon)
     agrees = all([n * q == u * d and n * s == r * d
                   for (n, d), (u, q), (r, s) in zip(moments, closed, brute)])
     # the table over d_H = B^H P_H has the same witness: each numerator times

@@ -21,7 +21,8 @@ bounded below exactly when min(alpha, inf_{n>=2} sq(n)) > 0.
 
 Past an explicit head every tail is one rule, monotone in n and read
 without asking which tail it came from: sq(n) = (u0 + u1 n) / (v0 + v1 n)
-in reduced integers.
+in reduced integers, for n >= L = ``rule_start``.  Residuals 0..L+1 decide
+2-isometry, and ``fiber0_moments`` reads any operator's pairs, a dual's too.
 
 - The constant tail p/q is (p, 0, q, 0).
 - The xi tail with sq(2) - 1 = a/b is (b - a, a, b - 2a, a), reduced
@@ -115,6 +116,7 @@ class SquaredWeights(Record):
             if isinstance(tail, ReciprocalXiTail):
                 rule = rule[2:] + rule[:2]
         object.__setattr__(self, "_rule", rule)
+        object.__setattr__(self, "rule_start", max(len(head), 2))  # L: sq(n >= L) is the rule's
         for i in range(start, len(head)):
             if head[i] != self._tail_value(i):
                 raise ValueError(
@@ -151,12 +153,11 @@ class SquaredWeights(Record):
     def tail_bounds(self) -> tuple:
         """(inf, sup) of sq(n) over n >= 2; either may be a limit, not attained.
 
-        The rule is monotone in n, so past the head its values lie between
-        its first value and its limit u1/v1 (the first value again when
-        v1 = 0, a constant rule).
+        The rule is monotone in n, so from L on its values lie between sq(L)
+        and its limit u1/v1 (sq(L) again when v1 = 0, a constant rule).
         """
         _, u1, _, v1 = self._rule
-        first = self._tail_value(max(len(self.head), 2))
+        first = self._tail_value(self.rule_start)
         values = [*self.head[2:], first, Fraction(u1, v1) if v1 else first]
         return min(values), max(values)
 
@@ -196,15 +197,15 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
 def is_two_isometric(w: SquaredWeights) -> bool:
     """Whether the residuals of ``two_isometry_check`` vanish at every depth.
 
-    Let L = max(len(head), 2), so sq(n) = N(n) / D(n) for n >= L with N and
-    D the tail rule's linear numerator and denominator, D > 0.  For
+    With L = ``w.rule_start``, sq(n) = N(n) / D(n) for n >= L with N and D
+    the tail rule's linear numerator and denominator, D > 0.  For
     n >= L - 1 the residual times D(n+1) D(n+2) is
     D(n+1) D(n+2) - 2 N(n+1) D(n+2) + N(n+1) N(n+2), a quadratic in n.
     The points 0..L+1 hold every residual before the rule and three of the
     rule's, n = L-1, L, L+1; a quadratic with three zeros is zero, so the
-    residuals then vanish at every depth.
+    residuals then vanish at every depth: a first nonzero one has n <= L+1.
     """
-    return not any(two_isometry_check(w, max(len(w.head), 2) + 1))
+    return not any(two_isometry_check(w, w.rule_start + 1))
 
 
 class OperatorReport(Record):
@@ -219,10 +220,10 @@ def operator_report(w: SquaredWeights, probe_depth: int = 10) -> OperatorReport:
     """Boundedness data, the cyclicity sufficient condition, and residuals.
 
     The tail bounds are closed-form (the tail rule is monotone), so the
-    norm and lower bound do not depend on the probe depth; the probe depth
-    only sizes the residual list.  Cyclicity is reported via the
-    sufficient condition only: sq(n) > 0 for all n >= 1 makes e_0 a
-    cyclic vector.
+    norm and lower bound ignore the probe depth.  The residuals stop at
+    min(probe_depth, L + 1), L = ``w.rule_start``, which decide every depth
+    and hold the first nonzero one (``is_two_isometric``).  Cyclicity is
+    reported via the sufficient condition only: sq(n) > 0 for n >= 1 makes e_0 cyclic.
     """
     if probe_depth < 2:
         raise ValueError("probe depth must be at least 2")
@@ -233,7 +234,7 @@ def operator_report(w: SquaredWeights, probe_depth: int = 10) -> OperatorReport:
         lower_bound_sq=min(alpha, inf),
         bounded=True,
         cyclic_sufficient=inf > 0 and all(v > 0 for v in w.head[1:]),
-        two_isometry_residuals=two_isometry_check(w, probe_depth),
+        two_isometry_residuals=two_isometry_check(w, min(probe_depth, w.rule_start + 1)),
     )
 
 
@@ -287,29 +288,28 @@ def dual_weights(w: SquaredWeights) -> SquaredWeights:
     return SquaredWeights(tuple(head), new_tail)
 
 
-def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
-    """|C'^n e_0|^2 for n = 0..horizon as (numerator, denominator) pairs
-    over a known positive denominator, for every operator bounded below.
+def fiber0_moments(t: SquaredWeights, horizon: int) -> tuple:
+    """|T^n e_0|^2 for n = 0..horizon, T the operator of any weights t (a
+    Cauchy dual's too), as pairs over a known positive denominator.
 
-    With s0 = sq'(0), s1 = sq'(1) the dual's circuit weights and
-    gamma_1(j) = sq'(2) ... sq'(j+1), the fiber-0 identity is
+    With s0 = sq(0), s1 = sq(1) and gamma_1(j) = sq(2) ... sq(j+1), the
+    fiber-0 identity is
 
         gamma_0(n) = s0 gamma_0(n-1) + s1 gamma_1(n-1),   gamma_0(0) = 1:
 
-    C'^n e_0 is a_n e_0 plus terms on distinct e_i, i >= 1, so no cross
+    T^n e_0 is a_n e_0 plus terms on distinct e_i, i >= 1, so no cross
     term enters and no 2-isometry is used.  With s0 = r0/e0, s1 = r1/e1
-    and sq'(t) = q_t/p_t its denominator is E_n = e0^n e1 p_2 ... p_n, so
+    and sq(j) = q_j/p_j its denominator is E_n = e0^n e1 p_2 ... p_n, so
     E_n = e0 Q_n E_{n-1} and N_n = r0 Q_n N_{n-1} + r1 e0^n q_2 ... q_n,
-    with Q_1 = e1, Q_n = p_n: a few products with small integers per n and
-    no gcd.  A spec not bounded below has no dual and is refused.
+    with Q_1 = e1, Q_n = p_n: a few products with small integers per n, no gcd.
     """
     if horizon < 0:
         raise ValueError("power must be nonnegative")
-    dual = dual_weights(w).pairs(max(horizon + 1, 2))
-    (r0, e0), (r1, e1) = dual[:2]
+    pairs = t.pairs(max(horizon + 1, 2))
+    (r0, e0), (r1, e1) = pairs[:2]
     num = den = run = 1  # run = e0^n q_2 ... q_n
     out = [(1, 1)]
-    for q, p in [(1, e1), *dual[2:]][:horizon]:
+    for q, p in [(1, e1), *pairs[2:]][:horizon]:
         run *= e0 * q
         num = r0 * p * num + r1 * run
         den *= e0 * p
@@ -318,5 +318,5 @@ def dual_moments_fiber0(w: SquaredWeights, horizon: int) -> tuple:
 
 
 def dual_moment_fiber0(w: SquaredWeights, n: int) -> Fraction:
-    """|C'^n e_0|^2 by the fiber-0 recurrence of ``dual_moments_fiber0``."""
-    return Fraction(*dual_moments_fiber0(w, n)[n])
+    """|C'^n e_0|^2 by ``fiber0_moments`` on ``dual_weights(w)``: bounded below only."""
+    return Fraction(*fiber0_moments(dual_weights(w), n)[n])

@@ -71,6 +71,8 @@ SPECS = {
     "explicit_ones": "kind = explicit\nsq = [1/2, 1, 5/4]\ntail = ones\n",
     "explicit_xi": "kind = explicit\nsq = [1/2, 1, 5/4]\ntail = xi(w2sq=5/4)\n",
     "family_wide": "kind = family\nx = 999999999999999999997\n",
+    # the first nonzero residual at n = 3, where the head meets the tail
+    "explicit_late": "kind = explicit\nsq = [1/2, 1, 5/4, 6/5, 7/6]\ntail = ones\n",
 }
 
 CASES = [
@@ -128,6 +130,14 @@ CASES = [
     ('moments check --from-dual @explicit_ones --fiber 3 --horizon 100 --depth 100', 0, 'PASS depth=100 n=100\n'),
     ('moments check --from-dual @family_wide --horizon 100 --depth 100', 0, 'PASS depth=100 n=100\n'),
     ('family verdict --x 999999999999999999997 --horizon 100 --depth 100 --residual-depth 1000', 1, 'x = 999999999999999999997\nbounded = true (norm_sq = 999999999999999999998, lower_sq = 1)\ncyclic_sufficient = true\ntwo_isometry_residuals = all zero (depth 1000)\nmoment_routes_agree = true (n <= 100)\nhausdorff: PASS depth=100 n=100\nverdict = not confirmed\n'),
+    # depths on both sides of the deciding depth L + 1: 4 for the family,
+    # 6 for explicit_late
+    ('wco describe --spec @family --depth 2', 0, 'norm_sq=11/10\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 2)\n'),
+    ('wco describe --spec @family --depth 4', 0, 'norm_sq=11/10\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 4)\n'),
+    ('wco describe --spec @family --depth 1000', 0, 'norm_sq=11/10\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 1000)\n'),
+    ('wco describe --spec @explicit_late --depth 2', 0, 'norm_sq=3/2\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: all zero (depth 2)\n'),
+    ('wco describe --spec @explicit_late --depth 4', 0, 'norm_sq=3/2\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: first nonzero at n=3 value=-1/6 (depth 4)\n'),
+    ('wco describe --spec @explicit_late --depth 1000', 0, 'norm_sq=3/2\nlower_sq=1\nbounded=true\ncyclic_sufficient=true\nresiduals: first nonzero at n=3 value=-1/6 (depth 1000)\n'),
     ('family verdict --x 1000000007/1000000009 --horizon 100 --depth 100', 0, 'x = 1000000007/1000000009\nbounded = true (norm_sq = 2000000016/1000000009, lower_sq = 1)\ncyclic_sufficient = true\ntwo_isometry_residuals = all zero (depth 50)\nmoment_routes_agree = true (n <= 100)\nhausdorff: FAIL m=54 j=0 value=-7931851967226115176382633252485706635934217806268839800654819668628346534455587042506272259032870607794824564499752777918627581923438274459036186116684613159722178415578877856417716864799777409588075210022168664403227580446241102389174147209220730613315965667414451843282583220896970899991358729606051558636633687179869556887742162329865775413071597324712321242211732269268061900663885786272734103871473988118170266782525995786610665682256157900628586729032716434920700231425500549508679718404074048461577039864906127992985633687940320858696322904466997831785809702330554036813083831678175150135912971312097519126303101533244481282943971001516015997401848247535861147892657795521021966952332707851971067609555644682819403056492070277017163878832126322254427050324644993351552981818172307797478590148932267814952136545371413978700832872414739141150060194184057080100021925650079576455452400534000423309921538153982166029117920505350090880700819781064013381488860591767595383569246472982046338169284672294981669850447298439720915526042807921337757291261769228125303124926221507580370509597248595249707186124819070857819135021227818211358845596320421551786055908654451958685802386225181221607306664255328741933393439481830242734986394460786380592087068515817990340843431649178788601674544695393800329199192107290036313463927179966360236805817823128900407085291811525034881994079710831020184017049542587225607688973299613306901410741102198754696261461720043466253639368100886769631148100191371683/1309203044122325099321643902544857082115963266715294285551673843331839741456947145438011150168417784792312331834618850445125081173687521910906657605353179834189563605180230044771113090889335586351936091875283386714376972267771962064921117254921627872503974080907441566870493629634856131578030851739509280754088857103630355012640839825487976474005275450820393945420962651354545711222849377757439939242854337156995671674704082446097635939089887072525428546307180842227960928824918305929420949334090540102024012751901588786710477244392668536093866952863512996382024348531274002438361557606965076882425688035490166454732525779534128369332605563300579770870799357470404508584730813053209953285984182981467730024011929940564559783001729426949190323719801961805901225387017106193086858461980324923414101278537988038626114097477015842402019027959535582373054819578576646951365857544244010380291244712757923642342398856764318525771914802975536903572396637563789524998403339199344648632624017754556728160506384568734119584316534333824531668006028152235195815220022167452676612075696724033066052210555540681187683987311079289768311210981955455871514248819024094211340903818881309320745594989028665333167491896375734710237467337861390262215026327552997084446982853967634252585177741374356186350193452727590714983837521570853173603428378482294825737491632685324817893255520281331870766985410888398201108684602842980426826864843460297538382908722066047321049804438914792647386208795750210522037550163725626900480\nverdict = counterexample confirmed\n'),
 ]
 

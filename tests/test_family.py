@@ -483,7 +483,7 @@ def test_counterexample_confirmed_inside_window():
     assert "counterexample confirmed" in verdict.render()
 
 
-ROUTES = ["_powers", "dual_moments_fiber0", "_omega_terms"]
+ROUTES = ["_powers", "fiber0_moments", "_omega_terms"]
 
 
 def _change_one_pair(monkeypatch, route, index, change):

@@ -15,8 +15,8 @@ from circuitdual.operators import (
     XiTail,
     construct_2isometry,
     dual_moment_fiber0,
-    dual_moments_fiber0,
     dual_weights,
+    fiber0_moments,
     h_of,
     is_two_isometric,
     operator_report,
@@ -215,10 +215,13 @@ def test_dual_moment_fiber0_needs_no_two_isometry():
     SquaredWeights((F(1), F(1), F(2), F(0)), ConstantTail(1)),
 ], ids=["alpha-0", "tail-0", "head-0"])
 def test_dual_moments_fiber0_refuses_a_spec_not_bounded_below(w):
-    # no Cauchy dual, so no moments, at any horizon
-    for horizon in (0, 1, 6):
+    # no Cauchy dual, so no dual moments at fiber 0, at any n; the refusal
+    # is dual_weights', which dual_moment_fiber0 reaches first
+    with pytest.raises(ValueError, match="bounded from below"):
+        dual_weights(w)
+    for n in (0, 1, 6):
         with pytest.raises(ValueError, match="bounded from below"):
-            dual_moments_fiber0(w, horizon)
+            dual_moment_fiber0(w, n)
 
 
 def _fiber0_per_j_sum(w, n):
@@ -245,7 +248,7 @@ def _fiber0_per_j_sum(w, n):
 ], ids=["family-1/500", "family-37/101", "family-3", "flat-1/4", "flat-4",
         "xi-1/2-1", "isometry"])
 def test_closed_form_prefix_matches_per_j_sum(w):
-    prefix = dual_moments_fiber0(w, 40)
+    prefix = fiber0_moments(dual_weights(w), 40)
     expected = [_fiber0_per_j_sum(w, n) for n in range(41)]
     assert all(d > 0 for _, d in prefix)
     assert [F(*v) for v in prefix] == expected
@@ -255,14 +258,14 @@ def test_closed_form_prefix_matches_per_j_sum(w):
 
 def test_closed_form_prefix_guard_and_messages():
     crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
-    assert dual_moments_fiber0(crooked, 0) == ((1, 1),)
+    assert fiber0_moments(dual_weights(crooked), 0) == ((1, 1),)
     with pytest.raises(ValueError, match="bounded from below"):
         dual_moment_fiber0(SquaredWeights((F(0), F(0)), ConstantTail(1)), 0)
     # residuals vanish to depth 2 only: the recurrence reads on past them,
     # where the 2-isometric closed form stopped
     late = SquaredWeights((F(1), F(0), F(1), F(1), F(1), F(2)), ConstantTail(1))
     expected = forward_powers(dual_weights(late), 0, 6, 7)
-    assert [F(*v) for v in dual_moments_fiber0(late, 6)] == expected
+    assert [F(*v) for v in fiber0_moments(dual_weights(late), 6)] == expected
     assert two_isometric_fiber0(late, 2) == ((1, 1), (1, 1), (1, 1))
     with pytest.raises(ValueError, match="vanish to depth 3$"):
         two_isometric_fiber0(late, 3)
@@ -356,6 +359,21 @@ def test_the_rule_answers_as_the_per_kind_routes(w):
     else:
         with pytest.raises(ValueError, match="bounded from below"):
             dual_weights(w)
+
+
+def _first_nonzero(residuals):
+    return next((n for n, r in enumerate(residuals) if r), None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tailed_weights() | rule_cases().map(lambda case: case[0]) | near_two_isometries(),
+       st.integers(2, 60))
+def test_the_report_stops_where_the_residuals_are_decided(w, depth):
+    # residuals 0..min(depth, L + 1) only, and they hold the first nonzero
+    # residual to any depth
+    residuals = operator_report(w, depth).two_isometry_residuals
+    assert len(residuals) == min(depth, w.rule_start + 1) + 1
+    assert _first_nonzero(residuals) == _first_nonzero(two_isometry_check(w, depth))
 
 
 def test_the_certificate_reads_three_residuals_past_the_head(monkeypatch):
@@ -481,7 +499,7 @@ def test_moment_routes_return_pairs_over_positive_denominators(w, n):
             assert [F(*p) for p in pairs] == expected
             assert reduced_adjoint_powers(v, k, n) == [x.as_integer_ratio() for x in expected]
     if bounded_below:
-        closed = dual_moments_fiber0(w, n)
+        closed = fiber0_moments(dual_weights(w), n)
         assert all(d > 0 for _, d in closed)
         if is_two_isometric(w):
             assert [F(*v) for v in closed] == [F(*v) for v in two_isometric_fiber0(w, n)]
@@ -492,10 +510,16 @@ def _bounded_below(w):
 
 
 @settings(max_examples=60, deadline=None)
-@given((tailed_weights() | near_two_isometries() | two_isometric_heads()).filter(_bounded_below),
-       st.integers(0, 20))
+@given(tailed_weights() | rule_cases().map(lambda case: case[0]) | near_two_isometries()
+       | two_isometric_heads(), st.integers(0, 20))
 def test_fiber0_recurrence_matches_the_forward_oracle(w, n):
-    # one recurrence for every spec bounded below, under every tail kind,
-    # 2-isometric or not, against the forward oracle on the dual's block
-    expected = forward_powers(dual_weights(w), 0, n, max(n + 1, 2))
-    assert [F(*v) for v in dual_moments_fiber0(w, n)] == expected
+    # one recurrence for every spec, under every tail kind, 2-isometric or
+    # not, zero weights and specs not bounded below included, and for the
+    # dual of each spec that has one: the oracle's pairs at fiber 0, and the
+    # forward oracle's values
+    for t in [w, dual_weights(w)] if _bounded_below(w) else [w]:
+        closed = fiber0_moments(t, n)
+        assert all(d > 0 for _, d in closed)
+        brute = oracle._powers(t, 0, n)
+        assert [F(*v) for v in closed] == [F(*v) for v in brute]
+        assert [F(*v) for v in closed] == forward_powers(t, 0, n, max(n + 1, 2))

@@ -79,9 +79,18 @@ def test_traced_verdict_counts_the_oracle_and_the_residuals():
     # one application per power of the brute-force route
     assert metrics["oracle.apply_calls"] == 12
     # residuals 0..L+1 once, L = 3 for the family's head of three: they
-    # decide 2-isometry for every depth, whatever --residual-depth says
+    # decide 2-isometry for every depth, so a deeper --residual-depth,
+    # the default 50 here, computes no more
     assert metrics["operators.residual_checks"] == 5
     # the verdict spans that still see work
     assert metrics["family.verdict_s"] > 0
     assert metrics["operators.report_s"] > 0
     assert metrics["moments.hausdorff_s"] > 0
+
+
+def test_traced_verdict_checks_residuals_to_a_shallower_depth_only():
+    # --residual-depth 2 is below L + 1 = 4: residuals 0..2
+    code, metrics = traced(["family", "verdict", "--x", "1/7", "--horizon", "12", "--depth", "12",
+                            "--residual-depth", "2"])
+    assert code == 0
+    assert metrics["operators.residual_checks"] == 3
