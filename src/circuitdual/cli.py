@@ -59,8 +59,8 @@ MAX_STEPS = 10000          # family scan|figure --steps
 MAX_DEPTH = 100            # family verdict --depth, moments check --depth
 MAX_HORIZON = 100          # family verdict --horizon, moments check --horizon
 MAX_HANKEL_ORDER = 50      # moments check --order
-MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth, wco describe --depth: kept
-                           # for its exit code, bounds no cost (residuals stop once decided)
+MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth (a label), wco describe --depth
+                           # (the printed scope): sizes no work, every report stops at L + 1
 MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
 
@@ -72,12 +72,12 @@ def _check_floor(flag: str, value: int, floor: int):
 
 def _cmd_wco_describe(args) -> int:
     w = load_weight_spec(args.spec)
-    report = operator_report(w, probe_depth=args.depth)
+    report = operator_report(w)
     print(f"norm_sq={format_rat(report.norm_sq)}")
     print(f"lower_sq={format_rat(report.lower_bound_sq)}")
     print(f"bounded={str(report.bounded).lower()}")
     print(f"cyclic_sufficient={str(report.cyclic_sufficient).lower()}")
-    residuals = report.two_isometry_residuals
+    residuals = report.two_isometry_residuals[:args.depth + 1]
     bad = next(((n, r) for n, r in enumerate(residuals) if r != 0), None)
     if bad is None:
         print(f"residuals: all zero (depth {args.depth})")
@@ -91,7 +91,7 @@ def _cmd_wco_describe(args) -> int:
 def _cmd_wco_dual(args) -> int:
     w = load_weight_spec(args.spec)
     dual = dual_weights(w)
-    report = operator_report(dual, probe_depth=2)  # the norms ignore the depth
+    report = operator_report(dual)
     print(f"alpha={format_rat(dual.alpha)}")
     print(f"norm_sq={format_rat(report.norm_sq)}")
     print(f"lower_sq={format_rat(report.lower_bound_sq)}")

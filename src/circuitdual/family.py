@@ -468,9 +468,9 @@ def counterexample_verdict(
     """Run the whole pipeline at parameter x and bundle the evidence.
 
     Confirmation requires: bounded, the cyclicity condition, residuals
-    zero to ``residual_depth`` (``operator_report`` stops where they are
-    decided), exact agreement of the three moment routes, and a Hausdorff
-    failure within the tested depth.  x = 0 is rejected: there
+    zero at every depth (``operator_report`` decides it; ``residual_depth``
+    only labels the line), exact agreement of the three moment routes, and
+    a Hausdorff failure within the tested depth.  x = 0 is rejected: there
     the operator is an isometry, its dual is an isometry as well, hence
     subnormal, and no counterexample exists.
     """
@@ -481,7 +481,7 @@ def counterexample_verdict(
         )
     w = family_weights(p)
     dual = dual_weights(w)
-    report = operator_report(w, residual_depth)
+    report = operator_report(w)
 
     # three routes as pairs with positive denominators, compared crosswise
     moments = _omega_terms(horizon, p)

@@ -22,7 +22,8 @@ bounded below exactly when min(alpha, inf_{n>=2} sq(n)) > 0.
 Past an explicit head every tail is one rule, monotone in n and read
 without asking which tail it came from: sq(n) = (u0 + u1 n) / (v0 + v1 n)
 in reduced integers, for n >= L = ``rule_start``.  Residuals 0..L+1 decide
-2-isometry, and ``fiber0_moments`` reads any operator's pairs, a dual's too.
+2-isometry, so ``operator_report`` carries exactly those, and
+``fiber0_moments`` reads any operator's pairs, a dual's too.
 
 - The constant tail p/q is (p, 0, q, 0).
 - The xi tail with sq(2) - 1 = a/b is (b - a, a, b - 2a, a), reduced
@@ -216,17 +217,15 @@ class OperatorReport(Record):
     two_isometry_residuals: tuple
 
 
-def operator_report(w: SquaredWeights, probe_depth: int = 10) -> OperatorReport:
+def operator_report(w: SquaredWeights) -> OperatorReport:
     """Boundedness data, the cyclicity sufficient condition, and residuals.
 
-    The tail bounds are closed-form (the tail rule is monotone), so the
-    norm and lower bound ignore the probe depth.  The residuals stop at
-    min(probe_depth, L + 1), L = ``w.rule_start``, which decide every depth
-    and hold the first nonzero one (``is_two_isometric``).  Cyclicity is
-    reported via the sufficient condition only: sq(n) > 0 for n >= 1 makes e_0 cyclic.
+    The tail bounds are closed-form (the tail rule is monotone).  The
+    residuals are those at 0..L + 1, L = ``w.rule_start``: they decide
+    every depth and hold the first nonzero one (``is_two_isometric``).
+    Cyclicity is reported via the sufficient condition only: sq(n) > 0 for
+    n >= 1 makes e_0 cyclic.
     """
-    if probe_depth < 2:
-        raise ValueError("probe depth must be at least 2")
     alpha = w.alpha
     inf, sup = w.tail_bounds()
     return OperatorReport(
@@ -234,7 +233,7 @@ def operator_report(w: SquaredWeights, probe_depth: int = 10) -> OperatorReport:
         lower_bound_sq=min(alpha, inf),
         bounded=True,
         cyclic_sufficient=inf > 0 and all(v > 0 for v in w.head[1:]),
-        two_isometry_residuals=two_isometry_check(w, min(probe_depth, w.rule_start + 1)),
+        two_isometry_residuals=two_isometry_check(w, w.rule_start + 1),
     )
 
 

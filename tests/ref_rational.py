@@ -53,7 +53,10 @@ The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
   by ``ref_omega_prefix``, the difference table over the lcm of their
   reduced denominators, and the three routes compared as values, with the
   closed form by the 2-isometric recurrence and the oracle by the forward
-  lcm route of ``ref_oracle``: the routes the verdict's own replaced.
+  lcm route of ``ref_oracle``: the routes the verdict's own replaced.  Its
+  operator report is built from the per-kind answers below and
+  ``ref_two_isometry_check`` at the deciding points 0..L+1, not by
+  ``operator_report``.
 
 The operators read one linear-fractional tail rule; the per-kind answers
 it replaced stay here: ``ref_tail_sup``, ``ref_tail_inf``,
@@ -86,9 +89,9 @@ from circuitdual.moments import MomentSeq, hausdorff_test
 from circuitdual.operators import (
     ConstantTail,
     ReciprocalXiTail,
+    OperatorReport,
     XiTail,
     dual_weights,
-    operator_report,
 )
 from ref_oracle import _powers as forward_powers
 from ref_oracle import two_isometric_fiber0
@@ -504,7 +507,14 @@ def ref_counterexample_verdict(p, depth: int, horizon: int, residual_depth: int 
     routes compared as values, the table over the lcm of omega's reduced
     denominators."""
     w = family_weights(p)
-    report = operator_report(w, probe_depth=residual_depth)
+    alpha = w.sq(0) + w.sq(1)
+    report = OperatorReport(
+        norm_sq=max(alpha, ref_tail_sup(w)),
+        lower_bound_sq=min(alpha, ref_tail_inf(w)),
+        bounded=True,
+        cyclic_sufficient=ref_cyclic_sufficient(w),
+        two_isometry_residuals=ref_two_isometry_check(w, w.rule_start + 1),
+    )
     moments = ref_omega_prefix(horizon, p.x)
     closed = tuple([Fraction(*v) for v in two_isometric_fiber0(w, horizon)])
     brute = tuple(forward_powers(dual_weights(w), 0, horizon, max(horizon + 1, 2)))

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import sys
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitdual import moments
 from circuitdual.cli import (
@@ -18,7 +23,14 @@ from circuitdual.cli import (
     main,
 )
 from circuitdual.files import MAX_SPEC_CHARS
-from circuitdual.rational import parse_rat
+from circuitdual.operators import (
+    ConstantTail,
+    SquaredWeights,
+    XiTail,
+    construct_2isometry,
+    two_isometry_check,
+)
+from circuitdual.rational import format_rat, parse_rat
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
 ALL_ONES = "kind = explicit\nsq = [1, 1]\ntail = ones\n"
@@ -60,6 +72,45 @@ def test_describe_reports_nonzero_residual(tmp_path, capsys):
     code, out, _ = run(capsys, "wco", "describe", "--spec", path)
     assert code == 0
     assert "first nonzero at n=0 value=1" in out
+
+
+@st.composite
+def describe_specs(draw):
+    """An explicit spec, 2 to 6 head entries, ones or xi tail, and its
+    weights: a 2-isometric xi prefix with sq(2) > 1, which sq(0) < 1 and
+    sq(1) > 1 - sq(0) give, so that the first nonzero residual of a ones
+    tail moves past n = 0, with at most one entry changed."""
+    sq0 = draw(st.fractions(0, F(3, 4), max_denominator=4))
+    sq1 = 1 - sq0 + draw(st.fractions(F(1, 4), 1, max_denominator=4))
+    s = construct_2isometry(sq0, sq1).sq(2)
+    size = draw(st.integers(2, 6))
+    head = list(SquaredWeights((sq0, sq1), XiTail(s)).prefix(size))
+    if draw(st.booleans()):
+        tail, text = XiTail(s), f"xi(w2sq={format_rat(s)})"
+        changed = draw(st.integers(0, 1))  # the rule fixes sq(2) onward
+    else:
+        tail, text = ConstantTail(1), "ones"
+        changed = draw(st.integers(0, size - 1))
+    if draw(st.booleans()):
+        head[changed] = draw(st.fractions(0, 3, max_denominator=4))
+    spec = f"kind = explicit\nsq = [{', '.join(map(format_rat, head))}]\ntail = {text}\n"
+    return spec, SquaredWeights(tuple(head), tail)
+
+
+@settings(max_examples=100, deadline=None)
+@given(describe_specs(), st.integers(2, 60))
+def test_describe_prints_the_first_nonzero_residual_to_its_depth(tmp_path_factory, case, depth):
+    # the line the residuals 0..depth give, though the report stops at L + 1
+    spec, w = case
+    path = tmp_path_factory.getbasetemp() / "describe.cdl"
+    path.write_text(spec)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["wco", "describe", "--spec", str(path), "--depth", str(depth)]) == 0
+    bad = next(((n, r) for n, r in enumerate(two_isometry_check(w, depth)) if r), None)
+    want = ("all zero" if bad is None
+            else f"first nonzero at n={bad[0]} value={format_rat(bad[1])}")
+    assert out.getvalue().splitlines()[-1] == f"residuals: {want} (depth {depth})"
 
 
 def test_describe_malformed_spec(tmp_path, capsys):

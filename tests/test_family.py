@@ -28,6 +28,8 @@ from circuitdual.family import (
     sign_scan,
 )
 from circuitdual.operators import (
+    ConstantTail,
+    SquaredWeights,
     dual_moment_fiber0,
     dual_weights,
     h_of,
@@ -559,6 +561,18 @@ def test_counterexample_outside_window_needs_deeper_test():
     deep = counterexample_verdict(FamilyParam(F(1, 10)), depth=9)
     assert deep.confirmed
     assert deep.hausdorff.witness == (9, 0)
+
+
+def test_verdict_decides_2_isometry_below_the_first_nonzero_residual(monkeypatch):
+    # a ones tail after four xi entries: residuals 0..2 vanish, the first
+    # nonzero one is -1/6 at n = 3, so no --residual-depth may confirm it
+    late = SquaredWeights((F(1, 2), F(1), F(5, 4), F(6, 5), F(7, 6)), ConstantTail(1))
+    monkeypatch.setattr(family, "family_weights", lambda p: late)
+    verdict = counterexample_verdict(FamilyParam(F(1, 7)), residual_depth=2)
+    assert verdict.report.two_isometry_residuals[3] == F(-1, 6)
+    assert verdict.residuals_all_zero is False
+    assert verdict.confirmed is False
+    assert "two_isometry_residuals = NONZERO (depth 2)" in verdict.render()
 
 
 def test_counterexample_rejects_boundary():

@@ -349,7 +349,7 @@ def near_two_isometries(draw):
 @settings(max_examples=80, deadline=None)
 @given(tailed_weights() | rule_cases().map(lambda case: case[0]) | near_two_isometries())
 def test_the_rule_answers_as_the_per_kind_routes(w):
-    report = operator_report(w, 2)
+    report = operator_report(w)
     assert report.norm_sq == max(w.alpha, ref_tail_sup(w))
     assert report.lower_bound_sq == min(w.alpha, ref_tail_inf(w))
     assert report.cyclic_sufficient == ref_cyclic_sufficient(w)
@@ -369,11 +369,11 @@ def _first_nonzero(residuals):
 @given(tailed_weights() | rule_cases().map(lambda case: case[0]) | near_two_isometries(),
        st.integers(2, 60))
 def test_the_report_stops_where_the_residuals_are_decided(w, depth):
-    # residuals 0..min(depth, L + 1) only, and they hold the first nonzero
-    # residual to any depth
-    residuals = operator_report(w, depth).two_isometry_residuals
-    assert len(residuals) == min(depth, w.rule_start + 1) + 1
-    assert _first_nonzero(residuals) == _first_nonzero(two_isometry_check(w, depth))
+    # residuals 0..L + 1 only, and their first depth + 1 hold the first
+    # nonzero residual to any depth
+    residuals = operator_report(w).two_isometry_residuals
+    assert len(residuals) == w.rule_start + 2
+    assert _first_nonzero(residuals[:depth + 1]) == _first_nonzero(two_isometry_check(w, depth))
 
 
 def test_the_certificate_reads_three_residuals_past_the_head(monkeypatch):

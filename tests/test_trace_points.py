@@ -88,9 +88,12 @@ def test_traced_verdict_counts_the_oracle_and_the_residuals():
     assert metrics["moments.hausdorff_s"] > 0
 
 
-def test_traced_verdict_checks_residuals_to_a_shallower_depth_only():
-    # --residual-depth 2 is below L + 1 = 4: residuals 0..2
+@pytest.mark.parametrize("label", [["--residual-depth", "2"], ["--residual-depth", "3"], []],
+                         ids=["2", "3", "default"])
+def test_traced_verdict_decides_the_residuals_at_any_depth(label):
+    # residuals 0..L+1 = 0..4 whatever --residual-depth says: below L + 1
+    # it only labels the line, and 2-isometry stays decided
     code, metrics = traced(["family", "verdict", "--x", "1/7", "--horizon", "12", "--depth", "12",
-                            "--residual-depth", "2"])
+                            *label])
     assert code == 0
-    assert metrics["operators.residual_checks"] == 3
+    assert metrics["operators.residual_checks"] == 5
