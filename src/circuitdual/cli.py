@@ -1,6 +1,6 @@
 """Command-line surface.
 
-    cdl wco describe --spec FILE [--depth N]
+    cdl wco describe --spec FILE
     cdl wco dual --spec FILE [--count N]
     cdl moments check [SEQFILE | --from-dual FILE --fiber K] [options]
     cdl family taylor|scan|verdict|figure [options]
@@ -59,8 +59,8 @@ MAX_STEPS = 10000          # family scan|figure --steps
 MAX_DEPTH = 100            # family verdict --depth, moments check --depth
 MAX_HORIZON = 100          # family verdict --horizon, moments check --horizon
 MAX_HANKEL_ORDER = 50      # moments check --order
-MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth (a label), wco describe --depth
-                           # (the printed scope): sizes no work, every report stops at L + 1
+MAX_RESIDUAL_DEPTH = 1000  # family verdict --residual-depth: a label that sizes no work,
+                           # every report stops at L + 1
 MAX_COUNT = 1000           # wco dual --count
 MAX_FIBER = 1000           # moments check --fiber
 
@@ -77,14 +77,11 @@ def _cmd_wco_describe(args) -> int:
     print(f"lower_sq={format_rat(report.lower_bound_sq)}")
     print(f"bounded={str(report.bounded).lower()}")
     print(f"cyclic_sufficient={str(report.cyclic_sufficient).lower()}")
-    residuals = report.two_isometry_residuals[:args.depth + 1]
-    bad = next(((n, r) for n, r in enumerate(residuals) if r != 0), None)
+    bad = next(((n, r) for n, r in enumerate(report.two_isometry_residuals) if r), None)
     if bad is None:
-        print(f"residuals: all zero (depth {args.depth})")
+        print("residuals: all zero (decided for every n)")
     else:
-        n, r = bad
-        print(f"residuals: first nonzero at n={n} value={format_rat(r)} "
-              f"(depth {args.depth})")
+        print(f"residuals: first nonzero at n={bad[0]} value={format_rat(bad[1])}")
     return 0
 
 
@@ -102,7 +99,7 @@ def _cmd_wco_dual(args) -> int:
 
 def _cmd_moments_check(args) -> int:
     if (args.sequence is None) == (args.from_dual is None):
-        raise ValueError("give a sequence file or --from-dual, not both")
+        raise ValueError("give exactly one of a sequence file and --from-dual")
     if args.sequence is not None:
         # at most as long as the longest --from-dual prefix
         seq = MomentSeq.from_file(args.sequence, cap=MAX_HORIZON + 1)
@@ -181,7 +178,6 @@ _COMMANDS = {
     ("wco",): ("operator inspection", {}, None),
     ("wco", "describe"): ("norms, cyclicity, residuals", {
         "--spec": dict(required=True, help="weight-spec file"),
-        "--depth": dict(type=int, default=10, floor=2, cap=MAX_RESIDUAL_DEPTH),
     }, _cmd_wco_describe),
     ("wco", "dual"): ("Cauchy dual weights", {
         "--spec": dict(required=True, help="weight-spec file"),

@@ -22,7 +22,7 @@ bounded below exactly when min(alpha, inf_{n>=2} sq(n)) > 0.
 Past an explicit head every tail is one rule, monotone in n and read
 without asking which tail it came from: sq(n) = (u0 + u1 n) / (v0 + v1 n)
 in reduced integers, for n >= L = ``rule_start``.  Residuals 0..L+1 decide
-2-isometry, so ``operator_report`` carries exactly those, and
+2-isometry, so ``two_isometry_check`` computes exactly those, and
 ``fiber0_moments`` reads any operator's pairs, a dual's too.
 
 - The constant tail p/q is (p, 0, q, 0).
@@ -172,22 +172,26 @@ def h_of(w: SquaredWeights, n: int) -> Fraction:
     return w.sq(n + 1)
 
 
-def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
-    """Residuals of 1 - 2 h + h_2 at the points 0..depth; zero means 2-isometric.
+def two_isometry_check(w: SquaredWeights) -> tuple:
+    """Residuals of 1 - 2 h + h_2 at the points 0..L+1, L = ``w.rule_start``:
+    they decide 2-isometry at every depth.
 
     h_2 is the Radon-Nikodym weight of the squared operator: at the circuit
     point it is sq(0)^2 + sq(0) sq(1) + sq(1) sq(2), elsewhere
-    sq(n+1) sq(n+2).  ``is_two_isometric`` turns a finite check into a
-    certificate for every depth.
+    sq(n+1) sq(n+2).  With sq(n) = N(n) / D(n) for n >= L, N and D the tail
+    rule's linear numerator and denominator, D > 0, the residual at
+    n >= L - 1 times D(n+1) D(n+2) is
+    D(n+1) D(n+2) - 2 N(n+1) D(n+2) + N(n+1) N(n+2), a quadratic in n.
+    The points 0..L+1 hold every residual before the rule and three of the
+    rule's, n = L-1, L, L+1; a quadratic with three zeros is zero, so if
+    these vanish every residual does, and a first nonzero one has n <= L+1.
 
     With sq(n+1) = p/q and sq(n+2) = r/s the residual at n >= 1 is
     ((q - 2p) s + pr) / (qs), built in integers; every zero is one shared 0.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     sq = w.prefix(3)
     out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
-    pairs = w.pairs(depth + 3)[2:]
+    pairs = w.pairs(w.rule_start + 4)[2:]
     out.extend([
         Fraction(num, q * s) if (num := (q - 2 * p) * s + p * r) else _ZERO
         for (p, q), (r, s) in zip(pairs, pairs[1:])
@@ -196,17 +200,9 @@ def two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
 
 
 def is_two_isometric(w: SquaredWeights) -> bool:
-    """Whether the residuals of ``two_isometry_check`` vanish at every depth.
-
-    With L = ``w.rule_start``, sq(n) = N(n) / D(n) for n >= L with N and D
-    the tail rule's linear numerator and denominator, D > 0.  For
-    n >= L - 1 the residual times D(n+1) D(n+2) is
-    D(n+1) D(n+2) - 2 N(n+1) D(n+2) + N(n+1) N(n+2), a quadratic in n.
-    The points 0..L+1 hold every residual before the rule and three of the
-    rule's, n = L-1, L, L+1; a quadratic with three zeros is zero, so the
-    residuals then vanish at every depth: a first nonzero one has n <= L+1.
-    """
-    return not any(two_isometry_check(w, w.rule_start + 1))
+    """Whether every residual of 1 - 2 h + h_2 vanishes: by the lemma of
+    ``two_isometry_check``, whether its residuals at 0..L+1 do."""
+    return not any(two_isometry_check(w))
 
 
 class OperatorReport(Record):
@@ -221,8 +217,8 @@ def operator_report(w: SquaredWeights) -> OperatorReport:
     """Boundedness data, the cyclicity sufficient condition, and residuals.
 
     The tail bounds are closed-form (the tail rule is monotone).  The
-    residuals are those at 0..L + 1, L = ``w.rule_start``: they decide
-    every depth and hold the first nonzero one (``is_two_isometric``).
+    residuals are ``two_isometry_check``'s, at 0..L + 1, L = ``w.rule_start``:
+    they decide every depth and hold the first nonzero one.
     Cyclicity is reported via the sufficient condition only: sq(n) > 0 for
     n >= 1 makes e_0 cyclic.
     """
@@ -233,7 +229,7 @@ def operator_report(w: SquaredWeights) -> OperatorReport:
         lower_bound_sq=min(alpha, inf),
         bounded=True,
         cyclic_sufficient=inf > 0 and all(v > 0 for v in w.head[1:]),
-        two_isometry_residuals=two_isometry_check(w, w.rule_start + 1),
+        two_isometry_residuals=two_isometry_check(w),
     )
 
 

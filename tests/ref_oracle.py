@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from circuitdual._record import Record
-from circuitdual.operators import SquaredWeights, two_isometry_check
+from circuitdual.operators import SquaredWeights
 from circuitdual.rational import _add, _mul, balanced_lcm
 
 
@@ -92,12 +92,17 @@ def two_isometric_fiber0(w: SquaredWeights, horizon: int) -> tuple:
     T_0 = 1 and T_n = (sq(0)/alpha^2) T_{n-1}
     + sq(1) / (alpha^2 (1 + (n-1)(sq(2) - 1))), since the tail's partial
     products telescope to 1 + j (sq(2) - 1); hence the residual check on
-    the points 0..horizon."""
+    the points 0..horizon, 1 - 2 h(n) + h_2(n) in Fractions, with h_2(n) the
+    sum of sq(m) h(m) over the preimages m of n under phi: {0, 1} at n = 0,
+    n + 1 elsewhere."""
     if horizon < 0:
         raise ValueError("power must be nonnegative")
     if horizon == 0:
         return ((1, 1),)
-    if any(two_isometry_check(w, horizon)):
+    sq = w.prefix(horizon + 3)
+    h = [sq[0] + sq[1], *sq[2:]]
+    h2 = [sq[0] * h[0] + sq[1] * h[1], *[sq[n + 1] * h[n + 1] for n in range(1, horizon + 1)]]
+    if any(1 - 2 * h[n] + h2[n] for n in range(horizon + 1)):
         raise ValueError(
             "the fiber-0 closed form requires 2-isometry residuals to "
             f"vanish to depth {horizon}"

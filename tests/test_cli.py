@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import sys
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitdual import moments
+from circuitdual import cli, moments
 from circuitdual.cli import (
     MAX_COUNT,
     MAX_DEPTH,
@@ -28,9 +29,9 @@ from circuitdual.operators import (
     SquaredWeights,
     XiTail,
     construct_2isometry,
-    two_isometry_check,
 )
 from circuitdual.rational import format_rat, parse_rat
+from ref_rational import ref_two_isometry_check
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
 ALL_ONES = "kind = explicit\nsq = [1, 1]\ntail = ones\n"
@@ -55,7 +56,7 @@ def test_describe_family(tmp_path, capsys):
     assert "norm_sq=3/2" in out
     assert "lower_sq=1" in out
     assert "cyclic_sufficient=true" in out
-    assert "residuals: all zero (depth 10)" in out
+    assert "residuals: all zero (decided for every n)" in out
 
 
 def test_describe_all_ones(tmp_path, capsys):
@@ -74,10 +75,14 @@ def test_describe_reports_nonzero_residual(tmp_path, capsys):
     assert "first nonzero at n=0 value=1" in out
 
 
+def explicit_spec(head, tail):
+    return f"kind = explicit\nsq = [{', '.join(map(format_rat, head))}]\ntail = {tail}\n"
+
+
 @st.composite
 def describe_specs(draw):
-    """An explicit spec, 2 to 6 head entries, ones or xi tail, and its
-    weights: a 2-isometric xi prefix with sq(2) > 1, which sq(0) < 1 and
+    """An explicit spec's tail text, ones or xi, and its weights, 2 to 6
+    head entries: a 2-isometric xi prefix with sq(2) > 1, which sq(0) < 1 and
     sq(1) > 1 - sq(0) give, so that the first nonzero residual of a ones
     tail moves past n = 0, with at most one entry changed."""
     sq0 = draw(st.fractions(0, F(3, 4), max_denominator=4))
@@ -93,24 +98,37 @@ def describe_specs(draw):
         changed = draw(st.integers(0, size - 1))
     if draw(st.booleans()):
         head[changed] = draw(st.fractions(0, 3, max_denominator=4))
-    spec = f"kind = explicit\nsq = [{', '.join(map(format_rat, head))}]\ntail = {text}\n"
-    return spec, SquaredWeights(tuple(head), tail)
+    return text, SquaredWeights(tuple(head), tail)
 
 
 @settings(max_examples=100, deadline=None)
-@given(describe_specs(), st.integers(2, 60))
-def test_describe_prints_the_first_nonzero_residual_to_its_depth(tmp_path_factory, case, depth):
-    # the line the residuals 0..depth give, though the report stops at L + 1
-    spec, w = case
+@given(describe_specs(), st.integers(1, 4))
+def test_describe_prints_the_first_nonzero_residual_to_its_depth(tmp_path_factory, case, extra):
+    # the line names the first nonzero residual to depth 60, past every L
+    # drawn here; a head extended along the tail rule is the same operator
+    # with a larger L, and prints the same bytes
+    tail, w = case
     path = tmp_path_factory.getbasetemp() / "describe.cdl"
-    path.write_text(spec)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["wco", "describe", "--spec", str(path), "--depth", str(depth)]) == 0
-    bad = next(((n, r) for n, r in enumerate(two_isometry_check(w, depth)) if r), None)
-    want = ("all zero" if bad is None
+    outputs = []
+    for head in (w.head, w.prefix(w.rule_start + extra)):
+        path.write_text(explicit_spec(head, tail))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["wco", "describe", "--spec", str(path)]) == 0
+        outputs.append(out.getvalue())
+    bad = next(((n, r) for n, r in enumerate(ref_two_isometry_check(w, 60)) if r), None)
+    want = ("all zero (decided for every n)" if bad is None
             else f"first nonzero at n={bad[0]} value={format_rat(bad[1])}")
-    assert out.getvalue().splitlines()[-1] == f"residuals: {want} (depth {depth})"
+    assert outputs[0].splitlines()[-1] == f"residuals: {want}"
+    assert outputs[1] == outputs[0]
+
+
+def test_describe_has_no_depth(tmp_path, capsys):
+    path = spec_file(tmp_path, FAMILY_HALF)
+    with pytest.raises(SystemExit) as err:
+        main(["wco", "describe", "--spec", path, "--depth", "10"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --depth 10" in capsys.readouterr().err
 
 
 def test_describe_malformed_spec(tmp_path, capsys):
@@ -182,12 +200,13 @@ def test_moments_requires_exactly_one_source(tmp_path, capsys):
     seq = tmp_path / "ones.txt"
     seq.write_text("1\n")
     path = spec_file(tmp_path, FAMILY_HALF)
+    message = "error: give exactly one of a sequence file and --from-dual\n"
     code, _, err = run(
         capsys, "moments", "check", str(seq), "--from-dual", path,
     )
-    assert code == 2
+    assert (code, err) == (2, message)
     code, _, err = run(capsys, "moments", "check")
-    assert code == 2
+    assert (code, err) == (2, message)
 
 
 def test_moments_float_backend(tmp_path, capsys):
@@ -368,7 +387,7 @@ def test_family_caps_admit_the_limits(capsys):
     (["moments", "check", "@seq", "--mode", "stieltjes", "--order"], "--order",
      MAX_HANKEL_ORDER),
     (["moments", "check", "--from-dual", "@spec", "--horizon"], "--horizon", MAX_HORIZON),
-    (["wco", "describe", "--spec", "@spec", "--depth"], "--depth", MAX_RESIDUAL_DEPTH),
+    (["family", "figure", "--out", "-", "--steps"], "--steps", MAX_STEPS),
     (["wco", "dual", "--spec", "@spec", "--count"], "--count", MAX_COUNT),
     (["moments", "check", "--from-dual", "@spec", "--fiber"], "--fiber", MAX_FIBER),
 ])
@@ -389,7 +408,7 @@ def test_size_caps_exit_two(tmp_path, capsys, argv, flag, cap):
     (["moments", "check", "@seq", "--mode", "stieltjes", "--order"], "--order", 1),
     (["family", "verdict", "--x", "1/10", "--depth"], "--depth", 1),
     (["moments", "check", "@seq", "--depth"], "--depth", 1),
-    (["wco", "describe", "--spec", "@spec", "--depth"], "--depth", 2),
+    (["wco", "dual", "--spec", "@spec", "--count"], "--count", 1),
     (["family", "verdict", "--x", "1/10", "--residual-depth"], "--residual-depth", 2),
     (["family", "verdict", "--x", "1/10", "--horizon"], "--horizon", 0),
     (["moments", "check", "--from-dual", "@spec", "--horizon"], "--horizon", 0),
@@ -428,6 +447,18 @@ def test_which_size_error_wins(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert (code, out) == (2, "")
     assert err.startswith(message)
+
+
+def test_the_usage_block_names_only_declared_flags():
+    # each usage line of the cli docstring, a command and its subcommands
+    # joined by '|', names only flags that command declares
+    usage = [line.split()[1:] for line in cli.__doc__.splitlines() if line.startswith("    cdl ")]
+    assert usage
+    for group, subs, *rest in usage:
+        flags = re.findall(r"--[a-z][-a-z]*", " ".join(rest))
+        for sub in subs.split("|"):
+            arguments = _COMMANDS[(group, sub)][1]
+            assert [f for f in flags if f not in arguments] == [], (group, sub)
 
 
 def test_every_integer_flag_has_a_cap():
@@ -470,10 +501,6 @@ def test_caps_admit_the_limits(tmp_path, capsys):
     code, out, err = run(capsys, "moments", "check", "--from-dual", path, "--fiber", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --fiber must be at least 0, got -1\n"
-    code, out, _ = run(capsys, "wco", "describe", "--spec", path,
-                       "--depth", str(MAX_RESIDUAL_DEPTH))
-    assert code == 0
-    assert f"residuals: all zero (depth {MAX_RESIDUAL_DEPTH})" in out
     seq = tmp_path / "ones.txt"
     seq.write_text("1\n" * 8)
     code, out, _ = run(capsys, "moments", "check", str(seq), "--depth", str(MAX_DEPTH))

@@ -33,7 +33,7 @@ from circuitdual.operators import (
     dual_moment_fiber0,
     dual_weights,
     h_of,
-    two_isometry_check,
+    is_two_isometric,
 )
 from circuitdual.oracle import gram_diagonal
 from circuitdual.rational import MAX_LITERAL, PoleError, RatFn, _homogeneous, format_rat
@@ -52,6 +52,7 @@ from ref_rational import (
     ref_omega,
     ref_omega_prefix,
     ref_s,
+    ref_two_isometry_check,
     s_ratfn,
 )
 
@@ -76,7 +77,8 @@ def test_family_weights_tail_closed_form():
 def test_family_weights_always_two_isometric():
     for x in (F(0), F(1, 100), F(1, 10), F(1, 2), F(2)):
         w = family_weights(FamilyParam(x))
-        assert all(r == 0 for r in two_isometry_check(w, 12))
+        assert is_two_isometric(w)
+        assert not any(ref_two_isometry_check(w, 12))
 
 
 def test_family_param_rejects_negative():

@@ -128,10 +128,9 @@ def test_operator_report_family():
 
 
 def test_two_isometry_check_examples():
-    assert all(r == 0 for r in two_isometry_check(ONES, 5))
-    assert all(r == 0 for r in two_isometry_check(isometry_weights(), 5))
     fam = family_weights(FamilyParam(F(1, 2)))
-    assert all(r == 0 for r in two_isometry_check(fam, 10))
+    for w in (ONES, isometry_weights(), fam):
+        assert two_isometry_check(w) == (0,) * (w.rule_start + 2)
     assert is_two_isometric(fam)
     assert not is_two_isometric(SquaredWeights((F(2), F(0)), ConstantTail(1)))
 
@@ -202,7 +201,7 @@ def test_dual_moment_fiber0_needs_no_two_isometry():
     # the fiber-0 recurrence holds for every operator bounded below: a spec
     # that is not 2-isometric gets the moments the oracle reads
     crooked = SquaredWeights((F(2), F(2)), ConstantTail(1))
-    assert any(two_isometry_check(crooked, 3))
+    assert not is_two_isometric(crooked)
     expected = forward_powers(dual_weights(crooked), 0, 3, 4)
     assert [dual_moment_fiber0(crooked, n) for n in range(4)] == expected
     with pytest.raises(ValueError, match="vanish to depth 3$"):
@@ -277,8 +276,8 @@ def test_two_isometry_check_reads_the_residual_formula():
     w = SquaredWeights((F(1, 3), F(2), F(5, 4), F(7)), ConstantTail(F(1, 2)))
     sq = w.sq
     expected = [1 - 2 * w.alpha + sq(0) ** 2 + sq(0) * sq(1) + sq(1) * sq(2)]
-    expected += [1 - 2 * sq(n + 1) + sq(n + 1) * sq(n + 2) for n in range(1, 9)]
-    assert two_isometry_check(w, 8) == tuple(expected)
+    expected += [1 - 2 * sq(n + 1) + sq(n + 1) * sq(n + 2) for n in range(1, w.rule_start + 2)]
+    assert two_isometry_check(w) == tuple(expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,7 +285,7 @@ def test_two_isometry_check_reads_the_residual_formula():
 def test_two_isometry_check_matches_the_fraction_route(w, depth):
     # random heads: the residuals are nonzero at the circuit point, and past
     # it too for constant and reciprocal-xi tails
-    assert two_isometry_check(w, depth) == ref_two_isometry_check(w, depth)
+    assert two_isometry_check(w) == ref_two_isometry_check(w, w.rule_start + 1)
     # both read the tail rule; test_the_tail_rule_matches_each_kinds_formula
     # checks the rule itself
     assert w.pairs(depth) == [(v.numerator, v.denominator) for v in w.prefix(depth)]
@@ -362,33 +361,42 @@ def test_the_rule_answers_as_the_per_kind_routes(w):
 
 
 def _first_nonzero(residuals):
-    return next((n for n, r in enumerate(residuals) if r), None)
+    return next(((n, r) for n, r in enumerate(residuals) if r), None)
 
 
 @settings(max_examples=80, deadline=None)
 @given(tailed_weights() | rule_cases().map(lambda case: case[0]) | near_two_isometries(),
-       st.integers(2, 60))
-def test_the_report_stops_where_the_residuals_are_decided(w, depth):
-    # residuals 0..L + 1 only, and their first depth + 1 hold the first
-    # nonzero residual to any depth
+       st.integers(1, 4))
+def test_the_report_stops_where_the_residuals_are_decided(w, extra):
+    # residuals 0..L + 1 only, and they hold the first nonzero residual to
+    # depth 60, past every L drawn here; a head extended along the tail rule
+    # is the same operator with a larger L, and reports the same one
     residuals = operator_report(w).two_isometry_residuals
     assert len(residuals) == w.rule_start + 2
-    assert _first_nonzero(residuals[:depth + 1]) == _first_nonzero(two_isometry_check(w, depth))
+    first = _first_nonzero(residuals)
+    assert first == _first_nonzero(ref_two_isometry_check(w, 60))
+    longer = SquaredWeights(w.prefix(w.rule_start + extra), w.tail)
+    assert longer.rule_start == w.rule_start + extra
+    assert _first_nonzero(operator_report(longer).two_isometry_residuals) == first
 
 
 def test_the_certificate_reads_three_residuals_past_the_head(monkeypatch):
     # the points 0..max(len(head), 2) + 1: three zeros of the quadratic
     # residual numerator past the head, as is_two_isometric's argument needs
-    depths = []
+    counts = []
     check = operators.two_isometry_check
-    monkeypatch.setattr(
-        operators, "two_isometry_check", lambda w, depth: depths.append(depth) or check(w, depth)
-    )
+
+    def counted(w):
+        residuals = check(w)
+        counts.append(len(residuals))
+        return residuals
+
+    monkeypatch.setattr(operators, "two_isometry_check", counted)
     heads = [(F(1),), (F(1), F(0)), (F(1), F(0), F(1)), (F(1), F(0), F(1), F(1), F(1))]
     assert all(is_two_isometric(SquaredWeights(h, ConstantTail(1))) for h in heads)
     fam = family_weights(FamilyParam(F(1, 2)))
     assert is_two_isometric(fam)
-    assert depths == [3, 3, 4, 6, max(len(fam.head), 2) + 1]
+    assert counts == [4, 4, 5, 7, max(len(fam.head), 2) + 2]
 
 
 def test_dual_moment_fiberk_examples():
