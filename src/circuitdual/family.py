@@ -489,16 +489,13 @@ def counterexample_verdict(
     brute = _powers(dual, 0, horizon)
     agrees = all([n * q == u * d and n * s == r * d
                   for (n, d), (u, q), (r, s) in zip(moments, closed, brute)])
-    # the table over d_H = B^H P_H has the same witness: each numerator times
-    # d_H / d_n, a product of the small quotients d_(j+1) / d_j = B c_j
+    # the prefix over d_H = B^H P_H: each numerator times d_H / d_n, a
+    # product of the small quotients d_(j+1) / d_j = B c_j
     column, cofactor = [moments[-1][0]], 1
     for j in range(horizon - 1, -1, -1):
         cofactor *= moments[j + 1][1] // moments[j][1]
         column.append(moments[j][0] * cofactor)
-    verdict = hausdorff_test(MomentSeq.exact(column[::-1]), depth)
-    if not verdict.passed:
-        verdict = MomentVerdict("fail", "hausdorff", verdict.depth, verdict.top_index,
-                                witness=verdict.witness, detail=verdict.detail / moments[-1][1])
+    verdict = hausdorff_test(MomentSeq(tuple(column[::-1]), moments[-1][1]), depth)
     return CounterexampleVerdict(
         x=p.x,
         report=report,

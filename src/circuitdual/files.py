@@ -75,7 +75,7 @@ def parse_weight_spec(text: str) -> SquaredWeights:
 
 
 def load_weight_spec(path) -> SquaredWeights:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is no character
         text = fh.read(MAX_SPEC_CHARS + 1)
     if len(text) > MAX_SPEC_CHARS:
         raise ValueError(f"a weight-spec file must hold at most {MAX_SPEC_CHARS} "

@@ -17,11 +17,12 @@ Delta^m gamma_j = Delta^(m-1) gamma_j - Delta^(m-1) gamma_(j+1): one
 subtraction per tested pair instead of a binomial sum.  Positive
 semidefiniteness is decided by one symmetric elimination (``_eliminate``),
 which holds the pivot rule and the witness rule; each backend brings only
-its arithmetic.  The exact backend decides signs exactly and builds a
-Fraction only for a witness: its difference table runs in integers, the
-prefix scaled once to numerators over the lcm of its denominators, and
-its elimination on reduced integer pairs.  The float backend runs both in
-doubles and treats values within an absolute tolerance of zero as zero.
+its arithmetic.  An exact prefix is integer numerators over one positive
+denominator, and no entry is a Fraction.  The exact backend decides signs
+exactly and builds a Fraction only for a witness: its difference table
+runs on the numerators, its elimination on entries reduced to integer
+pairs.  The float backend runs both in doubles and treats values within
+an absolute tolerance of zero as zero.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import itemgetter
 
 from ._record import Record
 from .rational import (
-    _add, _as_fraction, _mul, format_rat, over_common_denominator, parse_rat,
+    _add, _mul, format_rat, over_common_denominator, parse_pair,
 )
 
 DEFAULT_FLOAT_TOL = 1e-10
@@ -44,33 +45,31 @@ FLOAT = "float"
 
 
 class MomentSeq(Record):
-    """Finite prefix gamma_0..gamma_N under moment testing.  The entries
-    give ``backend``, read once: all Fraction is exact, all float is float."""
+    """Finite prefix gamma_0..gamma_N under moment testing: exact, gamma_i =
+    values[i] / denominator in integers; float, float values and no
+    denominator.  ``backend`` is read once, from the denominator."""
 
     values: tuple
+    denominator: int | None = None
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("a moment prefix needs at least one entry")
-        for kind, backend in ((Fraction, EXACT), (float, FLOAT)):
-            if all(isinstance(v, kind) for v in self.values):
-                object.__setattr__(self, "backend", backend)
-                return
-        raise TypeError("moment entries must be all Fraction or all float")
-
-    @classmethod
-    def exact(cls, values) -> "MomentSeq":
-        return cls(tuple([v if type(v) is Fraction else _as_fraction(v) for v in values]))
+        d = self.denominator
+        if not all(isinstance(v, float if d is None else int) for v in self.values):
+            raise TypeError("moment entries must be integers over a denominator, or floats")
+        if d is not None and (type(d) is not int or d <= 0):
+            raise ValueError("the denominator must be a positive integer")
+        object.__setattr__(self, "backend", FLOAT if d is None else EXACT)
 
     @classmethod
     def floats(cls, values) -> "MomentSeq":
         converted = []
-        for n, v in enumerate(values):
-            try:  # n / d is a Fraction's float(), without its Python-level __float__
-                converted.append(v.numerator / v.denominator if type(v) is Fraction
-                                 else float(v))
-            except OverflowError:
-                raise ValueError(f"entry {n} is beyond the float range") from None
+        try:
+            for v in values:
+                converted.append(float(v))
+        except OverflowError:
+            raise ValueError(f"entry {len(converted)} is beyond the float range") from None
         return cls(tuple(converted))
 
     @classmethod
@@ -81,26 +80,26 @@ class MomentSeq(Record):
         convert exactly: the prefix is always on the exact backend.  A file
         of more than ``cap`` values is refused at value cap + 1, unparsed.
         """
-        entries = []
-        with open(path, "r", encoding="utf-8") as fh:
+        pairs = []
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if len(entries) == cap:
+                if len(pairs) == cap:
                     raise ValueError(f"a sequence file must hold at most {cap} "
                                      f"values, got more than {cap}")
-                entries.append(parse_rat(line))
-        if not entries:
+                pairs.append(parse_pair(line))
+        if not pairs:
             raise ValueError(f"no values in sequence file {path}")
-        return cls.exact(entries)
+        return cls(*over_common_denominator(pairs))
 
     @property
     def top_index(self) -> int:
         return len(self.values) - 1
 
     def to_floats(self) -> "MomentSeq":
-        return MomentSeq.floats(self.values)
+        return MomentSeq.floats(n / self.denominator for n in self.values)  # correctly rounded
 
 
 class MomentVerdict(Record):
@@ -151,7 +150,7 @@ def diff_transform(seq: MomentSeq, m: int, j: int):
     for n in range(m + 1):
         term = math.comb(m, n) * vals[n + j]
         total = total + term if n % 2 == 0 else total - term
-    return total
+    return Fraction(total, seq.denominator) if seq.backend == EXACT else total
 
 
 def hausdorff_test(
@@ -160,13 +159,12 @@ def hausdorff_test(
     """Check all differences with m <= depth and j + m <= N.
 
     The difference table runs in place, row by row, one subtraction per
-    tested pair, up to the first negative one (below -tol on floats); an
-    exact prefix runs as integer numerators over the lcm of its
-    denominators.  The verdict records the depth actually reached, at most
-    the top index tested.  The first violation in lexicographic (m, j)
-    order is reported, so failures are deterministic and citable.  A pass
-    certifies only the tested range; to test a shorter range, pass a
-    shorter prefix.
+    tested pair, up to the first negative one (below -tol on floats), on
+    an exact prefix's numerators.  The verdict records the depth actually
+    reached, at most the top index tested.  The first violation in
+    lexicographic (m, j) order is reported, so failures are deterministic
+    and citable.  A pass certifies only the tested range; to test a
+    shorter range, pass a shorter prefix.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -174,16 +172,13 @@ def hausdorff_test(
     depth = min(depth, cap)
     exact = seq.backend == EXACT
     floor = 0 if exact else -abs(tol)
-    if exact:
-        row, lcm = over_common_denominator(seq.values)
-    else:
-        row = list(seq.values)
+    row = list(seq.values)
     for m in range(depth + 1):
         for j in range(cap - m + 1):
             if m:
                 row[j] -= row[j + 1]  # row[j + 1] still holds row m - 1
             if row[j] < floor:
-                value = Fraction(row[j], lcm) if exact else row[j]
+                value = Fraction(row[j], seq.denominator) if exact else row[j]
                 return MomentVerdict(
                     "fail", "hausdorff", depth, cap, witness=(m, j), detail=value
                 )
@@ -281,8 +276,9 @@ def stieltjes_test(
     if 2 * order > n:
         raise ValueError(f"prefix too short: need index {2 * order}, have {n}")
     shifted_size = order + 1 if 2 * order + 1 <= n else order
-    exact = seq.backend == EXACT
-    values = [(v.numerator, v.denominator) for v in seq.values] if exact else seq.values
+    d, exact = seq.denominator, seq.backend == EXACT
+    read = seq.values[: 2 * order + 2]  # the entries the Hankels read, reduced if exact
+    values = [(v // g, d // g) for v in read for g in (math.gcd(v, d),)] if exact else read
     arithmetic = _EXACT_ARITHMETIC if exact else _float_arithmetic(abs(tol))
     for shift, size in ((0, order + 1), (1, shifted_size)):
         ok, k, value = _eliminate(_hankel(values, size, shift), *arithmetic)

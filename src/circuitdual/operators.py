@@ -118,8 +118,9 @@ class SquaredWeights(Record):
                 rule = rule[2:] + rule[:2]
         object.__setattr__(self, "_rule", rule)
         object.__setattr__(self, "rule_start", max(len(head), 2))  # L: sq(n >= L) is the rule's
+        u0, u1, v0, v1 = rule  # crosswise: the rule at i is (u0 + u1 i)/(v0 + v1 i), v0 + v1 i > 0
         for i in range(start, len(head)):
-            if head[i] != self._tail_value(i):
+            if head[i].numerator * (v0 + v1 * i) != head[i].denominator * (u0 + u1 * i):
                 raise ValueError(
                     f"head entry sq({i}) = {format_rat(head[i])} "
                     "conflicts with the tail rule"

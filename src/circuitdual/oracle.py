@@ -24,8 +24,9 @@ Each entry is an exact rational held as a (numerator, denominator) pair of
 integers with a positive denominator, unreduced: index 0 takes sq(0) and
 sq(1) over one denominator and reduces only the pair u[1] it adds, a
 product sq(2) ... sq(j) that telescopes to a small pair on xi-style tails.
-``_powers`` returns the pairs, ``hsequence`` and ``gram_diagonal`` their
-``Fraction`` views.
+``_powers`` returns the pairs; ``hsequence`` puts them over the lcm of
+their reduced denominators, and ``gram_diagonal`` returns the last one's
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from math import gcd, lcm
 from ._record import Record
 from .moments import MomentSeq
 from .operators import SquaredWeights
+from .rational import over_common_denominator
 
 
 class BandedOp(Record):
@@ -105,4 +107,4 @@ def hsequence(w: SquaredWeights, k: int, n_max: int = 12) -> MomentSeq:
     """Moment prefix {|C^n e_k|^2} for n = 0..n_max, ready for testing."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
-    return MomentSeq.exact([Fraction(*v) for v in _powers(w, k, n_max)])
+    return MomentSeq(*over_common_denominator(_powers(w, k, n_max)))

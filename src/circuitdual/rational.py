@@ -2,10 +2,11 @@
 
 Everything on the exact path lives in the rationals: scalars are
 ``fractions.Fraction``, or in the oracle and the exact Hankel elimination
-reduced integer pairs (``_mul``, ``_add``), polynomials are dense
-coefficient tuples, and a rational function is one pair of integer
-coefficient tuples in lowest terms, with content 1 and a positive leading
-denominator coefficient.
+reduced integer pairs (``_mul``, ``_add``), a moment prefix is integer
+numerators over one denominator (``over_common_denominator``),
+polynomials are dense coefficient tuples, and a rational function is one
+pair of integer coefficient tuples in lowest terms, with content 1 and a
+positive leading denominator coefficient.
 That form is canonical, so equality of values and of functions is
 decidable, which is what the rest of the package relies on: every
 identity it checks is checked exactly, never to a tolerance.
@@ -53,30 +54,36 @@ MAX_LITERAL = 21  # characters of an input x, xmax or weight, written as p/q
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse a rational from 'p/q', an integer, or a decimal literal.
+    """``parse_pair``'s value as a reduced Fraction."""
+    return Fraction(*parse_pair(text))
 
-    Unreduced inputs such as '-288/32' are accepted and canonicalized.  A
-    plain 'p/q' or integer in ASCII digits, signed and padded or not, is
-    read by int(); any other form, a zero denominator or a numeral past
-    int()'s digit limit goes to Fraction's parser, with the same result.  A
+
+def parse_pair(text: str) -> tuple[int, int]:
+    """A rational literal, 'p/q', an integer or a decimal, as (numerator,
+    denominator), the denominator positive.
+
+    A plain 'p/q' or integer in ASCII digits, signed and padded or not, is
+    read by two int()s, unreduced ('-288/32' stays so) and with no
+    Fraction; any other form, a zero denominator or a numeral past int()'s
+    digit limit goes to Fraction's parser, with the same value.  A
     decimal exponent beyond MAX_EXPONENT is refused before its power of ten
     is built: '1e999999999' would otherwise allocate a billion digits.  An
     error shows a refused literal whole up to 40 characters, else its first
     20 characters and its length, so that a line of any size stays short.
     """
     plain = _PLAIN.fullmatch(text)
-    if plain:
-        try:
-            return Fraction(int(plain[1]), int(plain[2] or 1))
-        except (ValueError, ZeroDivisionError):
-            pass  # refused by the general route, with its message
+    try:
+        if plain and (d := int(plain[2] or 1)):
+            return int(plain[1]), d
+    except ValueError:
+        pass  # past int()'s digit limit: refused by the general route, with its message
     exponent = _EXPONENT.search(text)
     digits = exponent and exponent.group(1).replace("_", "").lstrip("0")
     if digits and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
         problem = f"exponent beyond {MAX_EXPONENT} in"
     else:
         try:
-            return Fraction(text.strip())
+            return Fraction(text.strip()).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             problem = "not a rational literal:"
     shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
@@ -134,6 +141,8 @@ def decimal_pair(n: int, d: int) -> str:
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed on the exact path")
     return Fraction(value)
@@ -226,7 +235,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return a.monic()
 
-    f, g = (_int_primitive(over_common_denominator(p.coeffs)[0]) for p in (a, b))
+    f, g = (_int_primitive(over_common_denominator([c.as_integer_ratio() for c in p.coeffs])[0])
+            for p in (a, b))
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -243,11 +253,14 @@ def balanced_lcm(dens: Sequence[int]) -> int:
     return math.lcm(*dens)
 
 
-def over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of the values over the lcm of their denominators, and
-    that lcm (``balanced_lcm``): value i is numerators[i]/lcm."""
-    lcm = balanced_lcm([v.denominator for v in values])
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+def over_common_denominator(pairs: Sequence[tuple]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of (numerator, denominator) pairs, denominators
+    positive, reduced or not, over the lcm of their reduced denominators
+    (``balanced_lcm``), and that lcm: value i is numerators[i]/lcm.  One
+    gcd a pair and no Fraction; equal values give equal results."""
+    reduced = [(n // g, d // g) for n, d in pairs for g in (gcd(n, d),)]
+    lcm = balanced_lcm([d for _, d in reduced])
+    return tuple([n * (lcm // d) for n, d in reduced]), lcm
 
 
 def _mul(a: tuple, b: tuple) -> tuple:

@@ -85,7 +85,7 @@ from circuitdual.family import (
     family_weights,
     s_derivatives_at_zero,
 )
-from circuitdual.moments import MomentSeq, hausdorff_test
+from circuitdual.moments import hausdorff_test
 from circuitdual.operators import (
     ConstantTail,
     ReciprocalXiTail,
@@ -93,6 +93,7 @@ from circuitdual.operators import (
     XiTail,
     dual_weights,
 )
+import ref_moments  # a module import: ref_moments imports this module
 from ref_oracle import _powers as forward_powers
 from ref_oracle import two_isometric_fiber0
 
@@ -206,7 +207,8 @@ class RatFn(rational.RatFn):
         g = _lift(rational.poly_gcd(num, den))
         if g.degree >= 1:
             num, den = num.divmod(g)[0], den.divmod(g)[0]
-        scaled, _ = rational.over_common_denominator(num.coeffs + den.coeffs)
+        scaled, _ = rational.over_common_denominator(
+            [c.as_integer_ratio() for c in num.coeffs + den.coeffs])
         split = len(num.coeffs)
         super().__init__(scaled[:split], scaled[split:])
 
@@ -525,7 +527,7 @@ def ref_counterexample_verdict(p, depth: int, horizon: int, residual_depth: int 
         residual_depth=residual_depth,
         moments=moments,
         closed_form_agrees=agrees,
-        hausdorff=hausdorff_test(MomentSeq.exact(moments), depth),
+        hausdorff=hausdorff_test(ref_moments.exact_prefix(moments), depth),
     )
 
 

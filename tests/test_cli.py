@@ -30,7 +30,8 @@ from circuitdual.operators import (
     XiTail,
     construct_2isometry,
 )
-from circuitdual.rational import format_rat, parse_rat
+from circuitdual.rational import format_rat, parse_pair
+from ref_moments import fractions_built, ref_moments_check
 from ref_rational import ref_two_isometry_check
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
@@ -534,15 +535,97 @@ def test_sequence_file_read_only_up_to_its_cap(tmp_path, capsys, monkeypatch):
     def counting_parse(text):
         nonlocal parsed
         parsed += 1
-        return parse_rat(text)
+        return parse_pair(text)
 
-    monkeypatch.setattr(moments, "parse_rat", counting_parse)
+    monkeypatch.setattr(moments, "parse_pair", counting_parse)
     seq = tmp_path / "seq.txt"
     seq.write_text("1/2\n" * 100_000)
     code, out, err = run(capsys, "moments", "check", str(seq))
     assert (code, out) == (2, "")
     assert err.startswith("error: a sequence file must hold at most")
     assert parsed == MAX_HORIZON + 1
+
+
+@st.composite
+def sequence_texts(draw):
+    """A sequence file's text: values in [-1/2, 5] written plain, unreduced,
+    signed and padded, or as decimals, between comment and blank lines."""
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        lines.extend(draw(st.lists(st.sampled_from(["# a comment", "", "   "]), max_size=2)))
+        n, d = draw(st.integers(-2, 20)), draw(st.sampled_from([1, 2, 3, 4, 6, 7]))
+        form = draw(st.sampled_from(["plain", "unreduced", "signed", "decimal"]))
+        if form == "plain":
+            text = format_rat(F(n, d))
+        elif form == "unreduced":
+            k = draw(st.integers(2, 6))
+            text = f"{n * k}/{d * k}"
+        elif form == "signed":
+            text = f" {'-' if n < 0 else '+'}{abs(n)}/{d}\t"
+        else:
+            text = f"{n / 4:.2f}"
+        lines.append(text + draw(st.sampled_from(["", "  # inline", "#"])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(sequence_texts(), st.integers(1, 5))
+def test_sequence_loader_agrees_with_the_fraction_route(tmp_path_factory, text, level):
+    # the loader reads plain lines as integer pairs, with no Fraction: the
+    # route through a Fraction per line prints the same and exits the same
+    path = tmp_path_factory.getbasetemp() / "loader.txt"
+    path.write_text(text)
+    for backend in ("exact", "float"):
+        for mode, flag in (("hausdorff", "--depth"), ("stieltjes", "--order")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--backend", backend, "moments", "check", str(path),
+                             "--mode", mode, flag, str(level)])
+            want = ref_moments_check(path, backend, mode, level, MAX_HORIZON + 1)
+            assert (code, out.getvalue(), err.getvalue()) == want
+
+
+def test_weight_spec_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors write a UTF-8 BOM first; it is not part of the first key
+    plain = run(capsys, "wco", "describe", "--spec", spec_file(tmp_path, FAMILY_HALF))
+    marked = tmp_path / "marked.cdl"
+    marked.write_bytes(b"\xef\xbb\xbf" + FAMILY_HALF.encode())
+    assert plain[0] == 0
+    assert run(capsys, "wco", "describe", "--spec", str(marked)) == plain
+
+
+def test_sequence_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # nor is it part of the first value of a sequence file
+    text = "1\n1/2\n1/3\n1/4\n"
+    (tmp_path / "plain.txt").write_text(text)
+    (tmp_path / "marked.txt").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    plain = run(capsys, "moments", "check", str(tmp_path / "plain.txt"))
+    assert plain == (0, "PASS depth=3 n=3\n", "")
+    assert run(capsys, "moments", "check", str(tmp_path / "marked.txt")) == plain
+
+
+def test_verdict_builds_a_fixed_number_of_fractions():
+    # the fiber-0 moments reach the Hausdorff test as integers over one
+    # denominator: the horizon adds no Fraction
+    built = [fractions_built(lambda: main(["family", "verdict", "--x", "46/101",
+                                            "--horizon", str(h)]))[1] for h in (12, 32)]
+    assert built[0] == built[1] <= 36
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_plain_sequence_file_builds_at_most_two_fractions(tmp_path, backend):
+    # a plain p/q line is two int()s: only a witness is a Fraction
+    path = tmp_path / "seq.txt"
+    for count in (5, 60):
+        for lowered in (False, True):
+            values = [F(1, k + 1) for k in range(count)]
+            values[-1] -= F(1, 10) if lowered else 0
+            path.write_text("".join(format_rat(v) + "\n" for v in values))
+            for mode in ("hausdorff", "stieltjes"):
+                code, built = fractions_built(lambda: main(
+                    ["--backend", backend, "moments", "check", str(path), "--mode", mode,
+                     "--order", "2"]))
+                assert code in (0, 1) and built <= 2
 
 
 def test_weight_spec_file_length_cap(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,13 +18,14 @@ from circuitdual.moments import (
     stieltjes_test,
 )
 from circuitdual.family import family_weights
+from ref_moments import exact_prefix, fractions, fractions_built
 from ref_oracle import dual_moment_fiberk
 
 rats01 = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
 
 def seq(*values):
-    return MomentSeq.exact(values)
+    return exact_prefix(values)
 
 
 def test_diff_transform_examples():
@@ -33,7 +33,7 @@ def test_diff_transform_examples():
     assert diff_transform(const, 3, 0) == 0
     spike = seq(1, 0, 0, 0)
     assert diff_transform(spike, 2, 0) == 1
-    geo = MomentSeq.exact([F(1, 2) ** n for n in range(6)])
+    geo = exact_prefix([F(1, 2) ** n for n in range(6)])
     assert diff_transform(geo, 2, 1) == F(1, 8)
     # the sum takes the type of the entries, also for a zero sum
     for m in (0, 2, 3):
@@ -49,14 +49,14 @@ def test_diff_transform_prefix_too_short():
 
 
 def test_hausdorff_uniform_density_passes():
-    uniform = MomentSeq.exact([F(1, n + 1) for n in range(13)])
+    uniform = exact_prefix([F(1, n + 1) for n in range(13)])
     verdict = hausdorff_test(uniform, 6)
     assert verdict.passed
     assert verdict.render() == "PASS depth=6 n=12"
 
 
 def test_hausdorff_increasing_sequence_fails():
-    doubling = MomentSeq.exact([F(2) ** n for n in range(5)])
+    doubling = exact_prefix([F(2) ** n for n in range(5)])
     verdict = hausdorff_test(doubling, 1)
     assert not verdict.passed
     assert verdict.witness == (1, 0)
@@ -68,7 +68,7 @@ def test_hausdorff_family_sequence_inside_window():
     # The fiber-0 dual moments fail at depth 5 only for x below the first
     # positive zero of D_5 (about 0.0034); x = 1/500 is inside that window.
     p = FamilyParam(F(1, 500))
-    vals = MomentSeq.exact([omega_eval(n, p) for n in range(13)])
+    vals = exact_prefix([omega_eval(n, p) for n in range(13)])
     verdict = hausdorff_test(vals, 5)
     assert not verdict.passed
     assert verdict.witness == (5, 0)
@@ -77,7 +77,7 @@ def test_hausdorff_family_sequence_inside_window():
 def test_hausdorff_family_sequence_outside_window():
     # At x = 1/10 the first violation sits at m = 9, so depth 5 passes.
     p = FamilyParam(F(1, 10))
-    vals = MomentSeq.exact([omega_eval(n, p) for n in range(13)])
+    vals = exact_prefix([omega_eval(n, p) for n in range(13)])
     assert hausdorff_test(vals, 5).passed
     deep = hausdorff_test(vals, 9)
     assert not deep.passed
@@ -86,11 +86,11 @@ def test_hausdorff_family_sequence_outside_window():
     for x in (F(0), F(1, 10), F(1, 2)):
         vals = [omega_eval(n, FamilyParam(x)) for n in range(12)]
         assert vals[0] == 1
-        assert hausdorff_test(MomentSeq.exact(vals), 1).passed
+        assert hausdorff_test(exact_prefix(vals), 1).passed
 
 
 def test_stieltjes_factorials_pass():
-    fact = MomentSeq.exact([math.factorial(n) for n in range(9)])
+    fact = exact_prefix([math.factorial(n) for n in range(9)])
     verdict = stieltjes_test(fact, 4)
     assert verdict.passed
     assert verdict.render() == "PASS order=4 n=8"
@@ -107,7 +107,7 @@ def test_stieltjes_shifted_hankel_failure():
 
 def test_stieltjes_family_fiber_one_passes():
     w = family_weights(FamilyParam(F(1, 2)))
-    vals = MomentSeq.exact([dual_moment_fiberk(w, 1, n) for n in range(11)])
+    vals = exact_prefix([dual_moment_fiberk(w, 1, n) for n in range(11)])
     assert stieltjes_test(vals, 5).passed
 
 
@@ -126,8 +126,8 @@ def test_stieltjes_zero_sequence_passes():
 
 def test_hausdorff_shorter_prefix_caps_the_index():
     values = [F(1, n + 1) for n in range(10)] + [F(-1)]
-    assert not hausdorff_test(MomentSeq.exact(values), 2).passed
-    capped = hausdorff_test(MomentSeq.exact(values[:10]), 2)
+    assert not hausdorff_test(exact_prefix(values), 2).passed
+    capped = hausdorff_test(exact_prefix(values[:10]), 2)
     assert capped.passed
     assert capped.top_index == 9
 
@@ -137,13 +137,13 @@ def test_float_threshold_is_the_tolerance():
     # when eps < tol, negative on float when eps > tol, negative on exact
     tol = 2.0 ** -20
     for eps, float_passes in ((F(1, 2 ** 21), True), (F(1, 2 ** 19), False)):
-        step = MomentSeq.exact([1, 1 + eps])
+        step = exact_prefix([1, 1 + eps])
         assert hausdorff_test(step, 1, tol=tol).witness == (1, 0)
         verdict = hausdorff_test(step.to_floats(), 1, tol=tol)
         assert verdict.passed == float_passes
         if not float_passes:
             assert (verdict.witness, verdict.detail) == ((1, 0), float(-eps))
-        pivot = MomentSeq.exact([0, 0, -eps])
+        pivot = exact_prefix([0, 0, -eps])
         assert stieltjes_test(pivot, 1, tol=tol).witness == ("hankel", 0, 1)
         verdict = stieltjes_test(pivot.to_floats(), 1, tol=tol)
         assert verdict.passed == float_passes
@@ -153,7 +153,7 @@ def test_float_threshold_is_the_tolerance():
 
 def test_float_conversion_overflow_names_the_entry():
     with pytest.raises(ValueError, match="entry 1 is beyond the float range"):
-        MomentSeq.exact([1, F(10) ** 400]).to_floats()
+        exact_prefix([1, F(10) ** 400]).to_floats()
 
 
 # entries at the edges of the double range, each with float() as the truth
@@ -172,11 +172,11 @@ FLOAT_EDGES = [
 
 
 def test_to_floats_is_float_of_each_entry():
-    got = MomentSeq.exact(FLOAT_EDGES).to_floats().values
+    got = exact_prefix(FLOAT_EDGES).to_floats().values
     assert [v.hex() for v in got] == [float(v).hex() for v in FLOAT_EDGES]
     for beyond in (F(2 ** 1024 - 2 ** 970), -F(2 ** 1024 - 2 ** 970), F(2 ** 2000, 3)):
         with pytest.raises(ValueError, match="^entry 2 is beyond the float range$"):
-            MomentSeq.exact([1, F(1, 2), beyond]).to_floats()
+            exact_prefix([1, F(1, 2), beyond]).to_floats()
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,9 +187,9 @@ def test_to_floats_matches_float_on_wide_fractions(values):
         want = [float(v).hex() for v in values]
     except OverflowError:
         with pytest.raises(ValueError, match="is beyond the float range"):
-            MomentSeq.exact(values).to_floats()
+            exact_prefix(values).to_floats()
         return
-    assert [v.hex() for v in MomentSeq.exact(values).to_floats().values] == want
+    assert [v.hex() for v in exact_prefix(values).to_floats().values] == want
 
 
 def test_float_backend_agrees_on_clear_cases():
@@ -213,12 +213,19 @@ def test_backend_mixing_rejected():
         MomentSeq((F(1), 0.5))
     with pytest.raises(TypeError):
         MomentSeq((F(1), 1))
+    with pytest.raises(TypeError):
+        MomentSeq((1, 0.5), 2)
+    with pytest.raises(TypeError):
+        MomentSeq((F(1), F(1, 2)), 1)
     with pytest.raises(ValueError):
         MomentSeq(())
+    for denominator in (0, -2, F(2)):
+        with pytest.raises(ValueError, match="denominator must be a positive integer"):
+            MomentSeq((1, 2), denominator)
 
 
 def test_backend_follows_the_entries():
-    assert MomentSeq((F(1), F(1, 2))).backend == "exact"
+    assert MomentSeq((2, 1), 2).backend == "exact"
     assert MomentSeq((1.0, 0.5)).backend == "float"
     assert seq(1, 2).to_floats().backend == "float"
 
@@ -226,7 +233,7 @@ def test_backend_follows_the_entries():
 def test_float_hankel_square_overflows_to_inf():
     # a zero diagonal leaves the off-diagonal test, whose square is beyond
     # a double: -inf on float, the exact square on exact
-    values = MomentSeq.exact([0, F(10) ** 200, 0])
+    values = exact_prefix([0, F(10) ** 200, 0])
     verdict = stieltjes_test(values.to_floats(), 1)
     assert (verdict.witness, verdict.detail) == (("hankel", 0, 2), -math.inf)
     verdict = stieltjes_test(values, 1)
@@ -245,7 +252,8 @@ def test_sequence_file_roundtrip(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("# comment\n1\n1/2\n0.25  # inline\n\n")
     loaded = MomentSeq.from_file(path)
-    assert loaded.values == (F(1), F(1, 2), F(1, 4))
+    assert (loaded.values, loaded.denominator) == ((4, 2, 1), 4)
+    assert loaded == exact_prefix([1, F(1, 2), F(1, 4)])
     assert loaded.to_floats().values == (1.0, 0.5, 0.25)
 
 
@@ -259,7 +267,7 @@ def test_polynomial_annihilation(coeffs, extra):
     values = [
         sum(c * F(n) ** k for k, c in enumerate(poly)) for n in range(m + 1)
     ]
-    assert diff_transform(MomentSeq.exact(values), m, 0) == 0
+    assert diff_transform(exact_prefix(values), m, 0) == 0
 
 
 @given(
@@ -272,15 +280,15 @@ def test_atomic_measure_synthesis_soundness(atoms, prefix):
     values = [
         sum(mass * point ** n for point, mass in atoms) for n in range(prefix + 1)
     ]
-    assert hausdorff_test(MomentSeq.exact(values), prefix).passed
+    assert hausdorff_test(exact_prefix(values), prefix).passed
 
 
 @given(st.lists(rats01, min_size=3, max_size=9), st.integers(1, 3))
 @settings(max_examples=60)
 def test_shift_stability(values, depth):
-    base = MomentSeq.exact(values)
+    base = exact_prefix(values)
     if hausdorff_test(base, depth).passed:
-        shifted = MomentSeq.exact(values[1:])
+        shifted = exact_prefix(values[1:])
         if shifted.top_index >= depth:
             assert hausdorff_test(shifted, depth).passed
 
@@ -288,7 +296,7 @@ def test_shift_stability(values, depth):
 @given(st.lists(rats01, min_size=3, max_size=8), st.integers(1, 3))
 @settings(max_examples=60)
 def test_exact_float_agreement_away_from_zero(values, depth):
-    exact = MomentSeq.exact(values)
+    exact = exact_prefix(values)
     tested = [
         diff_transform(exact, m, j)
         for m in range(depth + 1)
@@ -503,36 +511,19 @@ def test_both_routes_match_the_reference_elimination(matrix, tol):
     assert exact_psd(matrix) == _psd(matrix, 0)
 
 
-def _fractions_built(call):
-    """call() and the number of Fraction.__new__ calls it made."""
-    built = 0
-
-    def profile(frame, event, arg):
-        nonlocal built
-        if event == "call" and frame.f_code is F.__new__.__code__:
-            built += 1
-
-    sys.setprofile(profile)
-    try:
-        result = call()
-    finally:
-        sys.setprofile(None)
-    return result, built
-
-
 def test_exact_stieltjes_builds_only_the_witness():
     # the prefix becomes integer pairs once; only a witness value is a
     # Fraction again, and at most two Fractions form it
     def atomic(points, count):
         return [sum(F(t, 16) ** n for t in points) / len(points) for n in range(count)]
 
-    singular = MomentSeq.exact(atomic((2, 7, 13), 17))
+    singular = exact_prefix(atomic((2, 7, 13), 17))
     lowered = atomic((1, 3, 5, 8, 11, 15), 17)
     lowered[16] -= F(1, 64)
-    lowered = MomentSeq.exact(lowered)
-    passed, built = _fractions_built(lambda: stieltjes_test(singular, 8))
+    lowered = exact_prefix(lowered)
+    passed, built = fractions_built(lambda: stieltjes_test(singular, 8))
     assert passed.passed and built <= 2
-    failed, built = _fractions_built(lambda: stieltjes_test(lowered, 8))
+    failed, built = fractions_built(lambda: stieltjes_test(lowered, 8))
     assert failed.witness == ("hankel", 0, 7) and failed.detail < 0 and built <= 2
 
 
@@ -624,7 +615,7 @@ wide_prefixes = st.lists(
 )
 @settings(max_examples=50, deadline=None)
 def test_difference_table_matches_binomial_sums(values, depth, top):
-    exact = MomentSeq.exact(values[: top + 1])
+    exact = exact_prefix(values[: top + 1])
     assert _outcome(hausdorff_test(exact, depth)) == _reference_hausdorff(exact, depth)
 
 
@@ -633,7 +624,7 @@ def _fraction_table(seq, depth):
     the route the integer table over the lcm replaced."""
     cap = seq.top_index
     depth = min(depth, cap)
-    row = list(seq.values)
+    row = list(fractions(seq))
     for m in range(depth + 1):
         for j in range(cap - m + 1):
             if m:
@@ -657,8 +648,8 @@ def coprime_prefixes(draw):
 @given(coprime_prefixes(), st.integers(1, 15))
 @settings(max_examples=30, deadline=None)
 def test_integer_table_matches_the_fraction_table(values, depth):
-    verdict = hausdorff_test(MomentSeq.exact(values), depth)
-    assert _outcome(verdict) == _fraction_table(MomentSeq.exact(values), depth)
+    verdict = hausdorff_test(exact_prefix(values), depth)
+    assert _outcome(verdict) == _fraction_table(exact_prefix(values), depth)
     assert verdict.passed or type(verdict.detail) is F
 
 
@@ -671,7 +662,7 @@ dyadic = st.builds(lambda n, k: F(n, 2 ** k), st.integers(-64, 64), st.integers(
 @given(st.lists(dyadic, min_size=1, max_size=14), st.integers(1, 15), st.integers(0, 15))
 @settings(max_examples=50, deadline=None)
 def test_float_difference_table_matches_binomial_sums(values, depth, top):
-    exact = MomentSeq.exact(values[: top + 1])
+    exact = exact_prefix(values[: top + 1])
     status, witness, detail, reached, cap = _reference_hausdorff(exact, depth)
     want = (status, witness, None if detail is None else float(detail), reached, cap)
     assert _outcome(hausdorff_test(exact.to_floats(), depth)) == want
@@ -682,7 +673,7 @@ def test_difference_table_zero_runs_and_caps():
     values = [F(0)] * 6 + [F(1, 3), F(0), F(0)]
     for depth in range(1, 9):
         for top in (8, 3, 5, 6, 7):
-            exact = MomentSeq.exact(values[: top + 1])
+            exact = exact_prefix(values[: top + 1])
             assert _outcome(hausdorff_test(exact, depth)) == _reference_hausdorff(exact, depth)
-    assert hausdorff_test(MomentSeq.exact(values), 1).witness == (1, 5)
-    assert hausdorff_test(MomentSeq.exact(values[:6]), 1).passed
+    assert hausdorff_test(exact_prefix(values), 1).witness == (1, 5)
+    assert hausdorff_test(exact_prefix(values[:6]), 1).passed

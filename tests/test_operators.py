@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from circuitdual import operators, oracle
 from circuitdual.family import FamilyParam, family_weights
-from circuitdual.moments import MomentSeq
 from circuitdual.operators import (
     ConstantTail,
     ReciprocalXiTail,
@@ -67,7 +66,6 @@ EXACT_ENTRY_POINTS = {
     "construct_2isometry sq1": (
         lambda v: construct_2isometry(1, v),
         1, F(1, 2), -1, "squared weights are nonnegative"),
-    "MomentSeq.exact": (lambda v: MomentSeq.exact([F(1), v]), 3, F(1, 3), None, None),
 }
 
 

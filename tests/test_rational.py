@@ -403,9 +403,11 @@ def test_canonical_equality_matches_pointwise(pn, pd, qn, qd):
     assert (f == g) == all(samples)
 
 
-@given(st.lists(st.fractions(max_denominator=10**6), max_size=40))
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)), max_size=40))
 @settings(max_examples=100)
-def test_over_common_denominator_is_the_plain_lcm(values):
-    numerators, lcm = over_common_denominator(values)
+def test_over_common_denominator_is_the_plain_lcm(pairs):
+    # reduced or not, the pairs go over the lcm of their reduced denominators
+    values = [F(n, d) for n, d in pairs]
+    numerators, lcm = over_common_denominator(pairs)
     assert lcm == math.lcm(*(v.denominator for v in values))
     assert [F(n, lcm) for n in numerators] == values

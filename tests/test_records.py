@@ -20,6 +20,7 @@ from circuitdual.operators import (
     XiTail,
 )
 from circuitdual.oracle import BandedOp
+from ref_moments import exact_prefix
 
 WEIGHTS = SquaredWeights((F(1, 2), F(1)), XiTail(F(5, 4)))
 REPORT = OperatorReport(
@@ -58,7 +59,7 @@ CASES = [
             "hausdorff": VERDICT,
         },
     ),
-    (MomentSeq, {"values": (F(1), F(1, 2), F(1, 3))}),
+    (MomentSeq, {"values": (6, 3, 2), "denominator": 6}),
     (
         MomentVerdict,
         {
@@ -119,7 +120,7 @@ def test_records_with_different_fields_differ(cls, fields):
         FamilyParam: F(1, 5),
         SignScanReport: 6,
         CounterexampleVerdict: F(1, 20),
-        MomentSeq: (F(1), F(1, 2)),
+        MomentSeq: (6, 3),
         MomentVerdict: "pass",
         ConstantTail: F(2),
         XiTail: F(3, 2),
@@ -200,7 +201,7 @@ def test_post_init_coerces_fields():
     assert type(XiTail(2).w2sq) is F and type(ReciprocalXiTail(2).w2sq) is F
     w = SquaredWeights([1, F(1, 2)], ConstantTail(1))
     assert w.head == (F(1), F(1, 2)) and all(type(v) is F for v in w.head)
-    assert MomentSeq.exact([1, 2]) == MomentSeq((F(1), F(2)))
+    assert exact_prefix([1, F(1, 2)]) == MomentSeq((2, 1), 2)
 
 
 def test_post_init_rejects_bad_fields():

@@ -5,7 +5,8 @@ traced run starts, so deleting or renaming one would crash that run.  This
 test reads the same tables and resolves each point, class attributes
 through ``vars(cls)`` as the tracer does.  A name that resolves can
 still stop seeing its layer, so traced runs pin two metrics of the
-symbolic build and two counts of the verdict pipeline as well.
+symbolic build, two counts of the verdict pipeline, and the loader, the
+oracle and the exact Stieltjes test under ``moments check``.
 """
 
 import json
@@ -97,3 +98,19 @@ def test_traced_verdict_decides_the_residuals_at_any_depth(label):
                             *label])
     assert code == 0
     assert metrics["operators.residual_checks"] == 5
+
+
+def test_traced_moments_check_sees_the_loader_the_oracle_and_the_test(tmp_path):
+    # the loaders build the exact prefix without a Fraction per entry; the
+    # spans around them must still see the work
+    seq = tmp_path / "seq.txt"
+    seq.write_text("".join(f"1/{k + 1}\n" for k in range(9)))
+    code, metrics = traced(["moments", "check", str(seq), "--mode", "stieltjes", "--order", "4"])
+    assert code == 0
+    assert metrics["files.load_s"] > 0
+    assert metrics["moments.stieltjes_exact_s"] > 0
+    spec = tmp_path / "family.cdl"
+    spec.write_text("kind = family\nx = 1/10\n")
+    code, metrics = traced(["moments", "check", "--from-dual", str(spec)])
+    assert code == 0
+    assert metrics["oracle.hsequence_s"] > 0
