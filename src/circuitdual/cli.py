@@ -92,8 +92,8 @@ def _cmd_wco_dual(args) -> int:
     print(f"alpha={format_rat(dual.alpha)}")
     print(f"norm_sq={format_rat(report.norm_sq)}")
     print(f"lower_sq={format_rat(report.lower_bound_sq)}")
-    for n in range(args.count):
-        print(f"sq'({n})={format_rat(dual.sq(n))}")
+    for n, v in enumerate(dual.pairs(args.count)):
+        print(f"sq'({n})={format_pair(*v)}")
     return 0
 
 

@@ -105,8 +105,10 @@ class FamilyParam(Record):
 
 
 def family_weights(p: FamilyParam) -> SquaredWeights:
-    """The 2-isometric completion of the head sq(0) = 1/2, sq(1) = 1/2 + x."""
-    return construct_2isometry(Fraction(1, 2), Fraction(1, 2) + p.x)
+    """The 2-isometric completion of the head sq(0) = 1/2, sq(1) = 1/2 + x,
+    sq(1) = (b + 2a) / (2b) at x = a/b."""
+    a, b = p.x.numerator, p.x.denominator
+    return construct_2isometry(Fraction(1, 2), Fraction(b + 2 * a, 2 * b))
 
 
 def _omega_terms(horizon: int, p: FamilyParam) -> tuple:

@@ -21,8 +21,12 @@ bounded below exactly when min(alpha, inf_{n>=2} sq(n)) > 0.
 
 Past an explicit head every tail is one rule, monotone in n and read
 without asking which tail it came from: sq(n) = (u0 + u1 n) / (v0 + v1 n)
-in reduced integers, for n >= L = ``rule_start``.  Residuals 0..L+1 decide
-2-isometry, so ``two_isometry_check`` computes exactly those, and
+in reduced integers, for n >= L = ``rule_start``.  The head is read into
+reduced integer pairs once, next to the rule, and ``pairs`` serves both:
+alpha, the tail bounds, the forced sq(2), the dual's head and the
+residuals are computed on pairs and compared crosswise, and a Fraction is
+built only where a returned record or a head holds one.  Residuals 0..L+1
+decide 2-isometry, so ``two_isometry_check`` computes exactly those, and
 ``fiber0_moments`` reads any operator's pairs, a dual's too.
 
 - The constant tail p/q is (p, 0, q, 0).
@@ -36,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .rational import _as_fraction, format_rat
+from .rational import _as_fraction, format_pair, format_rat
 
 _ZERO = Fraction(0)
 
@@ -102,7 +106,8 @@ class SquaredWeights(Record):
     def __post_init__(self):
         head = tuple([_as_fraction(v) for v in self.head])
         object.__setattr__(self, "head", head)
-        if any(v < 0 for v in head):
+        pairs = tuple([(v.numerator, v.denominator) for v in head])
+        if any(n < 0 for n, _ in pairs):
             raise ValueError("squared weights are nonnegative")
         tail = self.tail
         if isinstance(tail, ConstantTail):
@@ -116,52 +121,48 @@ class SquaredWeights(Record):
             rule, start = (b - a, a, b - 2 * a, a), 2
             if isinstance(tail, ReciprocalXiTail):
                 rule = rule[2:] + rule[:2]
+        object.__setattr__(self, "_head", pairs)
         object.__setattr__(self, "_rule", rule)
         object.__setattr__(self, "rule_start", max(len(head), 2))  # L: sq(n >= L) is the rule's
         u0, u1, v0, v1 = rule  # crosswise: the rule at i is (u0 + u1 i)/(v0 + v1 i), v0 + v1 i > 0
         for i in range(start, len(head)):
-            if head[i].numerator * (v0 + v1 * i) != head[i].denominator * (u0 + u1 * i):
+            n, d = pairs[i]
+            if n * (v0 + v1 * i) != d * (u0 + u1 * i):
                 raise ValueError(
                     f"head entry sq({i}) = {format_rat(head[i])} "
                     "conflicts with the tail rule"
                 )
-
-    def _tail_value(self, n: int) -> Fraction:
-        u0, u1, v0, v1 = self._rule
-        return Fraction(u0 + u1 * n, v0 + v1 * n)
 
     def sq(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("weight index must be nonnegative")
         if n < len(self.head):
             return self.head[n]
-        return self._tail_value(n)
+        u0, u1, v0, v1 = self._rule
+        return Fraction(u0 + u1 * n, v0 + v1 * n)
 
     @property
     def alpha(self) -> Fraction:
         """h(0) = sq(0) + sq(1), the squared norm of the image of e_0."""
         return self.sq(0) + self.sq(1)
 
-    def prefix(self, count: int) -> tuple:
-        return tuple([self.sq(n) for n in range(count)])
-
     def pairs(self, count: int) -> list:
-        """sq(0..count-1) as reduced (numerator, denominator) integer pairs;
-        the tail rule is reduced, so no Fraction is built past the head."""
-        out = [(v.numerator, v.denominator) for v in self.head[:count]]
+        """sq(0..count-1) as reduced (numerator, denominator) integer pairs,
+        the head's read once at construction; the tail rule is reduced, so
+        no Fraction is built."""
         u0, u1, v0, v1 = self._rule
-        return out + [(u0 + u1 * n, v0 + v1 * n) for n in range(len(out), count)]
+        out = self._head[:count]
+        return [*out, *[(u0 + u1 * n, v0 + v1 * n) for n in range(len(out), count)]]
 
-    def tail_bounds(self) -> tuple:
-        """(inf, sup) of sq(n) over n >= 2; either may be a limit, not attained.
-
-        The rule is monotone in n, so from L on its values lie between sq(L)
-        and its limit u1/v1 (sq(L) again when v1 = 0, a constant rule).
-        """
-        _, u1, _, v1 = self._rule
-        first = self._tail_value(self.rule_start)
-        values = [*self.head[2:], first, Fraction(u1, v1) if v1 else first]
-        return min(values), max(values)
+    def _alpha_and_bounds(self) -> tuple:
+        """(alpha, pairs that hold the inf and the sup of sq(n) over n >= 2),
+        either bound perhaps a limit, not attained: the rule is monotone in
+        n, so from L on its values lie between sq(L) and its limit u1/v1
+        (sq(L) again when v1 = 0, a constant rule)."""
+        (p0, q0), (p1, q1) = self.pairs(2)
+        u0, u1, v0, v1 = self._rule
+        first = (u0 + u1 * self.rule_start, v0 + v1 * self.rule_start)
+        return (p0 * q1 + p1 * q0, q0 * q1), [*self._head[2:], first, (u1, v1) if v1 else first]
 
 
 def h_of(w: SquaredWeights, n: int) -> Fraction:
@@ -188,11 +189,15 @@ def two_isometry_check(w: SquaredWeights) -> tuple:
     these vanish every residual does, and a first nonzero one has n <= L+1.
 
     With sq(n+1) = p/q and sq(n+2) = r/s the residual at n >= 1 is
-    ((q - 2p) s + pr) / (qs), built in integers; every zero is one shared 0.
+    ((q - 2p) s + pr) / (qs), and with sq(j) = p_j/q_j the circuit residual
+    1 + (sq(0) - 2) alpha + sq(1) sq(2) is over q_0^2 q_1 q_2; both are
+    built in integers, and every zero is one shared 0.
     """
-    sq = w.prefix(3)
-    out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
-    pairs = w.pairs(w.rule_start + 4)[2:]
+    pairs = w.pairs(w.rule_start + 4)
+    (p0, q0), (p1, q1), (p2, q2) = pairs[:3]
+    circuit = (q0 * q0 * q1 + (p0 - 2 * q0) * (p0 * q1 + p1 * q0)) * q2 + p1 * p2 * q0 * q0
+    out = [Fraction(circuit, q0 * q0 * q1 * q2) if circuit else _ZERO]
+    pairs = pairs[2:]
     out.extend([
         Fraction(num, q * s) if (num := (q - 2 * p) * s + p * r) else _ZERO
         for (p, q), (r, s) in zip(pairs, pairs[1:])
@@ -217,19 +222,25 @@ class OperatorReport(Record):
 def operator_report(w: SquaredWeights) -> OperatorReport:
     """Boundedness data, the cyclicity sufficient condition, and residuals.
 
-    The tail bounds are closed-form (the tail rule is monotone).  The
-    residuals are ``two_isometry_check``'s, at 0..L + 1, L = ``w.rule_start``:
-    they decide every depth and hold the first nonzero one.
+    The tail bounds are closed-form (the tail rule is monotone) and are
+    compared with alpha as integer pairs, crosswise.  The residuals are
+    ``two_isometry_check``'s, at 0..L + 1, L = ``w.rule_start``: they
+    decide every depth and hold the first nonzero one.
     Cyclicity is reported via the sufficient condition only: sq(n) > 0 for
     n >= 1 makes e_0 cyclic.
     """
-    alpha = w.alpha
-    inf, sup = w.tail_bounds()
+    alpha, bounds = w._alpha_and_bounds()
+    low = high = alpha
+    for v in bounds:
+        if v[0] * low[1] < low[0] * v[1]:
+            low = v
+        if v[0] * high[1] > high[0] * v[1]:
+            high = v
     return OperatorReport(
-        norm_sq=max(alpha, sup),
-        lower_bound_sq=min(alpha, inf),
+        norm_sq=Fraction(*high),
+        lower_bound_sq=Fraction(*low),
         bounded=True,
-        cyclic_sufficient=inf > 0 and all(v > 0 for v in w.head[1:]),
+        cyclic_sufficient=all([n > 0 for n, _ in [*w._head[1:], *bounds]]),
         two_isometry_residuals=two_isometry_check(w),
     )
 
@@ -243,21 +254,24 @@ def construct_2isometry(sq0, sq1) -> SquaredWeights:
     xi tail finishes the construction.
     """
     sq0, sq1 = _as_fraction(sq0), _as_fraction(sq1)
-    if sq0 < 0 or sq1 < 0:
+    p0, q0, p1, q1 = sq0.numerator, sq0.denominator, sq1.numerator, sq1.denominator
+    if p0 < 0 or p1 < 0:
         raise ValueError("squared weights are nonnegative")
-    if sq1 == 0:
+    if not p1:
         if sq0 != 1:
             raise ValueError(
                 "with sq(1) = 0 a 2-isometry requires sq(0) = 1; "
                 f"got sq(0) = {format_rat(sq0)}"
             )
         return SquaredWeights((Fraction(1), Fraction(0)), ConstantTail(1))
-    w2sq = ((sq0 + sq1) * (2 - sq0) - 1) / sq1
-    if w2sq < 1:
+    # with sq0 = p0/q0, sq1 = p1/q1, p1 > 0: over q0^2 p1
+    num, den = (p0 * q1 + p1 * q0) * (2 * q0 - p0) - q0 * q0 * q1, q0 * q0 * p1
+    if num < den:
         raise ValueError(
             "head admits no 2-isometric completion: the forced "
-            f"sq(2) = {format_rat(w2sq)} is below 1"
+            f"sq(2) = {format_pair(num, den)} is below 1"
         )
+    w2sq = Fraction(num, den)
     return SquaredWeights((sq0, sq1, w2sq), XiTail(w2sq))
 
 
@@ -269,11 +283,12 @@ def dual_weights(w: SquaredWeights) -> SquaredWeights:
     n >= 2.  Its Radon-Nikodym weight is the reciprocal of the original,
     and applying the construction twice returns the original entrywise.
     """
-    alpha = w.alpha
-    if min(alpha, w.tail_bounds()[0]) <= 0:
+    (a, b), bounds = w._alpha_and_bounds()
+    if not a or not all([n for n, _ in bounds]):  # entries are nonnegative
         raise ValueError("Cauchy dual requires an operator bounded from below")
-    head = [w.sq(0) / alpha ** 2, w.sq(1) / alpha ** 2]
-    head.extend(1 / v for v in w.head[2:])
+    (p0, q0), (p1, q1) = w.pairs(2)
+    head = [Fraction(p0 * b * b, q0 * a * a), Fraction(p1 * b * b, q1 * a * a)]
+    head.extend([Fraction(q, p) for p, q in w._head[2:]])
     tail = w.tail
     if isinstance(tail, ConstantTail):
         new_tail: Tail = ConstantTail(1 / tail.value)

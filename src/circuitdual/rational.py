@@ -115,9 +115,10 @@ def format_rat(value: Fraction) -> str:
 
     A computed value may have more digits than the interpreter allows an
     int-to-str conversion; such a value still prints, and parsing keeps
-    the limit.
+    the limit.  A Fraction is read as it is; any other value converts.
     """
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return format_pair(value.numerator, value.denominator)
 
 

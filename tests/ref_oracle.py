@@ -17,6 +17,14 @@ Both are oracles of the package's routes on a small range.
 ``dual_moment_fiberk`` is the closed form of the dual's moments on a fiber
 k >= 1, a reciprocal product of weights that no command runs; it is the
 fiber-k oracle of ``hsequence``.
+
+The operator layer reads the head and the tail rule as integer pairs and
+compares them crosswise; its ``Fraction`` routes stay here, as they ran,
+as its oracles: ``prefix`` and ``tail_bounds`` (once methods of
+``SquaredWeights``), ``ref_two_isometry_check`` (the residuals 1 - 2h + h_2,
+the circuit one included, by ``Fraction`` operations on the prefix),
+``ref_construct_2isometry``, ``ref_dual_weights`` and
+``ref_operator_report``.
 """
 
 from __future__ import annotations
@@ -24,8 +32,92 @@ from __future__ import annotations
 from fractions import Fraction
 
 from circuitdual._record import Record
-from circuitdual.operators import SquaredWeights
-from circuitdual.rational import _add, _mul, balanced_lcm
+from circuitdual.operators import (
+    ConstantTail,
+    OperatorReport,
+    ReciprocalXiTail,
+    SquaredWeights,
+    Tail,
+    XiTail,
+)
+from circuitdual.rational import _add, _as_fraction, _mul, balanced_lcm, format_rat
+
+
+def prefix(w: SquaredWeights, count: int) -> tuple:
+    """sq(0..count-1) as Fractions."""
+    return tuple([w.sq(n) for n in range(count)])
+
+
+def tail_bounds(w: SquaredWeights) -> tuple:
+    """(inf, sup) of sq(n) over n >= 2; either may be a limit, not attained.
+
+    The rule is monotone in n, so from L on its values lie between sq(L)
+    and its limit u1/v1 (sq(L) again when v1 = 0, a constant rule).
+    """
+    _, u1, _, v1 = w._rule
+    first = w.sq(w.rule_start)
+    values = [*w.head[2:], first, Fraction(u1, v1) if v1 else first]
+    return min(values), max(values)
+
+
+def ref_two_isometry_check(w: SquaredWeights, depth: int) -> tuple:
+    """Residuals 1 - 2h + h_2 at the points 0..depth, in Fractions."""
+    sq = prefix(w, depth + 3)
+    out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
+    out.extend(1 - 2 * sq[n + 1] + sq[n + 1] * sq[n + 2] for n in range(1, depth + 1))
+    return tuple(out)
+
+
+def ref_construct_2isometry(sq0, sq1) -> SquaredWeights:
+    """``construct_2isometry`` with the forced sq(2) in Fractions."""
+    sq0, sq1 = _as_fraction(sq0), _as_fraction(sq1)
+    if sq0 < 0 or sq1 < 0:
+        raise ValueError("squared weights are nonnegative")
+    if sq1 == 0:
+        if sq0 != 1:
+            raise ValueError(
+                "with sq(1) = 0 a 2-isometry requires sq(0) = 1; "
+                f"got sq(0) = {format_rat(sq0)}"
+            )
+        return SquaredWeights((Fraction(1), Fraction(0)), ConstantTail(1))
+    w2sq = ((sq0 + sq1) * (2 - sq0) - 1) / sq1
+    if w2sq < 1:
+        raise ValueError(
+            "head admits no 2-isometric completion: the forced "
+            f"sq(2) = {format_rat(w2sq)} is below 1"
+        )
+    return SquaredWeights((sq0, sq1, w2sq), XiTail(w2sq))
+
+
+def ref_dual_weights(w: SquaredWeights) -> SquaredWeights:
+    """``dual_weights`` with alpha, the bounds and the head in Fractions."""
+    alpha = w.alpha
+    if min(alpha, tail_bounds(w)[0]) <= 0:
+        raise ValueError("Cauchy dual requires an operator bounded from below")
+    head = [w.sq(0) / alpha ** 2, w.sq(1) / alpha ** 2]
+    head.extend(1 / v for v in w.head[2:])
+    tail = w.tail
+    if isinstance(tail, ConstantTail):
+        new_tail: Tail = ConstantTail(1 / tail.value)
+    elif isinstance(tail, XiTail):
+        new_tail = ReciprocalXiTail(tail.w2sq)
+    else:
+        new_tail = XiTail(tail.w2sq)
+    return SquaredWeights(tuple(head), new_tail)
+
+
+def ref_operator_report(w: SquaredWeights) -> OperatorReport:
+    """``operator_report`` with alpha and the bounds compared as Fractions,
+    and the residuals at 0..L+1 by ``ref_two_isometry_check``."""
+    alpha = w.alpha
+    inf, sup = tail_bounds(w)
+    return OperatorReport(
+        norm_sq=max(alpha, sup),
+        lower_bound_sq=min(alpha, inf),
+        bounded=True,
+        cyclic_sufficient=inf > 0 and all(v > 0 for v in w.head[1:]),
+        two_isometry_residuals=ref_two_isometry_check(w, w.rule_start + 1),
+    )
 
 
 class BandedOp(Record):
@@ -99,7 +191,7 @@ def two_isometric_fiber0(w: SquaredWeights, horizon: int) -> tuple:
         raise ValueError("power must be nonnegative")
     if horizon == 0:
         return ((1, 1),)
-    sq = w.prefix(horizon + 3)
+    sq = prefix(w, horizon + 3)
     h = [sq[0] + sq[1], *sq[2:]]
     h2 = [sq[0] * h[0] + sq[1] * h[1], *[sq[n + 1] * h[n + 1] for n in range(1, horizon + 1)]]
     if any(1 - 2 * h[n] + h2[n] for n in range(horizon + 1)):

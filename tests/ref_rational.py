@@ -41,9 +41,6 @@ on a small range:
 
 The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
 
-- ``ref_two_isometry_check`` takes the residuals 1 - 2h + h_2 by
-  ``Fraction`` operations on the weight prefix, five per point, the route
-  the one integer quotient per point replaced.
 - ``ref_omega_prefix`` runs S_n and 2^n (1+x)^(2n) as running ``Fraction``
   sums and products, the route the integer numerators over their known
   denominators replaced.
@@ -55,7 +52,8 @@ The verdict pipeline runs on integers; its ``Fraction`` routes stay here:
   closed form by the 2-isometric recurrence and the oracle by the forward
   lcm route of ``ref_oracle``: the routes the verdict's own replaced.  Its
   operator report is built from the per-kind answers below and
-  ``ref_two_isometry_check`` at the deciding points 0..L+1, not by
+  ``ref_oracle.ref_two_isometry_check`` (the residuals by ``Fraction``
+  operations on the weight prefix) at the deciding points 0..L+1, not by
   ``operator_report``.
 
 The operators read one linear-fractional tail rule; the per-kind answers
@@ -95,7 +93,7 @@ from circuitdual.operators import (
 )
 import ref_moments  # a module import: ref_moments imports this module
 from ref_oracle import _powers as forward_powers
-from ref_oracle import two_isometric_fiber0
+from ref_oracle import ref_two_isometry_check, two_isometric_fiber0
 
 
 def _lift(p: rational.Poly) -> "Poly":
@@ -477,14 +475,6 @@ def omega_deriv_leibniz(n: int, l: int) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-def ref_two_isometry_check(w, depth: int) -> tuple:
-    """Residuals 1 - 2h + h_2 at the points 0..depth, in Fractions."""
-    sq = w.prefix(depth + 3)
-    out = [1 - 2 * (sq[0] + sq[1]) + (sq[0] ** 2 + sq[0] * sq[1] + sq[1] * sq[2])]
-    out.extend(1 - 2 * sq[n + 1] + sq[n + 1] * sq[n + 2] for n in range(1, depth + 1))
-    return tuple(out)
 
 
 def domain_min(n: int) -> Fraction:

@@ -32,7 +32,7 @@ from circuitdual.operators import (
 )
 from circuitdual.rational import format_rat, parse_pair
 from ref_moments import fractions_built, ref_moments_check
-from ref_rational import ref_two_isometry_check
+from ref_oracle import prefix, ref_two_isometry_check
 
 FAMILY_HALF = "kind = family\nx = 1/2\n"
 ALL_ONES = "kind = explicit\nsq = [1, 1]\ntail = ones\n"
@@ -90,7 +90,7 @@ def describe_specs(draw):
     sq1 = 1 - sq0 + draw(st.fractions(F(1, 4), 1, max_denominator=4))
     s = construct_2isometry(sq0, sq1).sq(2)
     size = draw(st.integers(2, 6))
-    head = list(SquaredWeights((sq0, sq1), XiTail(s)).prefix(size))
+    head = list(prefix(SquaredWeights((sq0, sq1), XiTail(s)), size))
     if draw(st.booleans()):
         tail, text = XiTail(s), f"xi(w2sq={format_rat(s)})"
         changed = draw(st.integers(0, 1))  # the rule fixes sq(2) onward
@@ -111,7 +111,7 @@ def test_describe_prints_the_first_nonzero_residual_to_its_depth(tmp_path_factor
     tail, w = case
     path = tmp_path_factory.getbasetemp() / "describe.cdl"
     outputs = []
-    for head in (w.head, w.prefix(w.rule_start + extra)):
+    for head in (w.head, prefix(w, w.rule_start + extra)):
         path.write_text(explicit_spec(head, tail))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -609,7 +609,16 @@ def test_verdict_builds_a_fixed_number_of_fractions():
     # denominator: the horizon adds no Fraction
     built = [fractions_built(lambda: main(["family", "verdict", "--x", "46/101",
                                             "--horizon", str(h)]))[1] for h in (12, 32)]
-    assert built[0] == built[1] <= 36
+    assert built[0] == built[1] <= 10
+
+
+def test_dual_listing_builds_a_fixed_number_of_fractions(tmp_path, capsys):
+    # sq'(n) prints from the dual's integer pairs: the count adds no Fraction
+    path = spec_file(tmp_path, "kind = family\nx = 46/101\n")
+    built = [fractions_built(lambda: main(["wco", "dual", "--spec", path,
+                                            "--count", str(count)]))[1] for count in (1, 1000)]
+    assert built[0] == built[1] <= 15
+    assert capsys.readouterr().out.endswith("sq'(999)=46055/46101\n")
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

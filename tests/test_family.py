@@ -52,14 +52,14 @@ from ref_rational import (
     ref_omega,
     ref_omega_prefix,
     ref_s,
-    ref_two_isometry_check,
     s_ratfn,
 )
+from ref_oracle import prefix, ref_two_isometry_check
 
 
 def test_family_weights_boundary_is_isometry():
     w = family_weights(FamilyParam(F(0)))
-    assert w.prefix(6) == (F(1, 2), F(1, 2), F(1), F(1), F(1), F(1))
+    assert prefix(w, 6) == (F(1, 2), F(1, 2), F(1), F(1), F(1), F(1))
     assert all(h_of(w, n) == 1 for n in range(20))
 
 

@@ -6,6 +6,7 @@ import pytest
 from circuitdual.files import load_weight_spec, parse_weight_spec
 from circuitdual.operators import ConstantTail, XiTail
 from circuitdual.rational import MAX_LITERAL
+from ref_oracle import prefix
 
 
 def test_parse_explicit_with_ones_tail():
@@ -28,7 +29,7 @@ def test_parse_explicit_with_xi_tail():
 
 def test_parse_family_delegates():
     w = parse_weight_spec("kind = family\nx = 1/2\n")
-    assert w.prefix(3) == (F(1, 2), F(1), F(5, 4))
+    assert prefix(w, 3) == (F(1, 2), F(1), F(5, 4))
 
 
 @pytest.mark.parametrize(

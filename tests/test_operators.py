@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitdual import operators, oracle
@@ -22,13 +22,22 @@ from circuitdual.operators import (
     two_isometry_check,
 )
 from ref_oracle import _powers as forward_powers
-from ref_oracle import dual_moment_fiberk, reduced_adjoint_powers, two_isometric_fiber0
+from ref_oracle import (
+    dual_moment_fiberk,
+    prefix,
+    reduced_adjoint_powers,
+    ref_construct_2isometry,
+    ref_dual_weights,
+    ref_operator_report,
+    ref_two_isometry_check,
+    tail_bounds,
+    two_isometric_fiber0,
+)
 from ref_rational import (
     ref_cyclic_sufficient,
     ref_is_two_isometric,
     ref_tail_inf,
     ref_tail_sup,
-    ref_two_isometry_check,
 )
 from test_oracle import ONES, tailed_weights
 
@@ -85,7 +94,7 @@ def test_weights_materialization():
     w = SquaredWeights((F(1, 2), F(1)), XiTail(F(5, 4)))
     assert w.sq(2) == F(5, 4)
     assert w.sq(3) == F(6, 5)
-    assert w.prefix(3) == (F(1, 2), F(1), F(5, 4))
+    assert prefix(w, 3) == (F(1, 2), F(1), F(5, 4))
     assert w.alpha == F(3, 2)
 
 
@@ -160,11 +169,11 @@ def test_construct_rejects_impossible_head():
 
 def test_dual_weights_examples():
     d = dual_weights(ONES)
-    assert d.prefix(4) == (F(1, 4), F(1, 4), F(1), F(1))
+    assert prefix(d, 4) == (F(1, 4), F(1, 4), F(1), F(1))
 
     iso = isometry_weights()
     d_iso = dual_weights(iso)
-    assert d_iso.prefix(6) == iso.prefix(6)
+    assert prefix(d_iso, 6) == prefix(iso, 6)
 
     fam = dual_weights(family_weights(FamilyParam(F(1, 2))))
     assert fam.sq(0) == F(2, 9)
@@ -286,7 +295,7 @@ def test_two_isometry_check_matches_the_fraction_route(w, depth):
     assert two_isometry_check(w) == ref_two_isometry_check(w, w.rule_start + 1)
     # both read the tail rule; test_the_tail_rule_matches_each_kinds_formula
     # checks the rule itself
-    assert w.pairs(depth) == [(v.numerator, v.denominator) for v in w.prefix(depth)]
+    assert w.pairs(depth) == [(v.numerator, v.denominator) for v in prefix(w, depth)]
 
 
 def _xi_sq_fraction_route(n, s):
@@ -339,7 +348,7 @@ def near_two_isometries(draw):
     kind = draw(st.sampled_from([ConstantTail, XiTail, ReciprocalXiTail]))
     if kind is ConstantTail:
         return SquaredWeights(w.head[:2] + (s,) * extra, ConstantTail(s))
-    head = SquaredWeights(w.head[:2], kind(s)).prefix(2 + extra)
+    head = prefix(SquaredWeights(w.head[:2], kind(s)), 2 + extra)
     return SquaredWeights(head, kind(s))
 
 
@@ -373,9 +382,38 @@ def test_the_report_stops_where_the_residuals_are_decided(w, extra):
     assert len(residuals) == w.rule_start + 2
     first = _first_nonzero(residuals)
     assert first == _first_nonzero(ref_two_isometry_check(w, 60))
-    longer = SquaredWeights(w.prefix(w.rule_start + extra), w.tail)
+    longer = SquaredWeights(prefix(w, w.rule_start + extra), w.tail)
     assert longer.rule_start == w.rule_start + extra
     assert _first_nonzero(operator_report(longer).two_isometry_residuals) == first
+
+
+def _answer(route, *args):
+    """What a route returns, or the message of its refusal."""
+    try:
+        return route(*args)
+    except ValueError as err:
+        return str(err)
+
+
+head_entries = (st.fractions(min_value=-1, max_value=3, max_denominator=12)
+                | st.sampled_from([F(0), F(1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(head_entries, head_entries,
+       rule_cases().map(lambda case: case[0]) | near_two_isometries() | tailed_weights())
+@example(F(1), F(0), SquaredWeights((F(1), F(0)), XiTail(1)))  # sq1 = 0, w2sq = 1
+@example(F(1, 2), F(0), SquaredWeights((F(2), F(1), F(0)), ConstantTail(1)))  # zero head entry
+@example(F(2), F(1, 8), SquaredWeights((F(1), F(1)), ConstantTail(0)))  # not bounded below
+@example(F(-1), F(1), SquaredWeights((F(0), F(0)), ReciprocalXiTail(F(3, 2))))  # alpha = 0
+def test_the_pair_routes_answer_as_the_fraction_routes(sq0, sq1, w):
+    # records equal to the Fraction routes', refusals with the same message
+    assert _answer(construct_2isometry, sq0, sq1) == _answer(ref_construct_2isometry, sq0, sq1)
+    assert _answer(dual_weights, w) == _answer(ref_dual_weights, w)
+    report = operator_report(w)
+    assert report == ref_operator_report(w)
+    values = (report.norm_sq, report.lower_bound_sq, *report.two_isometry_residuals)
+    assert all(type(v) is F for v in values)
 
 
 def test_the_certificate_reads_three_residuals_past_the_head(monkeypatch):
@@ -512,7 +550,7 @@ def test_moment_routes_return_pairs_over_positive_denominators(w, n):
 
 
 def _bounded_below(w):
-    return min(w.alpha, w.tail_bounds()[0]) > 0
+    return min(w.alpha, tail_bounds(w)[0]) > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,7 +24,7 @@ from circuitdual.rational import format_rat
 from ref_moments import fractions
 from ref_oracle import BandedOp as ForwardOp
 from ref_oracle import _powers as forward_powers
-from ref_oracle import dual_moment_fiberk
+from ref_oracle import dual_moment_fiberk, prefix
 
 
 # unit weights everywhere: the plain circuit and shift
@@ -259,7 +259,7 @@ def test_fiber_zero_matches_path_sum(w):
 def _fraction_sum_route(w, k, n, size):
     """|C^j e_k|^2 for j = 0..n by the operator's forward action on
     Fractions, each power summed one Fraction addition at a time."""
-    sq = w.prefix(size)
+    sq = prefix(w, size)
     v = [F(int(i == k)) for i in range(size)]
     values = [F(1)]
     for _ in range(n):

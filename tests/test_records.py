@@ -21,6 +21,7 @@ from circuitdual.operators import (
 )
 from circuitdual.oracle import BandedOp
 from ref_moments import exact_prefix
+from ref_oracle import prefix
 
 WEIGHTS = SquaredWeights((F(1, 2), F(1)), XiTail(F(5, 4)))
 REPORT = OperatorReport(
@@ -225,6 +226,6 @@ def test_post_init_rejects_bad_fields():
 
 def test_extra_attributes_set_in_post_init():
     op = BandedOp(WEIGHTS, 4)
-    assert op._sq == tuple((v.numerator, v.denominator) for v in WEIGHTS.prefix(4))
+    assert op._sq == tuple((v.numerator, v.denominator) for v in prefix(WEIGHTS, 4))
     assert op == BandedOp(WEIGHTS, 4) and hash(op) == hash((WEIGHTS, 4))
     assert "_sq" not in repr(op)
